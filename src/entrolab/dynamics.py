@@ -68,6 +68,7 @@ from .fields import (
     gradient,
     normalize_density,
 )
+from .fokker_planck import drift_velocity
 
 
 @dataclass(frozen=True, eq=False)
@@ -247,6 +248,18 @@ def _axis_neighbors(values, space, axis):
     return _slice_axis(p, axis, slice(2, None)), _slice_axis(p, axis, slice(None, -2))
 
 
+def clipped_amplitude_curvature(amp, space, axis):
+    """Second difference of amp along one axis over amp, the neighbor
+    amplitude ratios clipped at AMP_RATIO_LIMIT; amp must be clamped
+    positive by the caller."""
+    plus, minus = _axis_neighbors(amp, space, axis)
+    return (
+        np.minimum(plus / amp, AMP_RATIO_LIMIT)
+        + np.minimum(minus / amp, AMP_RATIO_LIMIT)
+        - 2.0
+    ) / space.spacings[axis] ** 2
+
+
 def quantum_potential(rho: ScalarField, params: PhysicalParams) -> ScalarField:
     """The osmotic curvature term sum_a (mu_a eta^2 / 2 m_a^2) Lap_a sqrt(rho)/sqrt(rho).
 
@@ -265,22 +278,8 @@ def quantum_potential(rho: ScalarField, params: PhysicalParams) -> ScalarField:
         coeff = params.osmotic_masses[a] * params.eta**2 / (2.0 * params.masses[a] ** 2)
         if coeff == 0.0:
             continue
-        plus, minus = _axis_neighbors(amp, space, a)
-        curv = (
-            np.minimum(plus / amp, AMP_RATIO_LIMIT)
-            + np.minimum(minus / amp, AMP_RATIO_LIMIT)
-            - 2.0
-        ) / space.spacings[a] ** 2
-        out += coeff * curv
+        out += coeff * clipped_amplitude_curvature(amp, space, a)
     return ScalarField(space, out)
-
-
-def current_velocity(phi: ScalarField, params: PhysicalParams, A: VectorField | None = None) -> VectorField:
-    g = gradient(phi).components
-    if A is not None:
-        g = g - params.beta * A.components
-    scale = params.eta_over_m.reshape((-1,) + (1,) * phi.space.dim)
-    return VectorField(phi.space, scale * g)
 
 
 def energy(
@@ -413,7 +412,7 @@ def coupled_stability_limit(
     for a in range(space.dim):
         ratio = params.osmotic_masses[a] / params.masses[a]
         omega += math.sqrt(ratio) * (params.eta / (2.0 * params.masses[a])) * 4.0 / space.spacings[a] ** 2
-    v = current_velocity(state.phi, params, A).components
+    v = drift_velocity(state.phi, params, A).components
     mask = _mass_mask(state.rho.values)
     rate = 0.5 * omega
     for a in range(space.dim):
@@ -507,7 +506,7 @@ def energy_rate_audit(
         vdot = (V_series[k + 1].values - V_series[k - 1].values) / span
         rate = states[k].rho.values * vdot
         if A_series is not None:
-            v = current_velocity(states[k].phi, params, A_series[k]).components
+            v = drift_velocity(states[k].phi, params, A_series[k]).components
             adot = (A_series[k + 1].components - A_series[k - 1].components) / span
             rate = rate + states[k].rho.values * params.eta * params.beta * (v * adot).sum(axis=0)
         imposed[k - 1] = float(rate.sum()) * states[k].space.cell_volume

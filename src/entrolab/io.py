@@ -85,6 +85,26 @@ def _write_grid_csv(path, space, headers, columns, extra_meta=None):
     _write_meta(path, space, extra_meta)
 
 
+def _read_csv(path, skip=0):
+    """Header and float body (columns `skip:`) of a CSV file.  An empty file,
+    a ragged row or a non-numeric cell raises ConfigError naming the file
+    and the line."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise ConfigError(f"{path}: empty file")
+        data = []
+        for row in reader:
+            try:
+                if len(row) != len(header):
+                    raise ValueError(f"expected {len(header)} cells, found {len(row)}")
+                data.append([float(v) for v in row[skip:]])
+            except ValueError as exc:
+                raise ConfigError(f"{path}, line {reader.line_num}: {exc}") from None
+    return header, np.array(data)
+
+
 def _read_grid_csv(path, value_columns):
     """value_columns may be an int or a callable of the grid dim."""
     meta = _read_meta(path)
@@ -92,18 +112,13 @@ def _read_grid_csv(path, value_columns):
     if callable(value_columns):
         value_columns = value_columns(space.dim)
     expected = int(np.prod(space.points))
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = list(reader)
-    if len(rows) != expected:
-        raise ConfigError(f"{path}: expected {expected} rows, found {len(rows)}")
-    n_axis = space.dim
-    if len(header) != n_axis + value_columns:
+    header, data = _read_csv(path, space.dim)
+    if len(data) != expected:
+        raise ConfigError(f"{path}: expected {expected} rows, found {len(data)}")
+    if len(header) != space.dim + value_columns:
         raise ConfigError(
-            f"{path}: expected {n_axis + value_columns} columns, found {len(header)}"
+            f"{path}: expected {space.dim + value_columns} columns, found {len(header)}"
         )
-    data = np.array([[float(v) for v in row[n_axis:]] for row in rows])
     return space, data, meta
 
 
@@ -143,61 +158,6 @@ def load_vector_field(path) -> VectorField:
     return VectorField(space, comps)
 
 
-def save_kernel_row(path, kernel):
-    """Transition probabilities from one source cell, flat destination index."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["destination_index", "probability"])
-        for i, p in enumerate(kernel.probs.ravel()):
-            writer.writerow([i, _fmt(p)])
-    _write_meta(
-        path,
-        kernel.space,
-        {
-            "source": [float(c) for c in np.atleast_1d(kernel.source)],
-            "alpha": kernel.alpha,
-            "zeta": kernel.zeta,
-        },
-    )
-
-
-def save_trajectory(path, steps, positions_list):
-    """Walker trajectory dump: one row per (step, walker)."""
-    dim = positions_list[0].shape[1]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "walker"] + _axis_header(dim))
-        for step, pos in zip(steps, positions_list):
-            for w in range(pos.shape[0]):
-                writer.writerow([step, w] + [_fmt(c) for c in pos[w]])
-
-
-def save_drift_estimate(path, estimate):
-    """Per-cell drift report: center, components, standard errors, samples."""
-    space = estimate.drift.space
-    dim = space.dim
-    coords = _grid_rows(space)
-    drift = estimate.drift.components.reshape(dim, -1)
-    stderr = estimate.stderr.reshape(dim, -1)
-    counts = estimate.samples_per_cell.ravel()
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            _axis_header(dim)
-            + [f"drift{a}" for a in range(dim)]
-            + [f"stderr{a}" for a in range(dim)]
-            + ["samples"]
-        )
-        for i in range(coords.shape[0]):
-            writer.writerow(
-                [_fmt(c) for c in coords[i]]
-                + [_fmt(drift[a, i]) for a in range(dim)]
-                + [_fmt(stderr[a, i]) for a in range(dim)]
-                + [int(counts[i])]
-            )
-    _write_meta(path, space)
-
-
 def save_series(path, header, rows):
     """Generic numeric time series, e.g. (t, mass, variances, centers)."""
     with open(path, "w", newline="") as fh:
@@ -208,11 +168,7 @@ def save_series(path, header, rows):
 
 
 def load_series(path):
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = np.array([[float(v) for v in row] for row in reader])
-    return header, rows
+    return _read_csv(path)
 
 
 def save_summary(path, summary: dict):

@@ -28,6 +28,7 @@ from scipy.optimize import brentq
 
 from .errors import AlphaSolveError, DegenerateDensityError, KernelNotLocalizedError
 from .fields import ConfigSpace, PhysicalParams, ScalarField, VectorField
+from .fokker_planck import drift_velocity
 
 # Destinations whose exponent sits this many log-units below the row maximum
 # carry relative weight < 3e-20 and are dropped.
@@ -259,16 +260,9 @@ def gaussian_step_moments(
     displacements (eta/m_a)(dS/dx_a - beta A_a) dt and covariance is the
     per-axis array (eta/m_a) dt.
     """
-    from .fields import gradient  # local import keeps module load cheap
-
-    params.matches_space(S.space)
     if dt <= 0:
         raise ValueError("dt must be positive")
-    g = gradient(S).components
-    if A is not None:
-        g = g - params.beta * A.components
-    scale = (params.eta_over_m * dt).reshape((-1,) + (1,) * S.space.dim)
-    drift = VectorField(S.space, scale * g)
+    drift = VectorField(S.space, drift_velocity(S, params, A).components * dt)
     cov = params.eta_over_m * dt
     return drift, cov
 

@@ -1097,6 +1097,8 @@ def _ks_metric(dir_a, dir_b, min_p):
         for p in glob.glob(os.path.join(dir_b, "rho_*.csv"))
         if not p.endswith(".meta.json")
     )
+    if not rho_names:
+        raise ConfigError(f"ks metric needs rho_*.csv snapshots in {dir_b}")
     rho = io.load_scalar_field(os.path.join(dir_b, rho_names[-1]))
     space = rho.space
     marginal = rho.values * space.cell_volume

@@ -17,7 +17,10 @@ across that face.  Links are built from the spectral antiderivative of A, so
 a gauge transformation A -> A + grad(chi) (spectral gradient, periodic boxes)
 shifts every link by exactly chi(i+1) - chi(i).  The transformed Hamiltonian
 is then exactly unitarily equivalent to the original and gauge checks hold to
-roundoff rather than to scheme order.
+roundoff rather than to scheme order.  Each axis solve is one batched FFT: a
+gauge by the cumulative link phase gives every hop on a periodic line the
+same twist, the line's holonomy over its cell count, so the line's hopping
+operator is circulant and the Cayley factor is diagonal in Fourier space.
 
 The nonlinear (mu != m) term is a bounded real potential on clamped data; it
 is applied inside the symmetric splitting from the pre- and post-step moduli,
@@ -31,9 +34,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 
-from .dynamics import AMP_RATIO_LIMIT, EnergyBreakdown, ManifoldState
+from .dynamics import EnergyBreakdown, ManifoldState, clipped_amplitude_curvature
 from .errors import ConfigError, DegenerateDensityError
 from .fields import (
     DENSITY_REL_FLOOR,
@@ -180,75 +182,29 @@ def gauge_transform(w: WaveFunction, A: VectorField | None, chi: ScalarField, be
 # Cayley kinetic sweeps
 
 
-def _solve_cyclic_tridiag(sub, diag, sup, corner_tr, corner_bl, rhs):
-    """Solve a cyclic tridiagonal system by rank-one correction.
-
-    sub[i] multiplies x[i-1], sup[i] multiplies x[i+1]; corner_tr couples
-    row 0 to x[n-1] and corner_bl row n-1 to x[0].  rhs may hold many
-    right-hand sides as columns.
-    """
-    n = diag.size
-    gamma = -diag[0]
-    d = diag.astype(complex, copy=True)
-    d[0] -= gamma
-    d[-1] -= corner_tr * corner_bl / gamma
-    ab = np.zeros((3, n), dtype=complex)
-    ab[0, 1:] = sup[:-1]
-    ab[1, :] = d
-    ab[2, :-1] = sub[1:]
-    u = np.zeros(n, dtype=complex)
-    u[0] = gamma
-    u[-1] = corner_bl
-    squeeze = rhs.ndim == 1
-    R = rhs.reshape(n, -1)
-    y = solve_banded((1, 1), ab, R)
-    z = solve_banded((1, 1), ab, u)
-    v_dot_y = y[0, :] + (corner_tr / gamma) * y[-1, :]
-    v_dot_z = z[0] + (corner_tr / gamma) * z[-1]
-    x = y - np.outer(z, v_dot_y / (1.0 + v_dot_z))
-    return x[:, 0] if squeeze else x
-
-
 def _cayley_axis_sweep(psi, space, params, axis, h, link, beta):
     """One Cayley half-implicit kinetic step along a single axis.
 
-    Solves (1 + i h H_a / 2 eta) psi' = (1 - i h H_a / 2 eta) psi with
-    H_a the hopping operator for that axis (link phases included).
+    Solves (1 + i h H_a / 2 eta) psi' = (1 - i h H_a / 2 eta) psi with H_a
+    the periodic hopping operator for that axis, link phases included.  The
+    gauge alpha_j = sum_{i<j} beta link_i - j Theta/n, with Theta = beta sum
+    link the holonomy of the line, gives every hop the same twist
+    exp(-i Theta/n); H_a is then circulant with eigenvalues
+    2c(1 - cos(k - Theta/n)) and one batched FFT solves every line of the
+    axis.  Without links alpha = Theta = 0.
     """
-    dx = space.spacings[axis]
-    c = params.eta / (2.0 * params.masses[axis] * dx**2)
-    if link is None:
-        phase_fwd = None
-        hop_fwd = np.roll(psi, -1, axis)
-        hop_bwd = np.roll(psi, 1, axis)
-    else:
-        phase_fwd = np.exp(-1j * beta * link)
-        hop_fwd = phase_fwd * np.roll(psi, -1, axis)
-        hop_bwd = np.roll(np.conj(phase_fwd) * psi, 1, axis)
-    h_psi = c * (2.0 * psi - hop_fwd - hop_bwd)
-    rhs = psi - 0.5j * h * h_psi
-
     n = space.points[axis]
-    work = np.moveaxis(rhs, axis, 0).reshape(n, -1)
+    c = params.eta / (2.0 * params.masses[axis] * space.spacings[axis] ** 2)
+    j = _reshape_k(np.arange(n), axis, space.dim)
     if link is None:
-        diag = np.full(n, 1.0 + 1j * h * c, dtype=complex)
-        off = np.full(n, -0.5j * h * c, dtype=complex)
-        out = _solve_cyclic_tridiag(off, diag, off, off[0], off[0], work)
+        gauge, twist = 1.0, 0.0
     else:
-        phases = np.moveaxis(phase_fwd, axis, 0).reshape(n, -1)
-        out = np.empty_like(work)
-        diag = np.full(n, 1.0 + 1j * h * c, dtype=complex)
-        for j in range(work.shape[1]):
-            p = phases[:, j]
-            sup = -0.5j * h * c * p
-            sub = np.empty(n, dtype=complex)
-            sub[1:] = -0.5j * h * c * np.conj(p[:-1])
-            sub[0] = 0.0
-            corner_tr = -0.5j * h * c * np.conj(p[-1])
-            corner_bl = -0.5j * h * c * p[-1]
-            out[:, j] = _solve_cyclic_tridiag(sub, diag, sup, corner_tr, corner_bl, work[:, j])
-    out = out.reshape((n,) + tuple(np.moveaxis(rhs, axis, 0).shape[1:]))
-    return np.moveaxis(out, 0, axis)
+        bl = beta * link
+        twist = bl.sum(axis=axis, keepdims=True) / n
+        gauge = np.exp(1j * (np.cumsum(bl, axis=axis) - bl - j * twist))
+    lam = 2.0 * c * (1.0 - np.cos(2.0 * math.pi * j / n - twist))
+    factor = (1.0 - 0.5j * h * lam) / (1.0 + 0.5j * h * lam)
+    return gauge * np.fft.ifft(factor * np.fft.fft(np.conj(gauge) * psi, axis=axis), axis=axis)
 
 
 def _kinetic_palindrome(psi, space, params, dt, links, beta):
@@ -282,12 +238,7 @@ def _nonlinear_potential(psi, space, params):
     for a in range(space.dim):
         if coeffs[a] == 0.0:
             continue
-        curv = (
-            np.minimum(np.roll(amp, -1, a) / amp, AMP_RATIO_LIMIT)
-            + np.minimum(np.roll(amp, 1, a) / amp, AMP_RATIO_LIMIT)
-            - 2.0
-        ) / space.spacings[a] ** 2
-        out += coeffs[a] * curv
+        out += coeffs[a] * clipped_amplitude_curvature(amp, space, a)
     return out
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from entrolab import dynamics as dyn
 from entrolab.errors import StabilityError
+from entrolab.fokker_planck import drift_velocity
 from entrolab.fields import (
     ScalarField,
     VectorField,
@@ -67,7 +68,7 @@ def test_current_velocity_with_vector_potential():
     x = space.meshes[0]
     phi = ScalarField(space, 0.3 * np.sin(2.0 * math.pi * x / 12.0))
     A = VectorField(space, np.full((1,) + space.shape, 0.4))
-    v = dyn.current_velocity(phi, p, A)
+    v = drift_velocity(phi, p, A)
     expect = p.eta_over_m[0] * (axis_gradient(phi, 0) - 0.7 * 0.4)
     assert np.allclose(v.components[0], expect)
 
@@ -321,8 +322,8 @@ def test_regraduate_preserves_velocity_and_osmotic_energy():
     st = dyn.ManifoldState(gaussian_density(space, 0.0, 1.0), phi, 0.0)
     A = VectorField(space, np.full((1,) + space.shape, 0.3))
     st2, p2 = dyn.regraduate(st, p)
-    v1 = dyn.current_velocity(st.phi, p, A)
-    v2 = dyn.current_velocity(st2.phi, p2, A)
+    v1 = drift_velocity(st.phi, p, A)
+    v2 = drift_velocity(st2.phi, p2, A)
     assert np.array_equal(v1.components, v2.components)  # powers of two: exact
     V = zero_field(space)
     e1 = dyn.energy(st, p, V, A)

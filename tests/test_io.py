@@ -1,15 +1,11 @@
-import math
-
 import numpy as np
 import pytest
 
 from entrolab import io
-from entrolab.ensemble import Ensemble, empirical_forward_drift, step_ensemble
 from entrolab.errors import ConfigError
 from entrolab.fields import ComplexField, ScalarField, VectorField
-from entrolab.kernel import StepConstraints, build_exact_kernel
 
-from conftest import gaussian_density, make_params, make_space, zero_field
+from conftest import gaussian_density, make_params, make_space
 
 
 def test_scalar_field_roundtrip_exact(tmp_path):
@@ -69,47 +65,16 @@ def test_missing_sidecar_is_a_config_error(tmp_path):
         io.load_scalar_field(path)
 
 
-def test_kernel_row_dump(tmp_path):
-    p = make_params(tau=0.5)
-    space = make_space(12.0, 64, p)
-    x = space.meshes[0]
-    S = ScalarField(space, 0.3 * np.sin(2.0 * math.pi * x / 12.0))
-    kern = build_exact_kernel(S, (32,), StepConstraints(alpha=24.0))
-    path = tmp_path / "kernel.csv"
-    io.save_kernel_row(path, kern)
-    rows = np.loadtxt(path, delimiter=",", skiprows=1)
-    assert rows.shape == (64, 2)
-    assert rows[:, 1].sum() == pytest.approx(1.0, abs=1e-12)
-    meta = io.load_summary(str(path) + ".meta.json")
-    assert meta["alpha"] == 24.0
-
-
-def test_trajectory_dump(tmp_path):
+def test_empty_csv_is_a_config_error(tmp_path):
     p = make_params()
     space = make_space(10.0, 64, p)
-    rho = gaussian_density(space, 0.0, 1.0)
-    e = Ensemble.from_density(rho, 50, dt=0.01, seed=0)
-    e2 = step_ensemble(e, zero_field(space), p)
-    path = tmp_path / "traj.csv"
-    io.save_trajectory(path, [0, 1], [e.positions, e2.positions])
-    rows = np.loadtxt(path, delimiter=",", skiprows=1)
-    assert rows.shape == (100, 3)
-    assert set(rows[:, 0]) == {0.0, 1.0}
-
-
-def test_drift_estimate_dump(tmp_path):
-    p = make_params()
-    space = make_space(10.0, 16, p)
-    rho = gaussian_density(space, 0.0, 1.0)
-    before = Ensemble.from_density(rho, 2000, dt=0.01, seed=1)
-    after = step_ensemble(before, zero_field(space), p)
-    est = empirical_forward_drift(before, after)
-    path = tmp_path / "drift.csv"
-    io.save_drift_estimate(path, est)
-    header, rows = io.load_series(path)
-    assert header == ["axis0", "drift0", "stderr0", "samples"]
-    assert rows.shape == (16, 4)
-    assert rows[:, 3].sum() == 2000
+    path = tmp_path / "rho.csv"
+    io.save_scalar_field(path, gaussian_density(space, 0.0, 1.0))
+    path.write_text("")
+    with pytest.raises(ConfigError, match="empty file"):
+        io.load_scalar_field(path)
+    with pytest.raises(ConfigError, match="empty file"):
+        io.load_series(path)
 
 
 def test_series_roundtrip(tmp_path):

@@ -368,3 +368,42 @@ def test_cli_maxent_audit(tmp_path, capsys):
                      "--out", str(tmp_path / "m")])
     assert code == 0
     assert "maxent-audit" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda line: line.rsplit(",", 1)[0] + ",abc",  # non-numeric cell
+        lambda line: line + ",0.5",  # ragged row
+    ],
+    ids=["non-numeric", "ragged"],
+)
+def test_cli_evolve_malformed_field_file_exits_2(tmp_path, capsys, corrupt):
+    from conftest import gaussian_density, make_params, make_space
+
+    p = make_params(tau=0.1)
+    space = make_space(12.0, 64, p)
+    path = tmp_path / "rho0.csv"
+    io.save_scalar_field(path, gaussian_density(space, 0.5, 0.7))
+    lines = path.read_text().splitlines()
+    lines[5] = corrupt(lines[5])
+    path.write_text("\n".join(lines) + "\n")
+    cfg = write_cfg(tmp_path, name="bad-file", space={"points": 64},
+                    initial={"type": "file", "rho_file": str(path)})
+    code = cli.main(["evolve", cfg, "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "rho0.csv" in err and "line 6" in err
+
+
+def test_cli_compare_ks_without_density_snapshots_exits_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, name="ens", potentials={},
+                    run={"engine": "ensemble", "steps": 5, "snapshot_stride": 5,
+                         "walkers": 500, "seed": 1})
+    assert cli.main(["ensemble", cfg, "--out", str(tmp_path / "a")]) == 0
+    (tmp_path / "b").mkdir()
+    capsys.readouterr()
+    code = cli.main(["compare", str(tmp_path / "a"), str(tmp_path / "b"),
+                     "--metrics", "ks"])
+    assert code == 2
+    assert "rho_" in capsys.readouterr().err

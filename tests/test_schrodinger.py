@@ -211,6 +211,51 @@ def test_gauge_transform_is_exactly_unitary_dynamics():
     assert schro.phase_aligned_distance(w_mapped, w_twin) < 1e-12
 
 
+def _dense_hopping(space, p, axis, link):
+    """The periodic hopping matrix of one axis on the flattened grid, with
+    hop i -> i+1 weighted by exp(-i beta link_i) (link None: no phases)."""
+    n = int(np.prod(space.shape))
+    c = p.eta / (2.0 * p.masses[axis] * space.spacings[axis] ** 2)
+    idx = np.arange(n).reshape(space.shape)
+    fwd = np.roll(idx, -1, axis).ravel()
+    phase = np.ones(n) if link is None else np.exp(-1j * p.beta * link).ravel()
+    H = 2.0 * c * np.eye(n, dtype=complex)
+    H[np.arange(n), fwd] -= c * phase
+    H[fwd, np.arange(n)] -= c * np.conj(phase)
+    return H
+
+
+@pytest.mark.parametrize("shape", [(16,), (12, 10)], ids=["1d", "2d"])
+def test_cayley_sweep_matches_dense_solve(shape):
+    """Every axis sweep equals (I + ihH/2)^-1 (I - ihH/2) psi, with and
+    without nonuniform link phases whose lines carry nonzero holonomy."""
+    dim = len(shape)
+    p = make_params(masses=(1.0, 1.5)[:dim], beta=0.7)
+    space = make_space((8.0, 6.0)[:dim], shape, p, dim=dim)
+    x = space.meshes
+    kx = 2.0 * math.pi / space.extents[0]
+    if dim == 1:
+        comps = [0.6 + 0.5 * np.sin(kx * x[0])]
+    else:
+        ky = 2.0 * math.pi / space.extents[1]
+        # curl A = d_x A_1 - d_y A_0 != 0, and every line's holonomy differs
+        comps = [0.6 + 0.5 * np.sin(ky * x[1]) + 0.3 * np.cos(kx * x[0]),
+                 -0.4 + 0.7 * np.cos(kx * x[0]) + 0.2 * np.sin(ky * x[1])]
+    links = schro._face_links(space, VectorField(space, np.stack(comps)))
+    rng = np.random.default_rng(7)
+    psi = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    h = 0.3
+    eye = np.eye(psi.size)
+    for axis in range(dim):
+        for link in (None, links[axis]):
+            holonomy = 0.0 if link is None else p.beta * link.sum(axis=axis)
+            assert link is None or np.all(np.abs(holonomy) > 0.1)
+            H = _dense_hopping(space, p, axis, link)
+            expect = np.linalg.solve(eye + 0.5j * h * H, (eye - 0.5j * h * H) @ psi.ravel())
+            got = schro._cayley_axis_sweep(psi, space, p, axis, h, link, p.beta)
+            assert np.abs(got.ravel() - expect).max() <= 1e-13
+
+
 def test_nonlinear_step_reduces_to_unitary_at_equal_masses():
     p = make_params(osmotic_ratio=1.0)
     space = make_space(12.0, 256, p)

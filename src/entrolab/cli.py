@@ -15,7 +15,7 @@ import os
 import sys
 
 from . import scenarios
-from .errors import EntrolabError
+from .errors import ConfigError, EntrolabError
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -67,9 +67,12 @@ def _parse_tolerances(pairs):
     out = {}
     for pair in pairs or []:
         if "=" not in pair:
-            raise EntrolabError(f"--tolerance expects name=value, got '{pair}'")
+            raise ConfigError(f"--tolerance expects name=value, got '{pair}'")
         name, value = pair.split("=", 1)
-        out[name.strip()] = float(value)
+        try:
+            out[name.strip()] = float(value)
+        except ValueError:
+            raise ConfigError(f"--tolerance {pair}: '{value}' is not a number") from None
     return out
 
 

@@ -400,10 +400,6 @@ def l2_distance(a: ScalarField, b: ScalarField) -> float:
     return math.sqrt(float(((a.values - b.values) ** 2).sum()) * a.space.cell_volume)
 
 
-def l2_norm(f: ScalarField) -> float:
-    return math.sqrt(float((f.values**2).sum()) * f.space.cell_volume)
-
-
 # ---------------------------------------------------------------------------
 # sampling fields at off-grid points
 

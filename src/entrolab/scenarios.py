@@ -495,6 +495,10 @@ def _moment_row(t, rho):
     return [t, mass, *var, *com]
 
 
+def _check(value, tolerance) -> dict:
+    return {"value": float(value), "tolerance": tolerance, "passed": bool(value <= tolerance)}
+
+
 def run(sc: Scenario, outdir) -> dict:
     """Execute the scenario and write snapshots, series, audit, summary."""
     os.makedirs(outdir, exist_ok=True)
@@ -510,7 +514,7 @@ def run(sc: Scenario, outdir) -> dict:
     states_for_audit = []
     v_for_audit = []
 
-    def record(step, t, rho, state=None, psi=None):
+    def record(t, rho, state=None, psi=None):
         moment_rows.append(_moment_row(t, rho))
         mass_gaps.append(abs(integrate(rho) - 1.0))
         tag = f"{len(snap_times):06d}"
@@ -536,60 +540,73 @@ def run(sc: Scenario, outdir) -> dict:
             states_for_audit.append(state)
             v_for_audit.append(sc.potential_at(t))
 
+    # Each engine: an initial state, advance(state, step) -> next state, and
+    # observe(state, step), which records a snapshot at that state's time.
     if sc.engine == "fokker-planck":
-        rho = sc.initial.rho
-        record(0, 0.0, rho)
-        for step in range(1, sc.steps + 1):
-            rho = fp.fp_step(rho, sc.entropy, sc.params, dt, sc.vector_potential)
-            if step % stride == 0 or step == sc.steps:
-                record(step, step * dt, rho)
+        state = sc.initial.rho
+
+        def advance(rho, step):
+            return fp.fp_step(rho, sc.entropy, sc.params, dt, sc.vector_potential)
+
+        def observe(rho, step):
+            record(step * dt, rho)
 
     elif sc.engine == "ensemble":
-        cloud = ens.Ensemble.from_density(sc.initial.rho, sc.walkers, dt, seed=sc.seed)
-        record(0, 0.0, ens.estimate_density(cloud))
-        for step in range(1, sc.steps + 1):
-            cloud = ens.step_ensemble(cloud, sc.entropy, sc.params, sc.vector_potential)
-            if step % stride == 0 or step == sc.steps:
-                record(step, cloud.time, ens.estimate_density(cloud))
-        np.savetxt(
-            os.path.join(outdir, "final_positions.csv"),
-            cloud.positions,
-            delimiter=",",
-            header=",".join(f"axis{a}" for a in range(space.dim)),
-            comments="",
-        )
+        state = ens.Ensemble.from_density(sc.initial.rho, sc.walkers, dt, seed=sc.seed)
+
+        def advance(cloud, step):
+            return ens.step_ensemble(cloud, sc.entropy, sc.params, sc.vector_potential)
+
+        def observe(cloud, step):
+            record(cloud.time, ens.estimate_density(cloud))
 
     elif sc.engine == "coupled":
         state = sc.initial
-        record(0, 0.0, state.rho, state=state)
-        for step in range(1, sc.steps + 1):
+
+        def advance(st, step):
             v_mid = sc.potential_at((step - 0.5) * dt)
-            state = dynamics.coupled_step(state, sc.params, v_mid, dt, sc.vector_potential)
-            if step % stride == 0 or step == sc.steps:
-                record(step, state.time, state.rho, state=state)
+            return dynamics.coupled_step(st, sc.params, v_mid, dt, sc.vector_potential)
 
-    elif sc.engine in ("schrodinger", "nonlinear"):
-        if sc.engine == "nonlinear":
-            if sc.vector_potential is not None:
-                raise ConfigError("the nonlinear engine does not take a vector potential")
+        def observe(st, step):
+            record(st.time, st.rho, state=st)
 
-            def stepper(w, v):
-                return schro.nonlinear_step(w, sc.params, v, dt)
+    else:  # schrodinger, nonlinear
+        if sc.engine == "nonlinear" and sc.vector_potential is not None:
+            raise ConfigError("the nonlinear engine does not take a vector potential")
+        state = schro.to_wavefunction(sc.initial)
 
-        else:
-
-            def stepper(w, v):
-                return schro.unitary_step(w, sc.params, v, dt, sc.vector_potential)
-
-        w = schro.to_wavefunction(sc.initial)
-        state0 = schro.from_wavefunction(w)
-        record(0, 0.0, state0.rho, state=state0, psi=w)
-        for step in range(1, sc.steps + 1):
+        def advance(w, step):
             v_mid = sc.potential_at((step - 0.5) * dt)
-            w = stepper(w, v_mid)
+            if sc.engine == "nonlinear":
+                return schro.nonlinear_step(w, sc.params, v_mid, dt)
+            return schro.unitary_step(w, sc.params, v_mid, dt, sc.vector_potential)
+
+        def observe(w, step):
+            st = schro.from_wavefunction(w)
+            record(w.time, st.rho, state=st, psi=w)
+
+    last_step = 0  # the last step the engine completed
+    try:
+        observe(state, 0)
+        for step in range(1, sc.steps + 1):
+            state = advance(state, step)
+            last_step = step
             if step % stride == 0 or step == sc.steps:
-                state = schro.from_wavefunction(w)
-                record(step, w.time, state.rho, state=state, psi=w)
+                observe(state, step)
+        if sc.engine == "ensemble":
+            io.save_series(
+                os.path.join(outdir, "final_positions.csv"),
+                [f"axis{a}" for a in range(space.dim)],
+                state.positions,
+            )
+    except Exception as exc:
+        failure = {"type": type(exc).__name__, "message": str(exc)}
+        io.save_summary(
+            os.path.join(outdir, "summary.json"),
+            {"status": "failed", "error": failure, "last_step": last_step, "dt": dt,
+             "config": sc.echo},
+        )
+        raise
 
     dim = space.dim
     io.save_series(
@@ -604,35 +621,17 @@ def run(sc: Scenario, outdir) -> dict:
             energy_rows,
         )
 
-    checks = {}
-    checks["mass_conservation"] = {
-        "value": float(max(mass_gaps)),
-        "tolerance": 1e-10,
-        "passed": bool(max(mass_gaps) <= 1e-10),
-    }
+    checks = {"mass_conservation": _check(max(mass_gaps), 1e-10)}
     if norm_gaps:
-        tol = 1e-10 * max(sc.steps, 1)
-        checks["norm_conservation"] = {
-            "value": float(max(norm_gaps)),
-            "tolerance": tol,
-            "passed": bool(max(norm_gaps) <= tol),
-        }
+        checks["norm_conservation"] = _check(max(norm_gaps), 1e-10 * max(sc.steps, 1))
     if energy_rows and sc.static_potential:
         totals = np.array([row[4] for row in energy_rows])
         scale = max(abs(totals[0]), 1e-30)
-        drift = float(np.max(np.abs(totals - totals[0])) / scale)
-        checks["energy_drift"] = {
-            "value": drift,
-            "tolerance": sc.energy_tolerance,
-            "passed": bool(drift <= sc.energy_tolerance),
-        }
+        drift = np.max(np.abs(totals - totals[0])) / scale
+        checks["energy_drift"] = _check(drift, sc.energy_tolerance)
     if energy_rows and not sc.static_potential and len(states_for_audit) >= 3:
         report = dynamics.energy_rate_audit(states_for_audit, sc.params, v_for_audit)
-        checks["energy_rate_audit"] = {
-            "value": float(report.max_relative_mismatch),
-            "tolerance": 0.05,
-            "passed": bool(report.max_relative_mismatch <= 0.05),
-        }
+        checks["energy_rate_audit"] = _check(report.max_relative_mismatch, 0.05)
 
     summary = {
         "name": sc.name,
@@ -640,6 +639,7 @@ def run(sc: Scenario, outdir) -> dict:
         "dt": dt,
         "steps": sc.steps,
         "seed": sc.seed,
+        "status": "completed",
         "snapshot_times": [float(t) for t in snap_times],
         "checks": checks,
         "passed": bool(all(c["passed"] for c in checks.values())),
@@ -729,8 +729,12 @@ def _check_time_alignment(dir_a, dir_b):
 def compare(dir_a, dir_b, metrics, tolerances=None) -> ComparisonReport:
     """Metric-by-metric comparison of two run directories."""
     tol_table = dict(DEFAULT_TOLERANCES)
-    if tolerances:
-        tol_table.update(tolerances)
+    for name, tol in (tolerances or {}).items():
+        if name not in DEFAULT_TOLERANCES:
+            raise ConfigError(f"tolerance for unknown metric '{name}'")
+        if not (math.isfinite(tol) and tol >= 0.0):
+            raise ConfigError(f"tolerance for '{name}' must be finite and >= 0, got {tol}")
+        tol_table[name] = tol
     _check_time_alignment(dir_a, dir_b)
     results = []
     for metric in metrics:
@@ -823,8 +827,9 @@ def gauge_check(sc: Scenario, chi_amplitude, chi_mode, outdir, tolerance=1e-8) -
     rho_gaps, psi_gaps, times = [], [], []
 
     if sc.engine == "schrodinger":
-        w_base = schro.to_wavefunction(sc.initial)
-        w_twin, A_twin = schro.gauge_transform(w_base, A, chi, beta)
+        step_fn = schro.unitary_step
+        base = schro.to_wavefunction(sc.initial)
+        twin, A_twin = schro.gauge_transform(base, A, chi, beta)
         unphase = np.exp(-1j * beta * chi.values)
 
         def measure(wb, wt):
@@ -837,14 +842,8 @@ def gauge_check(sc: Scenario, chi_amplitude, chi_mode, outdir, tolerance=1e-8) -
             psi_gaps.append(schro.phase_aligned_distance(wb, aligned))
             times.append(wb.time)
 
-        measure(w_base, w_twin)
-        for step in range(1, sc.steps + 1):
-            v_mid = sc.potential_at((step - 0.5) * dt)
-            w_base = schro.unitary_step(w_base, sc.params, v_mid, dt, A)
-            w_twin = schro.unitary_step(w_twin, sc.params, v_mid, dt, A_twin)
-            if step % stride == 0 or step == sc.steps:
-                measure(w_base, w_twin)
     else:
+        step_fn = dynamics.coupled_step
         grad_chi = gradient(chi)
         if A is None:
             A_twin = grad_chi
@@ -866,13 +865,13 @@ def gauge_check(sc: Scenario, chi_amplitude, chi_mode, outdir, tolerance=1e-8) -
             psi_gaps.append(math.sqrt(max(w, 0.0)))
             times.append(sb.time)
 
-        measure(base, twin)
-        for step in range(1, sc.steps + 1):
-            v_mid = sc.potential_at((step - 0.5) * dt)
-            base = dynamics.coupled_step(base, sc.params, v_mid, dt, A)
-            twin = dynamics.coupled_step(twin, sc.params, v_mid, dt, A_twin)
-            if step % stride == 0 or step == sc.steps:
-                measure(base, twin)
+    measure(base, twin)
+    for step in range(1, sc.steps + 1):
+        v_mid = sc.potential_at((step - 0.5) * dt)
+        base = step_fn(base, sc.params, v_mid, dt, A)
+        twin = step_fn(twin, sc.params, v_mid, dt, A_twin)
+        if step % stride == 0 or step == sc.steps:
+            measure(base, twin)
 
     report = {
         "name": sc.name,
@@ -995,12 +994,8 @@ def classical_limit(
             float(np.max(np.abs(variances[i] / (var0 * scales[i]) - 1.0)))
             for i in range(1, len(scales))
         )
-        checks["residual_quadratic_in_eta"] = {
-            "value": res_err, "tolerance": 0.10, "passed": bool(res_err <= 0.10)
-        }
-        checks["variance_linear_in_eta"] = {
-            "value": var_err, "tolerance": 0.05, "passed": bool(var_err <= 0.05)
-        }
+        checks["residual_quadratic_in_eta"] = _check(res_err, 0.10)
+        checks["variance_linear_in_eta"] = _check(var_err, 0.05)
     else:
         shrink_ok = all(
             residuals[i] <= residuals[i - 1] * 1.0 + 1e-30 for i in range(1, len(scales))
@@ -1014,9 +1009,7 @@ def classical_limit(
             "tolerance": 1.2 * scales[-1],
             "passed": bool(shrink_ok and tail_ratio <= 1.2 * scales[-1]),
         }
-        checks["variance_persists"] = {
-            "value": var_err, "tolerance": 0.05, "passed": bool(var_err <= 0.05)
-        }
+        checks["variance_persists"] = _check(var_err, 0.05)
 
     report = {
         "name": sc.name,

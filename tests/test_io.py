@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -83,6 +85,66 @@ def test_series_roundtrip(tmp_path):
     header, rows = io.load_series(path)
     assert header == ["t", "mass"]
     assert rows[1, 1] == 1.0 - 1e-17  # repr-level precision survives
+
+
+# Values whose text form is easy to get wrong: signed infinities, nan,
+# negative zero, the smallest subnormal, a huge value and a repeating fraction.
+SPECIAL = [np.inf, -np.inf, np.nan, -0.0, 5e-324, 1e308, 1.0 / 3.0]
+
+
+def _reference_csv(path, header, rows):
+    """The writer as it was: csv.writer, one format(float(x), ".17g") per cell."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([format(float(v), ".17g") for v in row])
+
+
+def _special_space(n):
+    p = make_params()
+    return make_space(10.0, n, p)
+
+
+def test_writer_matches_reference_bytes(tmp_path):
+    rng = np.random.default_rng(3)
+    values = np.concatenate([SPECIAL, rng.standard_normal(64 - len(SPECIAL))])
+    space = _special_space(values.size)
+    x = space.meshes[0]
+
+    io.save_scalar_field(tmp_path / "rho.csv", ScalarField(space, values))
+    _reference_csv(tmp_path / "rho_ref.csv", ["axis0", "value"], zip(x, values))
+    assert (tmp_path / "rho.csv").read_bytes() == (tmp_path / "rho_ref.csv").read_bytes()
+
+    psi = np.empty(values.size, dtype=complex)
+    psi.real, psi.imag = values[::-1], values
+    io.save_complex_field(tmp_path / "psi.csv", ComplexField(space, psi))
+    _reference_csv(tmp_path / "psi_ref.csv", ["axis0", "real", "imag"],
+                   zip(x, psi.real, psi.imag))
+    assert (tmp_path / "psi.csv").read_bytes() == (tmp_path / "psi_ref.csv").read_bytes()
+
+    rows = [(t, v, 7) for t, v in zip(x, values)]
+    io.save_series(tmp_path / "series.csv", ["t", "mass", "n"], rows)
+    _reference_csv(tmp_path / "series_ref.csv", ["t", "mass", "n"], rows)
+    assert (tmp_path / "series.csv").read_bytes() == (tmp_path / "series_ref.csv").read_bytes()
+
+
+def test_grid_roundtrip_across_row_blocks(tmp_path):
+    n = 2 * io._BLOCK_ROWS + 3
+    space = _special_space(n)
+    rng = np.random.default_rng(5)
+    values = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+    path = tmp_path / "rho.csv"
+    io.save_scalar_field(path, ScalarField(space, values))
+    back = io.load_scalar_field(path)
+    assert np.array_equal(back.values, values)
+    assert np.array_equal(back.space.meshes[0], space.meshes[0])
+
+
+def test_series_with_no_rows_writes_only_the_header(tmp_path):
+    path = tmp_path / "series.csv"
+    io.save_series(path, ["t", "mass"], [])
+    assert path.read_bytes() == b"t,mass\r\n"
 
 
 def test_summary_roundtrip(tmp_path):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from entrolab import cli, io
-from entrolab.errors import ConfigError
+from entrolab.errors import ConfigError, StabilityError
 from entrolab.scenarios import (
     compare,
     gauge_check,
@@ -123,6 +123,7 @@ def test_run_writes_artifacts_and_passes_checks(tmp_path):
     sc = scenario_from_dict(base_cfg())
     summary = run(sc, str(tmp_path))
     assert summary["passed"], summary["checks"]
+    assert summary["status"] == "completed"
     assert os.path.exists(tmp_path / "rho_000000.csv")
     assert os.path.exists(tmp_path / "series.csv")
     assert os.path.exists(tmp_path / "energy.csv")
@@ -131,6 +132,22 @@ def test_run_writes_artifacts_and_passes_checks(tmp_path):
     header, rows = io.load_series(tmp_path / "series.csv")
     assert header[:2] == ["t", "mass"]
     assert np.allclose(rows[:, 1], 1.0, atol=1e-12)
+
+
+def test_failed_run_leaves_a_failed_summary(tmp_path):
+    # dt far above the coupled engine's explicit bound: step 1 raises
+    sc = scenario_from_dict(base_cfg(space={"points": 64},
+                                     run={"engine": "coupled", "dt": 0.5, "steps": 5}))
+    with pytest.raises(StabilityError):
+        run(sc, str(tmp_path))
+    assert os.path.exists(tmp_path / "rho_000000.csv")
+    summary = io.load_summary(tmp_path / "summary.json")
+    assert summary["status"] == "failed"
+    assert summary["error"]["type"] == "StabilityError"
+    assert "bound" in summary["error"]["message"]
+    assert summary["last_step"] == 0
+    assert summary["dt"] == 0.5
+    assert summary["config"]["run"]["engine"] == "coupled"
 
 
 def test_run_is_deterministic(tmp_path):
@@ -337,6 +354,21 @@ def test_cli_compare_exit_codes(tmp_path, capsys):
     assert code == 1
     out = capsys.readouterr().out
     assert "[FAIL]" in out
+
+
+@pytest.mark.parametrize(
+    "override",
+    ["rho_l2=abc", "rho_l3=1e-3", "rho_l2=nan", "rho_l2=inf", "rho_l2=-1e-3"],
+    ids=["non-numeric", "unknown-metric", "nan", "inf", "negative"],
+)
+def test_cli_compare_bad_tolerance_exits_2(tmp_path, capsys, override):
+    cfg = write_cfg(tmp_path, run={"engine": "coupled", "steps": 10, "snapshot_stride": 5})
+    assert cli.main(["evolve", cfg, "--out", str(tmp_path / "a")]) == 0
+    capsys.readouterr()
+    code = cli.main(["compare", str(tmp_path / "a"), str(tmp_path / "a"),
+                     "--metrics", "rho_l2", "--tolerance", override])
+    assert code == 2
+    assert "tolerance" in capsys.readouterr().err
 
 
 def test_cli_rejects_bad_config(tmp_path, monkeypatch, capsys):

@@ -101,15 +101,10 @@ def _reference_csv(path, header, rows):
             writer.writerow([format(float(v), ".17g") for v in row])
 
 
-def _special_space(n):
-    p = make_params()
-    return make_space(10.0, n, p)
-
-
 def test_writer_matches_reference_bytes(tmp_path):
     rng = np.random.default_rng(3)
     values = np.concatenate([SPECIAL, rng.standard_normal(64 - len(SPECIAL))])
-    space = _special_space(values.size)
+    space = make_space(10.0, values.size, make_params())
     x = space.meshes[0]
 
     io.save_scalar_field(tmp_path / "rho.csv", ScalarField(space, values))
@@ -131,7 +126,7 @@ def test_writer_matches_reference_bytes(tmp_path):
 
 def test_grid_roundtrip_across_row_blocks(tmp_path):
     n = 2 * io._BLOCK_ROWS + 3
-    space = _special_space(n)
+    space = make_space(10.0, n, make_params())
     rng = np.random.default_rng(5)
     values = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
     path = tmp_path / "rho.csv"

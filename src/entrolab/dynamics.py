@@ -35,17 +35,20 @@ cliffs diffuse monotonically instead of ringing negative.  (3) The energy
 integrand and the stability estimate ignore cells below the support
 floor, a connected-region mask with hysteresis (SUPPORT_REL_FLOOR,
 SUPPORT_CORE_FACTOR): velocities over empty cells move nothing.  (4)
-After every step the phase below the support floor is rewritten by a
-smooth blend of slope-tapered extensions from the two support boundaries,
-because phase kinks seeded at the clamp edge would otherwise grow and
-creep back into the support through the kinetic term, and any jump inside
-the fill would act as a convergent velocity that compresses trace density
-into fake mass.  (5) Density below VACUUM_FLUSH_FLOOR times the peak is
-flushed to exact zero, removing the seed such compression would feed on.
+After every step the phase below the support floor is rewritten from the
+support boundary: in 1D a smooth blend of slope-tapered extensions from
+both ends of each gap; in 2D and 3D layer by layer outward, each cell the
+mean of its already-filled nearest neighbours.  Phase kinks seeded at the
+clamp edge would otherwise grow and creep back into the support through
+the kinetic term, and any jump inside the fill would act as a convergent
+velocity that compresses trace density into fake mass.  (5) Density
+below VACUUM_FLUSH_FLOOR times the peak is flushed to exact zero,
+removing the seed such compression would feed on.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -131,17 +134,11 @@ def _mass_mask(rho_values):
         return i
 
     for a in range(rho_values.ndim):
-        idx_lo = [slice(None)] * rho_values.ndim
-        idx_lo[a] = 0
-        idx_hi = [slice(None)] * rho_values.ndim
-        idx_hi[a] = -1
-        lo = np.atleast_1d(labels[tuple(idx_lo)]).ravel()
-        hi = np.atleast_1d(labels[tuple(idx_hi)]).ravel()
-        for i, j in zip(lo, hi):
-            if i and j:
-                ri, rj = find(int(i)), find(int(j))
-                if ri != rj:
-                    parent[ri] = rj
+        seam = zip(labels.take(0, a).ravel().tolist(), labels.take(-1, a).ravel().tolist())
+        for i, j in set(seam):  # each distinct label pair across the seam once
+            ri, rj = find(i), find(j)
+            if i and j and ri != rj:
+                parent[ri] = rj
     roots = np.array([find(i) for i in range(n + 1)])
     rooted = roots[labels]
     core = rho_values >= SUPPORT_CORE_FACTOR * SUPPORT_REL_FLOOR * peak
@@ -156,34 +153,45 @@ def _extend_phase_into_vacuum(phi_values, rho_values):
     The phase carries no information where there is no density, but evolving
     it there lets the clamped osmotic term build phase kinks at the clamp
     edge that creep back into the support through the kinetic term.  Each
-    vacuum cell is instead rewritten from the nearest support boundary:
-    linearly in one dimension (the boundary value and its one-sided slope,
-    so a translating packet keeps its advection phase ramp across the
-    boundary), by nearest-value dilation in higher dimensions.  The fill is
-    linear in the phase values, so it commutes with the coupling-rescaling
-    map; no cell that carries mass is touched.
+    vacuum cell is instead rewritten from the support boundary (guard (4)
+    of the module docstring).  In 2D and 3D the fill advances one frontier
+    layer at a time, from a neighbour table built once per grid shape.  The
+    fill is linear in the phase values, so it commutes with the
+    coupling-rescaling map; no cell that carries mass is touched.
     """
     mask = _mass_mask(rho_values)
     if mask.all():
         return phi_values
     if phi_values.ndim == 1:
         return _linear_fill_1d(phi_values, mask)
-    filled = mask.copy()
-    out = np.where(mask, phi_values, 0.0)
-    while not filled.all():
-        acc = np.zeros_like(out)
-        cnt = np.zeros(out.shape)
-        for a in range(out.ndim):
-            for s in (1, -1):
-                nb_ok = np.roll(filled, s, axis=a)
-                nb_val = np.roll(out, s, axis=a)
-                take = ~filled & nb_ok
-                acc[take] += nb_val[take]
-                cnt[take] += 1.0
-        newly = cnt > 0
-        out[newly] = acc[newly] / cnt[newly]
-        filled |= newly
-    return out
+    nbr = _neighbor_table(mask.shape)
+    filled = mask.ravel().copy()
+    out = np.where(filled, phi_values.ravel(), 0.0)  # unfilled cells hold +0.0
+    owner = np.empty(filled.size, dtype=np.intp)
+    front = np.flatnonzero(~filled & filled[nbr].any(axis=0))
+    while front.size:
+        nb = nbr[:, front]
+        # acc starts at +0.0, so it is never -0.0 and adding an unfilled
+        # cell's +0.0 leaves its bits as skipping that cell would
+        acc = np.zeros(front.size)
+        for vals in out[nb]:
+            acc += vals
+        out[front] = acc / filled[nb].sum(axis=0)
+        filled[front] = True
+        ahead = nb[~filled[nb]]
+        owner[ahead] = np.arange(ahead.size)  # one write per distinct cell survives
+        front = ahead[owner[ahead] == np.arange(ahead.size)]
+    return out.reshape(mask.shape)
+
+
+@functools.lru_cache(maxsize=8)
+def _neighbor_table(shape):
+    """Flat indices of each cell's periodic neighbours, one row per side:
+    axis 0 from i-1, axis 0 from i+1, axis 1 from i-1, ...  Cached, read-only."""
+    idx = np.arange(math.prod(shape)).reshape(shape)
+    table = np.stack([np.roll(idx, s, axis=a).ravel() for a in range(len(shape)) for s in (1, -1)])
+    table.setflags(write=False)
+    return table
 
 
 def _edge_slope(phi, m, i, inward):
@@ -224,13 +232,12 @@ def _linear_fill_1d(phi_values, mask):
         # letting them meet at a point: a meeting-point jump is a convergent
         # velocity singularity that compresses whatever trace density sits
         # in the gap at an unbounded rate.
-        for k in range(1, gap + 1):
-            j = gap + 1 - k
-            branch_l = phi[left] + slope_l * (1.0 - r**k) / (1.0 - r)
-            branch_r = phi[right] - slope_r * (1.0 - r**j) / (1.0 - r)
-            s = k / (gap + 1.0)
-            w = 1.0 - s * s * (3.0 - 2.0 * s)
-            phi[left + k] = w * branch_l + (1.0 - w) * branch_r
+        k = np.arange(1, gap + 1)
+        branch_l = phi[left] + slope_l * (1.0 - r**k) / (1.0 - r)
+        branch_r = phi[right] - slope_r * (1.0 - r ** (gap + 1 - k)) / (1.0 - r)
+        s = k / (gap + 1.0)
+        w = 1.0 - s * s * (3.0 - 2.0 * s)
+        phi[left + 1 : stop + 1] = w * branch_l + (1.0 - w) * branch_r
     return np.roll(phi, shift)
 
 

@@ -137,6 +137,18 @@ def test_mass_mask_joins_regions_across_the_seam():
     assert mask[:10].all() and mask[-10:].all()
 
 
+def test_mass_mask_joins_2d_regions_across_both_seams_and_the_corner():
+    """A block centred on the corner of a 2D box is cut into four labels by
+    the two seams; only the piece in the far corner reaches the core, so the
+    other three are kept only if the seam merge joins across both axes."""
+    block = np.zeros((16, 12), dtype=bool)
+    block[np.ix_([-2, -1, 0, 1], [-2, -1, 0, 1])] = True
+    v = np.where(block, 5e-8, 0.0)  # above the floor, below the core level
+    v[-2:, -2:] = 1.0
+    v[7:9, 5:7] = 5e-8  # an island with no core cell
+    assert np.array_equal(dyn._mass_mask(v), block)
+
+
 def test_phase_fill_is_continuous_and_tapered():
     p = make_params()
     space = make_space(10.0, 128, p)
@@ -152,6 +164,87 @@ def test_phase_fill_is_continuous_and_tapered():
     jumps = np.abs(np.diff(filled))
     dx_slope = abs(phi[11] - phi[10])
     assert jumps.max() <= 1.05 * max(dx_slope, np.abs(np.diff(phi[10:50])).max())
+
+
+def _reference_fill_1d(phi_values, mask):
+    """The per-cell loop the vectorized 1D fill must reproduce bit for bit."""
+    n = mask.size
+    shift = int(np.argmax(mask))
+    m = np.roll(mask, -shift)
+    phi = np.roll(phi_values, -shift).copy()
+    r = dyn.FILL_SLOPE_DECAY
+    edges = np.flatnonzero(m[:-1] != m[1:])
+    for start, stop in zip(edges[::2], np.append(edges[1::2], n - 1)):
+        left, right, gap = start, (stop + 1) % n, stop - start
+        slope_l = dyn._edge_slope(phi, m, left, -1)
+        slope_r = dyn._edge_slope(phi, m, right, +1)
+        for k in range(1, gap + 1):
+            j = gap + 1 - k
+            branch_l = phi[left] + slope_l * (1.0 - r**k) / (1.0 - r)
+            branch_r = phi[right] - slope_r * (1.0 - r**j) / (1.0 - r)
+            s = k / (gap + 1.0)
+            w = 1.0 - s * s * (3.0 - 2.0 * s)
+            phi[left + k] = w * branch_l + (1.0 - w) * branch_r
+    return np.roll(phi, shift)
+
+
+def _reference_fill_nd(phi_values, mask, sides=(1, -1)):
+    """The whole-grid dilation sweep the frontier-layer fill must reproduce
+    bit for bit; sides=(1, -1) takes each axis's i-1 neighbour first."""
+    filled = mask.copy()
+    out = np.where(mask, phi_values, 0.0)
+    while not filled.all():
+        acc = np.zeros_like(out)
+        cnt = np.zeros(out.shape)
+        for a in range(out.ndim):
+            for s in sides:
+                take = ~filled & np.roll(filled, s, axis=a)
+                acc[take] += np.roll(out, s, axis=a)[take]
+                cnt[take] += 1.0
+        newly = cnt > 0
+        out[newly] = acc[newly] / cnt[newly]
+        filled |= newly
+    return out
+
+
+def test_phase_fill_1d_matches_the_per_cell_loop():
+    """Gaps of width 1, 7 and 10, support runs of one and two cells, where
+    _edge_slope falls back below three cells, and a gap across the seam long
+    enough that FILL_SLOPE_DECAY**k underflows.  The fill raises r to an
+    array of k with np.power and the loop with Python's pow; the two may
+    differ in the last bit of r**k, and the output must not."""
+    support = np.zeros(2400, dtype=bool)
+    support[2:10] = support[20] = support[22:24] = support[31:51] = True
+    rho = np.where(support, 1.0, 0.0)
+    phi = np.random.default_rng(11).normal(scale=3.0, size=support.size)
+    assert np.array_equal(dyn._mass_mask(rho), support)
+    filled = dyn._extend_phase_into_vacuum(phi, rho)
+    assert np.array_equal(filled, _reference_fill_1d(phi, support))
+    assert np.array_equal(filled[support], phi[support])
+
+
+def test_phase_fill_2d_matches_the_whole_grid_sweep():
+    support = np.zeros((12, 10), dtype=bool)
+    support[3:6, 2:5] = True
+    support[4, 5] = True
+    support[np.ix_([10, 11, 0], [7, 8])] = True  # across the axis-0 seam
+    phi = np.random.default_rng(5).normal(scale=2.0, size=support.shape)
+    rho = np.where(support, 1.0, 0.0)
+    assert np.array_equal(dyn._mass_mask(rho), support)
+    filled = dyn._extend_phase_into_vacuum(phi, rho)
+    assert np.array_equal(filled, _reference_fill_nd(phi, support))
+    # the case is sensitive to the summation order: i+1 first rounds otherwise
+    assert not np.array_equal(filled, _reference_fill_nd(phi, support, sides=(-1, 1)))
+
+
+def test_phase_fill_3d_matches_the_whole_grid_sweep():
+    support = np.zeros((6, 5, 4), dtype=bool)
+    support[1:3, 1:4, 0:2] = True
+    support[2, 2, 2] = True
+    phi = np.random.default_rng(8).normal(size=support.shape)
+    rho = np.where(support, 1.0, 0.0)
+    filled = dyn._extend_phase_into_vacuum(phi, rho)
+    assert np.array_equal(filled, _reference_fill_nd(phi, support))
 
 
 def test_coupled_step_flushes_vacuum_dust():

@@ -63,15 +63,13 @@ from .fields import (
     PhysicalParams,
     ScalarField,
     VectorField,
-    _axis_pad,
-    _slice_axis,
     axis_gradient,
-    axis_second_derivative,
     clamped_log,
     gradient,
     normalize_density,
+    shift,
 )
-from .fokker_planck import drift_velocity
+from .fokker_planck import covariant_gradient, drift_velocity
 
 
 @dataclass(frozen=True, eq=False)
@@ -248,21 +246,13 @@ def _linear_fill_1d(phi_values, mask):
 AMP_RATIO_LIMIT = 8.0
 
 
-def _axis_neighbors(values, space, axis):
-    if space.boundary == PERIODIC:
-        return np.roll(values, -1, axis), np.roll(values, 1, axis)
-    p = _axis_pad(values, axis)
-    return _slice_axis(p, axis, slice(2, None)), _slice_axis(p, axis, slice(None, -2))
-
-
 def clipped_amplitude_curvature(amp, space, axis):
     """Second difference of amp along one axis over amp, the neighbor
     amplitude ratios clipped at AMP_RATIO_LIMIT; amp must be clamped
     positive by the caller."""
-    plus, minus = _axis_neighbors(amp, space, axis)
     return (
-        np.minimum(plus / amp, AMP_RATIO_LIMIT)
-        + np.minimum(minus / amp, AMP_RATIO_LIMIT)
+        np.minimum(shift(amp, axis, 1, space.boundary) / amp, AMP_RATIO_LIMIT)
+        + np.minimum(shift(amp, axis, -1, space.boundary) / amp, AMP_RATIO_LIMIT)
         - 2.0
     ) / space.spacings[axis] ** 2
 
@@ -302,9 +292,7 @@ def energy(
     mask = _mass_mask(rho)
     weight = np.where(mask, rho, 0.0) * space.cell_volume
 
-    gphi = gradient(state.phi).components
-    if A is not None:
-        gphi = gphi - params.beta * A.components
+    gphi = covariant_gradient(state.phi, params, A)
     current = 0.0
     for a in range(space.dim):
         coeff = params.eta**2 / (2.0 * params.masses[a])
@@ -324,19 +312,17 @@ def energy(
 # stepping
 
 
-def _require_periodic(space):
+def _require_periodic(space, what):
+    """Spectral, circulant and roll-based solvers assume a periodic box."""
     if space.boundary != PERIODIC:
-        raise ConfigError("the coupled solver runs on periodic boxes only")
+        raise ConfigError(f"{what} needs a periodic box")
 
 
 def _phase_rhs(rho_values, phi_values, space, params, V_values, A):
     kinetic = np.zeros(space.shape)
-    phi_field = ScalarField(space, phi_values)
+    g = covariant_gradient(ScalarField(space, phi_values), params, A)
     for a in range(space.dim):
-        g = axis_gradient(phi_field, a)
-        if A is not None:
-            g = g - params.beta * A.components[a]
-        kinetic += (params.eta**2 / (2.0 * params.masses[a])) * g**2
+        kinetic += (params.eta**2 / (2.0 * params.masses[a])) * g[a] ** 2
     q = quantum_potential(ScalarField(space, rho_values), params).values
     return (q - kinetic - V_values) / params.eta
 
@@ -347,21 +333,17 @@ def _phase_rhs(rho_values, phi_values, space, params, V_values, A):
 FACE_RATIO_LIMIT = math.exp(1.5)
 
 
-def _continuity_rhs_central(rho_values, phi_values, space, params, A):
-    """-sum_a d(rho v_a)/dx_a in flux form.
+def _continuity_rhs_central(rho_values, v_comps, space):
+    """-sum_a d(rho v_a)/dx_a in flux form, v the drift velocity of phi.
 
     Faces between cells of comparable density take the second-order central
     flux; faces steeper than FACE_RATIO_LIMIT fall back to first-order
     donor-cell, which diffuses a cliff monotonically instead of ringing.
     Resolved mass-carrying regions never trigger the fallback.
     """
-    phi_field = ScalarField(space, phi_values)
     rhs = np.zeros(space.shape)
     for a in range(space.dim):
-        g = axis_gradient(phi_field, a)
-        if A is not None:
-            g = g - params.beta * A.components[a]
-        v = params.eta_over_m[a] * g
+        v = v_comps[a]
         cell_flux = rho_values * v
         rho_plus = np.roll(rho_values, -1, a)
         central = 0.5 * (cell_flux + np.roll(cell_flux, -1, a))
@@ -393,10 +375,11 @@ def phase_step(
     return ScalarField(space, phi + dt * k2)
 
 
-def _rho_halfstep(rho_values, phi_values, space, params, A, half_dt):
-    k1 = _continuity_rhs_central(rho_values, phi_values, space, params, A)
+def _rho_halfstep(rho_values, phi, params, A, half_dt):
+    v = drift_velocity(phi, params, A).components
+    k1 = _continuity_rhs_central(rho_values, v, phi.space)
     mid = rho_values + 0.5 * half_dt * k1
-    k2 = _continuity_rhs_central(mid, phi_values, space, params, A)
+    k2 = _continuity_rhs_central(mid, v, phi.space)
     return rho_values + half_dt * k2
 
 
@@ -439,18 +422,18 @@ def coupled_step(
 ) -> ManifoldState:
     """One symmetric split step: rho half, phi full, rho half."""
     params.matches_space(state.space)
-    _require_periodic(state.space)
+    _require_periodic(state.space, "the coupled solver")
     space = state.space
     limit = coupled_stability_limit(state, params, A, safety=1.0)
     if dt > limit:
         raise StabilityError(f"dt={dt:g} exceeds the split-step bound {limit:g}", dt_max=limit)
 
-    rho_half = _rho_halfstep(state.rho.values, state.phi.values, space, params, A, 0.5 * dt)
+    rho_half = _rho_halfstep(state.rho.values, state.phi, params, A, 0.5 * dt)
     rho_half = np.maximum(rho_half, 0.0)
     phi_new = phase_step(
         ManifoldState(ScalarField(space, rho_half), state.phi, state.time), params, V, dt, A
     )
-    rho_new = _rho_halfstep(rho_half, phi_new.values, space, params, A, 0.5 * dt)
+    rho_new = _rho_halfstep(rho_half, phi_new, params, A, 0.5 * dt)
     rho_new = np.maximum(rho_new, 0.0)
     rho_new[rho_new < VACUUM_FLUSH_FLOOR * rho_new.max()] = 0.0
     rho_new = normalize_density(ScalarField(space, rho_new))

@@ -12,7 +12,7 @@ inputs give bit-identical trajectories.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -5,6 +5,11 @@ phase solvers) shares the conventions fixed here:
 
 * cell-centered uniform grids over [-L/2, L/2) per axis,
 * midpoint-rule integrals (sum of cell values times cell volume),
+* one neighbour rule, shift(): the value at i +/- 1 wraps on a periodic box
+  and is the edge cell itself past a reflecting wall (even extension); every
+  boundary-aware stencil (differences, osmotic curvature, Fokker-Planck
+  fluxes) is built on it, and fokker_planck._face_div passes no flux
+  through a reflecting wall,
 * second-order central differences respecting the boundary condition,
 * a diagonal configuration-space metric with weight 1/sigma_a^2 per axis,
   so the squared step length of a displacement dx is sum_a dx_a^2/sigma_a^2.
@@ -238,13 +243,6 @@ class PhysicalParams:
             raise ConfigError("eta must equal 2 A / tau")
 
     @classmethod
-    def from_metric(cls, sigma_sq, tau, a_coeff, b_coeff, beta=0.0):
-        sig = tuple(float(s) for s in (sigma_sq if not np.isscalar(sigma_sq) else (sigma_sq,)))
-        m = np.array([2.0 * a_coeff / s for s in sig])
-        mu = np.array([2.0 * b_coeff / s for s in sig])
-        return cls(m, mu, sig, 2.0 * a_coeff / tau, tau, a_coeff, b_coeff, beta)
-
-    @classmethod
     def from_masses(cls, masses, eta=1.0, osmotic_ratio=1.0, tau=1.0, beta=0.0):
         """Derive the metric from masses: sigma_a^2 = eta tau / mass_a.
 
@@ -288,41 +286,26 @@ class PhysicalParams:
 # discrete calculus
 
 
-def _axis_pad(values, axis):
-    """Pad one cell on both ends of an axis by symmetric (even) extension."""
-    width = [(0, 0)] * values.ndim
-    width[axis] = (1, 1)
-    return np.pad(values, width, mode="symmetric")
-
-
-def _slice_axis(arr, axis, sl):
-    idx = [slice(None)] * arr.ndim
-    idx[axis] = sl
-    return arr[tuple(idx)]
+def shift(values: np.ndarray, axis: int, step: int, boundary: str) -> np.ndarray:
+    """Values at i + step (step = +1 or -1) along one axis: wrapped on a
+    periodic box, the edge cell itself past a reflecting wall."""
+    if boundary == PERIODIC:
+        return np.roll(values, -step, axis)
+    v = np.moveaxis(values, axis, 0)
+    out = np.concatenate([v[1:], v[-1:]]) if step > 0 else np.concatenate([v[:1], v[:-1]])
+    return np.moveaxis(out, 0, axis)
 
 
 def axis_gradient(f: ScalarField, axis: int) -> np.ndarray:
     """Second-order central difference along one axis (raw array)."""
-    dx = f.space.spacings[axis]
-    v = f.values
-    if f.space.boundary == PERIODIC:
-        return (np.roll(v, -1, axis) - np.roll(v, 1, axis)) / (2.0 * dx)
-    p = _axis_pad(v, axis)
-    return (_slice_axis(p, axis, slice(2, None)) - _slice_axis(p, axis, slice(None, -2))) / (2.0 * dx)
+    v, b = f.values, f.space.boundary
+    return (shift(v, axis, 1, b) - shift(v, axis, -1, b)) / (2.0 * f.space.spacings[axis])
 
 
 def axis_second_derivative(f: ScalarField, axis: int) -> np.ndarray:
     """Three-point second difference along one axis (raw array)."""
-    dx = f.space.spacings[axis]
-    v = f.values
-    if f.space.boundary == PERIODIC:
-        return (np.roll(v, -1, axis) - 2.0 * v + np.roll(v, 1, axis)) / dx**2
-    p = _axis_pad(v, axis)
-    return (
-        _slice_axis(p, axis, slice(2, None))
-        - 2.0 * v
-        + _slice_axis(p, axis, slice(None, -2))
-    ) / dx**2
+    v, b = f.values, f.space.boundary
+    return (shift(v, axis, 1, b) - 2.0 * v + shift(v, axis, -1, b)) / f.space.spacings[axis] ** 2
 
 
 def gradient(f: ScalarField) -> VectorField:
@@ -367,10 +350,6 @@ def entropy_field(rho: ScalarField, phi: ScalarField) -> ScalarField:
     """Entropy that drives short steps: S = phi + log sqrt(rho)."""
     _check_same_space(rho, phi)
     return ScalarField(rho.space, phi.values + 0.5 * clamped_log(rho.values))
-
-
-def integrate(f: ScalarField) -> float:
-    return f.integral()
 
 
 def density_moments(rho: ScalarField):

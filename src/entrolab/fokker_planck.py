@@ -35,6 +35,7 @@ from .fields import (
     clamped_log,
     gradient,
     normalize_density,
+    shift,
 )
 
 log = logging.getLogger(__name__)
@@ -47,14 +48,17 @@ class VelocityDecomposition:
     current: VectorField
 
 
+def covariant_gradient(S: ScalarField, params: PhysicalParams, A: VectorField | None = None) -> np.ndarray:
+    """dS/dx_a - beta A_a, one row per axis (raw array)."""
+    g = gradient(S).components
+    return g if A is None else g - params.beta * A.components
+
+
 def drift_velocity(S: ScalarField, params: PhysicalParams, A: VectorField | None = None) -> VectorField:
     """b_a = (eta/m_a)(dS/dx_a - beta A_a)."""
     params.matches_space(S.space)
-    g = gradient(S).components
-    if A is not None:
-        g = g - params.beta * A.components
     scale = params.eta_over_m.reshape((-1,) + (1,) * S.space.dim)
-    return VectorField(S.space, scale * g)
+    return VectorField(S.space, scale * covariant_gradient(S, params, A))
 
 
 def osmotic_velocity(rho: ScalarField, params: PhysicalParams) -> VectorField:
@@ -82,68 +86,28 @@ def velocity_fields(
 # flux-form plumbing
 
 
-def _slice_axis(arr, axis, sl):
-    idx = [slice(None)] * arr.ndim
-    idx[axis] = sl
-    return arr[tuple(idx)]
+def _face_div(flux, axis, dx, boundary):
+    """(F_{i+1/2} - F_{i-1/2}) / dx given F at faces i+1/2.
 
-
-def _neighbor_right(values, axis, periodic):
-    """Value at cell i+1; symmetric extension past the right wall."""
-    if periodic:
-        return np.roll(values, -1, axis)
-    out = np.concatenate(
-        [_slice_axis(values, axis, slice(1, None)), _slice_axis(values, axis, slice(-1, None))],
-        axis=axis,
-    )
-    return out
-
-
-def _face_div(flux, axis, dx, periodic):
-    """(F_{i+1/2} - F_{i-1/2}) / dx given F at faces i+1/2 (wall faces zeroed)."""
-    if periodic:
-        return (flux - np.roll(flux, 1, axis)) / dx
-    flux = flux.copy()
-    _slice_axis(flux, axis, slice(-1, None))[...] = 0.0  # right wall
-    left = np.concatenate(
-        [np.zeros_like(_slice_axis(flux, axis, slice(0, 1))), _slice_axis(flux, axis, slice(None, -1))],
-        axis=axis,
-    )
-    return (flux - left) / dx
+    On a reflecting box the right wall face is zeroed, and the wrap carries
+    that zero into the left wall face, so no flux crosses either wall.
+    """
+    if boundary != PERIODIC:
+        flux = flux.copy()
+        np.moveaxis(flux, axis, 0)[-1] = 0.0
+    return (flux - shift(flux, axis, -1, PERIODIC)) / dx
 
 
 def _drift_diffusion_rhs(rho_values, b_comps, diffusion, space):
-    periodic = space.boundary == PERIODIC
     rhs = np.zeros_like(rho_values)
     for a in range(space.dim):
         dx = space.spacings[a]
-        rho_r = _neighbor_right(rho_values, a, periodic)
-        b_face = 0.5 * (b_comps[a] + _neighbor_right(b_comps[a], a, periodic))
+        rho_r = shift(rho_values, a, 1, space.boundary)
+        b_face = 0.5 * (b_comps[a] + shift(b_comps[a], a, 1, space.boundary))
         upwind = np.where(b_face > 0.0, rho_values, rho_r)
         flux = b_face * upwind - diffusion[a] * (rho_r - rho_values) / dx
-        rhs -= _face_div(flux, a, dx, periodic)
+        rhs -= _face_div(flux, a, dx, space.boundary)
     return rhs
-
-
-def _continuity_rhs(rho_values, v_comps, space):
-    periodic = space.boundary == PERIODIC
-    rhs = np.zeros_like(rho_values)
-    for a in range(space.dim):
-        dx = space.spacings[a]
-        rho_r = _neighbor_right(rho_values, a, periodic)
-        v_face = 0.5 * (v_comps[a] + _neighbor_right(v_comps[a], a, periodic))
-        upwind = np.where(v_face > 0.0, rho_values, rho_r)
-        rhs -= _face_div(v_face * upwind, a, dx, periodic)
-    return rhs
-
-
-def _max_face_speed(comps, space):
-    periodic = space.boundary == PERIODIC
-    speeds = []
-    for a in range(space.dim):
-        face = 0.5 * (comps[a] + _neighbor_right(comps[a], a, periodic))
-        speeds.append(float(np.abs(face).max()))
-    return speeds
 
 
 def fp_stability_limit(
@@ -167,8 +131,9 @@ def fp_stability_limit(
     for a in range(space.dim):
         D = 0.5 * params.eta_over_m[a]
         rate += 2.0 * D / space.spacings[a] ** 2
-    for a, speed in enumerate(_max_face_speed(comps, space)):
-        rate += speed / space.spacings[a]
+    for a in range(space.dim):
+        face = 0.5 * (comps[a] + shift(comps[a], a, 1, space.boundary))
+        rate += float(np.abs(face).max()) / space.spacings[a]
     if rate <= 0.0:
         return math.inf
     return safety / rate
@@ -224,7 +189,7 @@ def fp_step_continuity(
     def rhs(values):
         field = ScalarField(space, values)
         v = velocity_fields(field, S, params, A).current.components
-        return _continuity_rhs(values, v, space)
+        return _drift_diffusion_rhs(values, v, np.zeros(space.dim), space)
 
     k1 = rhs(rho.values)
     mid = np.maximum(rho.values + dt * k1, 0.0)
@@ -241,13 +206,12 @@ def stationarity_residual(rho: ScalarField, S: ScalarField, params: PhysicalPara
     """
     params.matches_space(rho.space)
     space = rho.space
-    periodic = space.boundary == PERIODIC
     w = clamped_log(rho.values, DENSITY_REL_FLOOR) - 2.0 * S.values
     rhs = np.zeros_like(rho.values)
     for a in range(space.dim):
         dx = space.spacings[a]
         D = 0.5 * params.eta_over_m[a]
-        rho_face = 0.5 * (rho.values + _neighbor_right(rho.values, a, periodic))
-        dw = (_neighbor_right(w, a, periodic) - w) / dx
-        rhs += _face_div(D * rho_face * dw, a, dx, periodic)
+        rho_face = 0.5 * (rho.values + shift(rho.values, a, 1, space.boundary))
+        dw = (shift(w, a, 1, space.boundary) - w) / dx
+        rhs += _face_div(D * rho_face * dw, a, dx, space.boundary)
     return math.sqrt(float((rhs**2).sum()) * space.cell_volume)

@@ -42,7 +42,6 @@ from . import dynamics, ensemble as ens, fokker_planck as fp, io, schrodinger as
 from .errors import ConfigError, GridMismatchError
 from .fields import (
     PERIODIC,
-    BOUNDARIES,
     ComplexField,
     ConfigSpace,
     PhysicalParams,
@@ -51,7 +50,6 @@ from .fields import (
     density_moments,
     entropy_field,
     gradient,
-    integrate,
     interpolate_vector,
     l1_distance,
     l2_distance,
@@ -165,25 +163,24 @@ class Scenario:
         return self.time_scale[1] == 0.0
 
 
-def _build_space(cfg, eta, tau, masses):
-    dim = int(cfg.get("dim", 1))
-    if dim < 1 or dim > 3:
-        raise ConfigError("space.dim must be 1, 2, or 3")
-    extents = _per_axis(cfg.get("extent", 20.0), dim, "space.extent")
-    if any(L <= 0 for L in extents):
-        raise ConfigError("space.extent must be positive")
-    pts = cfg.get("points", 256)
-    if isinstance(pts, (list, tuple)):
-        points = tuple(int(p) for p in pts)
-        if len(points) != dim:
-            raise ConfigError(f"space.points needs {dim} entries")
-    else:
-        points = (int(pts),) * dim
-    boundary = cfg.get("boundary", PERIODIC)
-    if boundary not in BOUNDARIES:
-        raise ConfigError(f"space.boundary must be one of {sorted(BOUNDARIES)}")
-    sigma_sq = tuple(eta * tau / m for m in masses)
-    return ConfigSpace(dim=dim, extents=extents, points=points, sigma_sq=sigma_sq, boundary=boundary)
+def _in_section(section, build, *args, **kwargs):
+    """Build a dataclass; its ConfigError is re-raised naming the YAML section."""
+    try:
+        return build(*args, **kwargs)
+    except ConfigError as exc:
+        raise ConfigError(f"{section}: {exc}") from None
+
+
+def _build_space(cfg, dim, params):
+    return _in_section(
+        "space",
+        ConfigSpace,
+        dim=dim,
+        extents=cfg.get("extent", 20.0),
+        points=cfg.get("points", 256),
+        sigma_sq=params.sigma_sq,
+        boundary=cfg.get("boundary", PERIODIC),
+    )
 
 
 def _build_entropy(cfg, space, initial):
@@ -342,16 +339,10 @@ def scenario_from_dict(raw: dict, base_dir: str = ".") -> Scenario:
     p_cfg = _require_mapping(raw.get("params"), "params")
     eta = float(p_cfg.get("eta", 1.0))
     tau = float(p_cfg.get("tau", 0.1))
-    if eta <= 0:
-        raise ConfigError("params.eta must be positive")
-    if tau <= 0:
-        raise ConfigError("params.tau must be positive")
     beta = float(p_cfg.get("beta", 0.0))
     s_cfg = _require_mapping(raw.get("space"), "space")
     dim = int(s_cfg.get("dim", 1))
     masses = _per_axis(p_cfg.get("masses", 1.0), dim, "params.masses")
-    if any(m <= 0 for m in masses):
-        raise ConfigError("params.masses must be positive")
     ratio_raw = p_cfg.get("osmotic_ratio", 1.0)
     if isinstance(ratio_raw, (list, tuple)):
         if len(set(float(r) for r in ratio_raw)) != 1:
@@ -361,10 +352,12 @@ def scenario_from_dict(raw: dict, base_dir: str = ".") -> Scenario:
     if ratio <= 0:
         raise ConfigError("params.osmotic_ratio must be positive")
 
-    space = _build_space(s_cfg, eta, tau, masses)
-    params = PhysicalParams.from_masses(
-        masses=masses, eta=eta, osmotic_ratio=ratio, tau=tau, beta=beta
+    params = _in_section(
+        "params",
+        PhysicalParams.from_masses,
+        masses=masses, eta=eta, osmotic_ratio=ratio, tau=tau, beta=beta,
     )
+    space = _build_space(s_cfg, dim, params)
 
     def _resolve(cfg, keys):
         out = dict(cfg)
@@ -489,12 +482,6 @@ def resolve_dt(sc: Scenario) -> float:
     return 0.5 * limit
 
 
-def _moment_row(t, rho):
-    mass = integrate(rho)
-    com, var = density_moments(rho)
-    return [t, mass, *var, *com]
-
-
 def _check(value, tolerance) -> dict:
     return {"value": float(value), "tolerance": tolerance, "passed": bool(value <= tolerance)}
 
@@ -515,8 +502,10 @@ def run(sc: Scenario, outdir) -> dict:
     v_for_audit = []
 
     def record(t, rho, state=None, psi=None):
-        moment_rows.append(_moment_row(t, rho))
-        mass_gaps.append(abs(integrate(rho) - 1.0))
+        mass = rho.integral()
+        com, var = density_moments(rho)
+        moment_rows.append([t, mass, *var, *com])
+        mass_gaps.append(abs(mass - 1.0))
         tag = f"{len(snap_times):06d}"
         snap_times.append(t)
         io.save_scalar_field(os.path.join(outdir, f"rho_{tag}.csv"), rho)
@@ -895,21 +884,18 @@ def gauge_check(sc: Scenario, chi_amplitude, chi_mode, outdir, tolerance=1e-8) -
     return report
 
 
-def _rebuild_on_space(space, field_values):
-    return ScalarField(space, field_values.copy())
-
-
 def _classical_residual_and_variance(sc, params, space, dt, walkers, seed):
     """One split step from the scenario's initial data: the Hamilton-Jacobi
     defect of the step, plus the per-axis noise variance of a walker step."""
-    rho0 = _rebuild_on_space(space, sc.initial.rho.values)
-    phi0 = _rebuild_on_space(space, sc.initial.phi.values)
+    # re-hosted on space: its sigma_sq follows params through the eta sweep
+    rho0 = ScalarField(space, sc.initial.rho.values)
+    phi0 = ScalarField(space, sc.initial.phi.values)
     state0 = dynamics.ManifoldState(rho=rho0, phi=phi0, time=0.0)
-    v_mid = _rebuild_on_space(space, sc.potential_at(0.5 * dt).values)
+    v_mid = ScalarField(space, sc.potential_at(0.5 * dt).values)
     state1 = dynamics.coupled_step(state0, params, v_mid, dt, None)
     residual = dynamics.hamilton_jacobi_residual(state0, state1, params, v_mid)
 
-    entropy = _rebuild_on_space(space, sc.entropy.values)
+    entropy = ScalarField(space, sc.entropy.values)
     cloud = ens.Ensemble.from_density(rho0, walkers, dt, seed=seed)
     before = cloud.positions.copy()
     stepped = ens.step_ensemble(cloud, entropy, params)

@@ -35,11 +35,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import EnergyBreakdown, ManifoldState, clipped_amplitude_curvature
+from .dynamics import EnergyBreakdown, ManifoldState, _require_periodic, clipped_amplitude_curvature
 from .errors import ConfigError, DegenerateDensityError
 from .fields import (
     DENSITY_REL_FLOOR,
-    PERIODIC,
     ComplexField,
     ConfigSpace,
     PhysicalParams,
@@ -113,11 +112,6 @@ def from_wavefunction(w: WaveFunction) -> ManifoldState:
 
 # ---------------------------------------------------------------------------
 # spectral helpers (periodic boxes)
-
-
-def _require_periodic(space, what):
-    if space.boundary != PERIODIC:
-        raise ConfigError(f"{what} needs a periodic box")
 
 
 def _axis_wavenumbers(space, axis):

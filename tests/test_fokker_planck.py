@@ -4,9 +4,16 @@ import numpy as np
 import pytest
 
 from entrolab import fokker_planck as fp
+from entrolab.dynamics import AMP_RATIO_LIMIT, clipped_amplitude_curvature
 from entrolab.errors import StabilityError
 from entrolab.fields import (
+    REFLECTING,
+    ConfigSpace,
     ScalarField,
+    VectorField,
+    axis_gradient,
+    axis_second_derivative,
+    clamped_log,
     density_moments,
     l2_distance,
     normalize_density,
@@ -127,3 +134,150 @@ def test_stability_limit_scales_with_grid():
     lim_c = fp.fp_stability_limit(sine_entropy(coarse, 0.3), p)
     lim_f = fp.fp_stability_limit(sine_entropy(fine, 0.3), p)
     assert lim_c / lim_f == pytest.approx(4.0, rel=0.2)
+
+
+# ---------------------------------------------------------------------------
+# reflecting boxes: every stencil against the pad/concatenate form
+
+
+def _take(v, axis, sl):
+    idx = [slice(None)] * v.ndim
+    idx[axis] = sl
+    return v[tuple(idx)]
+
+
+def _padded_neighbours(v, axis):
+    """Values at i+1 and i-1 from a one-cell even (symmetric) pad."""
+    width = [(0, 0)] * v.ndim
+    width[axis] = (1, 1)
+    p = np.pad(v, width, mode="symmetric")
+    return _take(p, axis, slice(2, None)), _take(p, axis, slice(None, -2))
+
+
+def _concat_right(v, axis):
+    return np.concatenate([_take(v, axis, slice(1, None)), _take(v, axis, slice(-1, None))], axis=axis)
+
+
+def _padded_gradient(v, space):
+    comps = []
+    for a in range(space.dim):
+        plus, minus = _padded_neighbours(v, a)
+        comps.append((plus - minus) / (2.0 * space.spacings[a]))
+    return np.stack(comps)
+
+
+def _padded_face_div(flux, axis, dx):
+    flux = flux.copy()
+    _take(flux, axis, slice(-1, None))[...] = 0.0
+    left = np.concatenate(
+        [np.zeros_like(_take(flux, axis, slice(0, 1))), _take(flux, axis, slice(None, -1))], axis=axis
+    )
+    return (flux - left) / dx
+
+
+def _padded_rhs(rho, comps, diffusion, space):
+    rhs = np.zeros_like(rho)
+    for a in range(space.dim):
+        dx = space.spacings[a]
+        rho_r = _concat_right(rho, a)
+        face = 0.5 * (comps[a] + _concat_right(comps[a], a))
+        flux = face * np.where(face > 0.0, rho, rho_r)
+        if diffusion is not None:
+            flux = flux - diffusion[a] * (rho_r - rho) / dx
+        rhs -= _padded_face_div(flux, a, dx)
+    return rhs
+
+
+def _padded_velocities(rho, S, p, A):
+    shape = (-1,) + (1,) * S.space.dim
+    b = p.eta_over_m.reshape(shape) * (_padded_gradient(S.values, S.space) - p.beta * A.components)
+    if rho is None:
+        return b
+    u = -(0.5 * p.eta_over_m).reshape(shape) * _padded_gradient(clamped_log(rho), S.space)
+    return b + u
+
+
+def _padded_limit(S, p, A, rho=None):
+    space = S.space
+    comps = _padded_velocities(rho, S, p, A)
+    rate = sum(2.0 * (0.5 * p.eta_over_m[a]) / space.spacings[a] ** 2 for a in range(space.dim))
+    for a in range(space.dim):
+        face = 0.5 * (comps[a] + _concat_right(comps[a], a))
+        rate += float(np.abs(face).max()) / space.spacings[a]
+    return 0.9 / rate
+
+
+def _padded_finish(space, raw):
+    return normalize_density(ScalarField(space, np.maximum(raw, 0.0))).values
+
+
+def _padded_fp_step(rho, S, p, A, dt):
+    b = _padded_velocities(None, S, p, A)
+    D = 0.5 * p.eta_over_m
+    k1 = _padded_rhs(rho, b, D, S.space)
+    k2 = _padded_rhs(rho + dt * k1, b, D, S.space)
+    return _padded_finish(S.space, rho + 0.5 * dt * (k1 + k2))
+
+
+def _padded_fp_step_continuity(rho, S, p, A, dt):
+    def rhs(values):
+        return _padded_rhs(values, _padded_velocities(values, S, p, A), None, S.space)
+
+    k1 = rhs(rho)
+    k2 = rhs(np.maximum(rho + dt * k1, 0.0))
+    return _padded_finish(S.space, rho + 0.5 * dt * (k1 + k2))
+
+
+def _padded_stationarity(rho, S, p):
+    space = S.space
+    w = clamped_log(rho) - 2.0 * S.values
+    rhs = np.zeros_like(rho)
+    for a in range(space.dim):
+        dx = space.spacings[a]
+        rho_face = 0.5 * (rho + _concat_right(rho, a))
+        dw = (_concat_right(w, a) - w) / dx
+        rhs += _padded_face_div(0.5 * p.eta_over_m[a] * rho_face * dw, a, dx)
+    return math.sqrt(float((rhs**2).sum()) * space.cell_volume)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_reflecting_box_matches_padded_stencils(dim):
+    """On a reflecting box the neighbour past a wall is the edge cell itself
+    and no flux crosses a wall; every stencil must give the bits of the
+    explicit pad/concatenate form of that rule."""
+    p = make_params(masses=(1.0, 2.0)[:dim], beta=0.6)
+    space = ConfigSpace(
+        dim=dim, extents=(8.0, 6.0)[:dim], points=(24, 16)[:dim],
+        boundary=REFLECTING, sigma_sq=p.sigma_sq,
+    )
+    x = space.meshes
+    rng = np.random.default_rng(3)
+    S = ScalarField(space, 0.3 * np.sin(x[0]) + 0.2 * x[0] + (0.1 * x[-1] ** 2 if dim > 1 else 0.0))
+    A = VectorField(space, np.stack([0.4 * np.cos(x[-1]) + 0.1 * x[a] for a in range(dim)]))
+    rho0 = gaussian_density(space, (1.0, -0.5)[:dim], 1.5).values
+
+    noise = rng.uniform(0.01, 1.0, space.shape)  # ratios well past AMP_RATIO_LIMIT
+    for a in range(dim):
+        dx = space.spacings[a]
+        plus, minus = _padded_neighbours(noise, a)
+        f = ScalarField(space, noise)
+        assert np.array_equal(axis_gradient(f, a), (plus - minus) / (2.0 * dx))
+        assert np.array_equal(axis_second_derivative(f, a), (plus - 2.0 * noise + minus) / dx**2)
+        curvature = (np.minimum(plus / noise, AMP_RATIO_LIMIT)
+                     + np.minimum(minus / noise, AMP_RATIO_LIMIT) - 2.0) / dx**2
+        assert np.array_equal(clipped_amplitude_curvature(noise, space, a), curvature)
+
+    rho = ScalarField(space, rho0)
+    assert fp.fp_stability_limit(S, p, A) == _padded_limit(S, p, A)
+    assert fp.fp_stability_limit(S, p, A, rho=rho) == _padded_limit(S, p, A, rho0)
+    assert fp.stationarity_residual(rho, S, p) == _padded_stationarity(rho0, S, p)
+
+    dt = 0.5 * _padded_limit(S, p, A, rho0)
+    a, ref_a = rho, rho0
+    b, ref_b = rho, rho0
+    for _ in range(20):
+        a, ref_a = fp.fp_step(a, S, p, dt, A), _padded_fp_step(ref_a, S, p, A, dt)
+        b, ref_b = fp.fp_step_continuity(b, S, p, dt, A), _padded_fp_step_continuity(ref_b, S, p, A, dt)
+        assert np.array_equal(a.values, ref_a)
+        assert np.array_equal(b.values, ref_b)
+    assert not np.array_equal(a.values, rho0)  # the flow moved mass

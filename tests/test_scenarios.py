@@ -60,6 +60,27 @@ def test_bad_initial_type_rejected():
         scenario_from_dict(base_cfg(initial={"type": "delta"}))
 
 
+@pytest.mark.parametrize(
+    "section, bad",
+    [
+        ("space", {"dim": 0}),
+        ("space", {"dim": 4}),
+        ("space", {"extent": -1.0}),
+        ("space", {"extent": [12.0, 12.0]}),
+        ("space", {"points": [64, 64]}),
+        ("space", {"boundary": "absorbing"}),
+        ("params", {"eta": 0.0}),
+        ("params", {"tau": -0.1}),
+        ("params", {"masses": -1.0}),
+        ("params", {"masses": [1.0, 1.0]}),
+        ("params", {"osmotic_ratio": 0.0}),
+    ],
+)
+def test_bad_space_and_params_name_their_section(section, bad):
+    with pytest.raises(ConfigError, match=rf"^{section}\b"):
+        scenario_from_dict(base_cfg(**{section: bad}))
+
+
 def test_nonlinear_engine_refuses_vector_potential(tmp_path):
     cfg = base_cfg(
         params={"beta": 0.5},

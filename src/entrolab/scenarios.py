@@ -923,6 +923,9 @@ def classical_limit(
     """
     if (eta_scales is None) == (mu_scales is None):
         raise ConfigError("classical-limit needs exactly one of eta_scales / mu_scales")
+    if sc.vector_potential is not None:
+        # the steps below and the Hamilton-Jacobi residual carry no A term
+        raise ConfigError("the classical-limit audit does not take a vector potential")
     scales = [float(s) for s in (eta_scales if eta_scales is not None else mu_scales)]
     if not scales or scales[0] != 1.0:
         raise ConfigError("scale sweeps must start at 1.0 (the reference)")

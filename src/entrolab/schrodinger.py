@@ -21,6 +21,10 @@ roundoff rather than to scheme order.  Each axis solve is one batched FFT: a
 gauge by the cumulative link phase gives every hop on a periodic line the
 same twist, the line's holonomy over its cell count, so the line's hopping
 operator is circulant and the Cayley factor is diagonal in Fourier space.
+A is static over a run, so the links, the gauge phases and the Cayley
+factors are built once per A object and reused on every step.  The memo is
+keyed on the object, which is sound because fields are immutable values (the
+fields.py contract): code that needs another A builds a new VectorField.
 
 The nonlinear (mu != m) term is a bounded real potential on clamped data; it
 is applied inside the symmetric splitting from the pre- and post-step moduli,
@@ -31,6 +35,7 @@ nonlinear coefficient vanishes the code path is identical to the linear one.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -176,16 +181,17 @@ def gauge_transform(w: WaveFunction, A: VectorField | None, chi: ScalarField, be
 # Cayley kinetic sweeps
 
 
-def _cayley_axis_sweep(psi, space, params, axis, h, link, beta):
-    """One Cayley half-implicit kinetic step along a single axis.
+def _sweep_operators(space, params, axis, h, link):
+    """Gauge phases, their conjugates and the Cayley factor of one axis sweep.
 
-    Solves (1 + i h H_a / 2 eta) psi' = (1 - i h H_a / 2 eta) psi with H_a
-    the periodic hopping operator for that axis, link phases included.  The
-    gauge alpha_j = sum_{i<j} beta link_i - j Theta/n, with Theta = beta sum
-    link the holonomy of the line, gives every hop the same twist
-    exp(-i Theta/n); H_a is then circulant with eigenvalues
-    2c(1 - cos(k - Theta/n)) and one batched FFT solves every line of the
-    axis.  Without links alpha = Theta = 0.
+    The sweep solves (1 + i h H_a / 2 eta) psi' = (1 - i h H_a / 2 eta) psi
+    with H_a the periodic hopping operator for that axis, link phases
+    included.  The gauge alpha_j = sum_{i<j} beta link_i - j Theta/n, with
+    Theta = beta sum link the holonomy of the line, gives every hop the same
+    twist exp(-i Theta/n); H_a is then circulant with eigenvalues
+    2c(1 - cos(k - Theta/n)), so the factor is diagonal in Fourier space and
+    one batched FFT solves every line of the axis.  Without links alpha =
+    Theta = 0.
     """
     n = space.points[axis]
     c = params.eta / (2.0 * params.masses[axis] * space.spacings[axis] ** 2)
@@ -193,23 +199,64 @@ def _cayley_axis_sweep(psi, space, params, axis, h, link, beta):
     if link is None:
         gauge, twist = 1.0, 0.0
     else:
-        bl = beta * link
+        bl = params.beta * link
         twist = bl.sum(axis=axis, keepdims=True) / n
         gauge = np.exp(1j * (np.cumsum(bl, axis=axis) - bl - j * twist))
     lam = 2.0 * c * (1.0 - np.cos(2.0 * math.pi * j / n - twist))
     factor = (1.0 - 0.5j * h * lam) / (1.0 + 0.5j * h * lam)
-    return gauge * np.fft.ifft(factor * np.fft.fft(np.conj(gauge) * psi, axis=axis), axis=axis)
+    return gauge, np.conj(gauge), factor
 
 
-def _kinetic_palindrome(psi, space, params, dt, links, beta):
+# Per vector potential: its face links and, per axis, the operators of its
+# last sweep with the scalars they were built from.  VectorField hashes by
+# identity and fields are immutable values, so an entry never goes stale; it
+# dies with its A.
+_GAUGE_OPERATORS = weakref.WeakKeyDictionary()
+
+
+def _gauge_operators(A: VectorField):
+    """A's memo entry: (face links, {axis: (key, sweep operators)})."""
+    entry = _GAUGE_OPERATORS.get(A)
+    if entry is None:
+        entry = _GAUGE_OPERATORS[A] = (_face_links(A.space, A), {})
+    return entry
+
+
+def _axis_operators(space, params, axis, h, A):
+    """Operators of one axis sweep; with A, built once per A and per key.
+
+    Each axis keeps only its last key, so a caller that varies dt rebuilds
+    the operators instead of growing the memo.
+    """
+    if A is None:
+        return _sweep_operators(space, params, axis, h, None)
+    links, sweeps = _gauge_operators(A)
+    # every scalar _sweep_operators reads; the grid's shape is A's
+    key = (h, params.beta, params.eta, params.masses[axis], space.spacings[axis])
+    cached = sweeps.get(axis)
+    if cached is None or cached[0] != key:
+        cached = sweeps[axis] = (key, _sweep_operators(space, params, axis, h, links[axis]))
+    return cached[1]
+
+
+def _cayley_axis_sweep(psi, axis, operators):
+    """One Cayley half-implicit kinetic step along a single axis."""
+    gauge, conj_gauge, factor = operators
+    return gauge * np.fft.ifft(factor * np.fft.fft(conj_gauge * psi, axis=axis), axis=axis)
+
+
+def _kinetic_palindrome(psi, space, params, dt, A):
+    def sweep(psi, axis, h):
+        return _cayley_axis_sweep(psi, axis, _axis_operators(space, params, axis, h, A))
+
     dim = space.dim
     if dim == 1:
-        return _cayley_axis_sweep(psi, space, params, 0, dt, links[0] if links else None, beta)
+        return sweep(psi, 0, dt)
     for a in range(dim - 1):
-        psi = _cayley_axis_sweep(psi, space, params, a, 0.5 * dt, links[a] if links else None, beta)
-    psi = _cayley_axis_sweep(psi, space, params, dim - 1, dt, links[dim - 1] if links else None, beta)
+        psi = sweep(psi, a, 0.5 * dt)
+    psi = sweep(psi, dim - 1, dt)
     for a in range(dim - 2, -1, -1):
-        psi = _cayley_axis_sweep(psi, space, params, a, 0.5 * dt, links[a] if links else None, beta)
+        psi = sweep(psi, a, 0.5 * dt)
     return psi
 
 
@@ -240,7 +287,6 @@ def _split_step(w, params, V, dt, A, nonlinear):
     params.matches_space(w.space)
     _require_periodic(w.space, "the wavefunction solver")
     space = w.space
-    links = _face_links(space, A) if A is not None else None
     psi = w.psi.values
 
     V_eff = V.values
@@ -250,7 +296,7 @@ def _split_step(w, params, V, dt, A, nonlinear):
             V_eff = V_eff + extra
     psi = psi * np.exp(-0.5j * dt * V_eff / params.eta)
 
-    psi = _kinetic_palindrome(psi, space, params, dt, links, params.beta)
+    psi = _kinetic_palindrome(psi, space, params, dt, A)
 
     V_eff = V.values
     if nonlinear:
@@ -306,7 +352,7 @@ def wavefunction_energy_breakdown(
     space = w.space
     psi = w.psi.values
     vol = space.cell_volume
-    links = _face_links(space, A) if A is not None else None
+    links = _gauge_operators(A)[0] if A is not None else None
     amp = np.abs(psi)
     current = 0.0
     osmotic = 0.0

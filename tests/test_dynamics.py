@@ -10,7 +10,6 @@ from entrolab.fields import (
     ScalarField,
     VectorField,
     axis_gradient,
-    density_moments,
     normalize_density,
 )
 from entrolab.scenarios import gauge_check, scenario_from_dict

@@ -5,7 +5,7 @@ import pytest
 
 from entrolab import ensemble as ens
 from entrolab.errors import ConfigError
-from entrolab.fields import ScalarField, axis_gradient, clamped_log, density_moments
+from entrolab.fields import ScalarField, axis_gradient, clamped_log
 from entrolab.fokker_planck import drift_velocity
 
 from conftest import gaussian_density, make_params, make_space, zero_field

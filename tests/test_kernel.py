@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from entrolab.errors import AlphaSolveError
-from entrolab.fields import ScalarField, VectorField, normalize_density
+from entrolab.fields import ScalarField, VectorField
 from entrolab.kernel import (
     EmCoupling,
     StepConstraints,

@@ -7,6 +7,7 @@ import pytest
 from entrolab import cli, io
 from entrolab.errors import ConfigError, StabilityError
 from entrolab.scenarios import (
+    classical_limit,
     compare,
     gauge_check,
     load_scenario,
@@ -407,6 +408,22 @@ def test_cli_gauge_check_requires_beta(tmp_path, capsys):
     code = cli.main(["gauge-check", cfg, "--chi", "0.8:1",
                      "--out", str(tmp_path / "g")])
     assert code == 2
+
+
+def test_classical_limit_refuses_vector_potential(tmp_path, capsys):
+    """The audit's steps and its Hamilton-Jacobi residual carry no A term."""
+    potentials = {
+        "V": {"type": "harmonic", "omega": 1.0},
+        "A": {"type": "constant", "value": 2.0},
+    }
+    sc = scenario_from_dict(base_cfg(params={"beta": 0.7}, potentials=potentials))
+    with pytest.raises(ConfigError, match="vector potential"):
+        classical_limit(sc, eta_scales=(1.0, 0.5))
+    cfg = write_cfg(tmp_path, name="classical-A", params={"beta": 0.7}, potentials=potentials)
+    code = cli.main(["classical-limit", cfg, "--eta-sweep", "1,0.5",
+                     "--out", str(tmp_path / "c")])
+    assert code == 2
+    assert "vector potential" in capsys.readouterr().err
 
 
 def test_cli_maxent_audit(tmp_path, capsys):

@@ -1,11 +1,13 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 from entrolab import dynamics as dyn
 from entrolab import schrodinger as schro
-from entrolab.fields import ScalarField, VectorField, normalize_density
+from entrolab.fields import ScalarField, VectorField
 
 from conftest import (
     field_l2,
@@ -252,8 +254,119 @@ def test_cayley_sweep_matches_dense_solve(shape):
             assert link is None or np.all(np.abs(holonomy) > 0.1)
             H = _dense_hopping(space, p, axis, link)
             expect = np.linalg.solve(eye + 0.5j * h * H, (eye - 0.5j * h * H) @ psi.ravel())
-            got = schro._cayley_axis_sweep(psi, space, p, axis, h, link, p.beta)
+            ops = schro._sweep_operators(space, p, axis, h, link)
+            got = schro._cayley_axis_sweep(psi, axis, ops)
             assert np.abs(got.ravel() - expect).max() <= 1e-13
+
+
+# The gauge operators are memoized per A object.  The reference below is the
+# uncached step they replaced: links and sweep operators rebuilt on every call.
+
+
+def _uncached_face_links(space, A):
+    links = []
+    for a in range(space.dim):
+        vals = A.components[a]
+        dx = space.spacings[a]
+        mean = vals.mean(axis=a, keepdims=True)
+        fluct = vals - mean
+        k = schro._reshape_k(schro._axis_wavenumbers(space, a), a, space.dim)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inv = np.where(k == 0.0, 0.0, 1.0 / np.where(k == 0.0, 1.0, k))
+        F = np.real(np.fft.ifft(np.fft.fft(fluct, axis=a) * (-1j) * inv, axis=a))
+        links.append(np.roll(F, -1, axis=a) - F + mean * dx)
+    return links
+
+
+def _uncached_sweep(psi, space, params, axis, h, link, beta):
+    n = space.points[axis]
+    c = params.eta / (2.0 * params.masses[axis] * space.spacings[axis] ** 2)
+    j = schro._reshape_k(np.arange(n), axis, space.dim)
+    bl = beta * link
+    twist = bl.sum(axis=axis, keepdims=True) / n
+    gauge = np.exp(1j * (np.cumsum(bl, axis=axis) - bl - j * twist))
+    lam = 2.0 * c * (1.0 - np.cos(2.0 * math.pi * j / n - twist))
+    factor = (1.0 - 0.5j * h * lam) / (1.0 + 0.5j * h * lam)
+    return gauge * np.fft.ifft(factor * np.fft.fft(np.conj(gauge) * psi, axis=axis), axis=axis)
+
+
+def _uncached_step(w, p, V, dt, A):
+    """The 2D unitary step: half-phase, sweeps on axes 0, 1, 0, half-phase."""
+    links = _uncached_face_links(w.space, A)
+    psi = w.psi.values * np.exp(-0.5j * dt * V.values / p.eta)
+    for axis, h in ((0, 0.5 * dt), (1, dt), (0, 0.5 * dt)):
+        psi = _uncached_sweep(psi, w.space, p, axis, h, links[axis], p.beta)
+    psi = psi * np.exp(-0.5j * dt * V.values / p.eta)
+    return schro.WaveFunction(psi=schro.ComplexField(w.space, psi), time=w.time + dt)
+
+
+def _curl_case(phase=0.0):
+    """A 2D packet and an A with nonzero curl whose lines carry holonomy."""
+    p = make_params(masses=(1.0, 1.5), beta=0.7)
+    space = make_space((8.0, 6.0), (32, 24), p, dim=2)
+    x, y = space.meshes
+    kx, ky = 2.0 * math.pi / 8.0, 2.0 * math.pi / 6.0
+    comps = np.stack([0.6 + 0.5 * np.sin(ky * y + phase) + 0.3 * np.cos(kx * x),
+                      -0.4 + 0.7 * np.cos(kx * x + phase) + 0.2 * np.sin(ky * y)])
+    st = dyn.ManifoldState(
+        gaussian_density(space, (0.5, -0.3), 0.6),
+        ScalarField(space, 0.8 * np.sin(kx * x)),
+        time=0.0,
+    )
+    V = ScalarField(space, 0.5 * (x**2 + y**2))
+    return p, space, schro.to_wavefunction(st), V, VectorField(space, comps)
+
+
+def test_gauge_memo_steps_equal_uncached_steps():
+    p, space, w0, V, A = _curl_case()
+    dt = 0.01
+    w, w_ref, w_fresh = w0, w0, w0
+    for _ in range(10):
+        w = schro.unitary_step(w, p, V, dt, A)
+        w_ref = _uncached_step(w_ref, p, V, dt, A)
+        # a new A object per step misses the memo every time
+        w_fresh = schro.unitary_step(
+            w_fresh, p, V, dt, VectorField(space, A.components.copy())
+        )
+    assert np.array_equal(w.psi.values, w_ref.psi.values)
+    assert np.array_equal(w_fresh.psi.values, w_ref.psi.values)
+
+
+def test_gauge_memo_is_keyed_on_the_vector_potential_and_the_step():
+    p, space, w0, V, A = _curl_case()
+    _, _, _, _, B = _curl_case(phase=0.9)
+    w_a = schro.unitary_step(w0, p, V, 0.01, A)
+    w_b = schro.unitary_step(w0, p, V, 0.01, B)
+    assert not np.array_equal(w_a.psi.values, w_b.psi.values)
+    # switching A, dt or beta between steps must rebuild, never reuse
+    p_weak = make_params(masses=(1.0, 1.5), beta=0.3)
+    w, w_ref = w0, w0
+    for pk, dt, Ak in ((p, 0.01, A), (p, 0.01, B), (p, 0.02, A), (p_weak, 0.02, A)):
+        w = schro.unitary_step(w, pk, V, dt, Ak)
+        w_ref = _uncached_step(w_ref, pk, V, dt, Ak)
+        assert np.array_equal(w.psi.values, w_ref.psi.values)
+
+
+def test_gauge_memo_entry_dies_with_its_vector_potential():
+    p, space, w0, V, A = _curl_case()
+    schro.unitary_step(w0, p, V, 0.01, A)
+    entry = schro._GAUGE_OPERATORS[A]
+    alive = weakref.ref(A)
+    del A
+    gc.collect()
+    assert alive() is None
+    assert not any(held is entry for held in schro._GAUGE_OPERATORS.values())
+
+
+def test_energy_breakdown_with_memo_equals_uncached(monkeypatch):
+    p, space, w0, V, A = _curl_case()
+    w = schro.unitary_step(w0, p, V, 0.01, A)  # the memo now holds A's links
+    cached = schro.wavefunction_energy_breakdown(w, p, V, A)
+    monkeypatch.setattr(
+        schro, "_gauge_operators", lambda A: (_uncached_face_links(A.space, A), {})
+    )
+    uncached = schro.wavefunction_energy_breakdown(w, p, V, A)
+    assert cached == uncached
 
 
 def test_nonlinear_step_reduces_to_unitary_at_equal_masses():

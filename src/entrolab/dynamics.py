@@ -450,7 +450,7 @@ class EnergyRateReport:
     times: np.ndarray
     totals: np.ndarray
     numeric_rates: np.ndarray  # centered differences, interior snapshots
-    imposed_rates: np.ndarray  # int rho (dV/dt + eta beta v . dA/dt)
+    imposed_rates: np.ndarray  # int rho dV/dt
     scale: float
 
     @property
@@ -460,46 +460,31 @@ class EnergyRateReport:
         return float(np.abs(self.numeric_rates - self.imposed_rates).max() / self.scale)
 
 
-def energy_rate_audit(
-    states,
-    params: PhysicalParams,
-    V_series,
-    A_series=None,
-) -> EnergyRateReport:
-    """Compare dE/dt along a trajectory with the imposed-rate integral.
+def energy_rate_audit(times, totals, rhos, V_series) -> EnergyRateReport:
+    """Compare dE/dt along a run's snapshots with the imposed rate int rho dV/dt.
 
-    For static potentials the imposed rate is zero and the report reduces to
-    an energy-drift audit.  Rates are normalized by max(|imposed rate|,
-    |E(0)| / duration) so both the driven and the static cases read as
-    relative numbers.
+    The inputs are the run's own snapshots: their times, the energy totals
+    the run wrote (the functional its engine conserves, with the run's
+    static A), the densities and V at each time.  A static A imposes no
+    rate.  For static potentials the imposed rate is zero and the report
+    reduces to an energy-drift audit.  Rates are normalized by
+    max(|imposed rate|, |E(0)| / duration) so both the driven and the
+    static cases read as relative numbers.
     """
-    states = list(states)
-    if len(states) < 3:
+    times = np.asarray(times, dtype=float)
+    totals = np.asarray(totals, dtype=float)
+    if times.size < 3:
         raise ValueError("need at least three snapshots for centered rates")
-    if len(V_series) != len(states):
-        raise ValueError("V_series must align with the snapshots")
-    if A_series is not None and len(A_series) != len(states):
-        raise ValueError("A_series must align with the snapshots")
+    if not len(totals) == len(rhos) == len(V_series) == times.size:
+        raise ValueError("totals, rhos and V_series must align with the times")
 
-    times = np.array([s.time for s in states])
-    totals = np.array(
-        [
-            energy(s, params, V_series[k], A_series[k] if A_series else None).total
-            for k, s in enumerate(states)
-        ]
-    )
-    numeric = np.empty(len(states) - 2)
-    imposed = np.empty(len(states) - 2)
-    for k in range(1, len(states) - 1):
+    numeric = np.empty(times.size - 2)
+    imposed = np.empty(times.size - 2)
+    for k in range(1, times.size - 1):
         span = times[k + 1] - times[k - 1]
         numeric[k - 1] = (totals[k + 1] - totals[k - 1]) / span
         vdot = (V_series[k + 1].values - V_series[k - 1].values) / span
-        rate = states[k].rho.values * vdot
-        if A_series is not None:
-            v = drift_velocity(states[k].phi, params, A_series[k]).components
-            adot = (A_series[k + 1].components - A_series[k - 1].components) / span
-            rate = rate + states[k].rho.values * params.eta * params.beta * (v * adot).sum(axis=0)
-        imposed[k - 1] = float(rate.sum()) * states[k].space.cell_volume
+        imposed[k - 1] = float((rhos[k].values * vdot).sum()) * rhos[k].space.cell_volume
 
     duration = times[-1] - times[0]
     scale = max(float(np.abs(imposed).max()) if imposed.size else 0.0, abs(totals[0]) / duration)

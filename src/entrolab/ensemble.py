@@ -52,11 +52,11 @@ class Ensemble:
         return self.positions.shape[0]
 
     @classmethod
-    def from_points(cls, space, positions, dt, seed=0, time=0.0):
-        return cls(space, np.array(positions, dtype=float), dt, np.random.default_rng(seed), time)
+    def from_points(cls, space, positions, dt, seed=0):
+        return cls(space, np.array(positions, dtype=float), dt, np.random.default_rng(seed))
 
     @classmethod
-    def from_density(cls, rho: ScalarField, walkers: int, dt: float, seed=0, time=0.0):
+    def from_density(cls, rho: ScalarField, walkers: int, dt: float, seed=0):
         """Sample walkers from a grid density: multinomial over cells, then a
         uniform jitter inside each cell."""
         space = rho.space
@@ -70,7 +70,7 @@ class Ensemble:
         cells = np.repeat(np.arange(p.size), counts)
         pos = centers[cells]
         jitter = rng.uniform(-0.5, 0.5, size=pos.shape) * np.asarray(space.spacings)
-        return cls(space, pos + jitter, dt, rng, time)
+        return cls(space, pos + jitter, dt, rng)
 
 
 def step_ensemble(

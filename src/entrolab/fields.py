@@ -337,12 +337,12 @@ def normalize_density(rho: ScalarField) -> ScalarField:
     return ScalarField(rho.space, v / total)
 
 
-def clamped_log(values: np.ndarray, rel_floor: float = DENSITY_REL_FLOOR) -> np.ndarray:
-    """log with a relative floor: cells below rel_floor * max are clamped."""
+def clamped_log(values: np.ndarray) -> np.ndarray:
+    """log with a relative floor: cells below DENSITY_REL_FLOOR * max are clamped."""
     vmax = float(np.max(values))
     if vmax <= 0.0:
         raise DegenerateDensityError("cannot take log of a nonpositive field")
-    floor = max(rel_floor * vmax, LOG_ABS_GUARD)
+    floor = max(DENSITY_REL_FLOOR * vmax, LOG_ABS_GUARD)
     return np.log(np.maximum(values, floor))
 
 

@@ -25,9 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import StabilityError
+from .errors import GridMismatchError, StabilityError
 from .fields import (
-    DENSITY_REL_FLOOR,
     PERIODIC,
     PhysicalParams,
     ScalarField,
@@ -48,8 +47,15 @@ class VelocityDecomposition:
     current: VectorField
 
 
+def _require_same_grid(A: VectorField | None, space):
+    """Raise GridMismatchError unless A is None or lives on `space`'s grid."""
+    if A is not None and not A.space.same_grid(space):
+        raise GridMismatchError("the vector potential lives on a different grid")
+
+
 def covariant_gradient(S: ScalarField, params: PhysicalParams, A: VectorField | None = None) -> np.ndarray:
-    """dS/dx_a - beta A_a, one row per axis (raw array)."""
+    """dS/dx_a - beta A_a, one row per axis (raw array); A must share S's grid."""
+    _require_same_grid(A, S.space)
     g = gradient(S).components
     return g if A is None else g - params.beta * A.components
 
@@ -64,7 +70,7 @@ def drift_velocity(S: ScalarField, params: PhysicalParams, A: VectorField | None
 def osmotic_velocity(rho: ScalarField, params: PhysicalParams) -> VectorField:
     """u_a = -(eta / 2 m_a) d(log rho)/dx_a, on the clamped logarithm."""
     params.matches_space(rho.space)
-    logrho = ScalarField(rho.space, clamped_log(rho.values, DENSITY_REL_FLOOR))
+    logrho = ScalarField(rho.space, clamped_log(rho.values))
     g = gradient(logrho).components
     scale = (0.5 * params.eta_over_m).reshape((-1,) + (1,) * rho.space.dim)
     return VectorField(rho.space, -scale * g)
@@ -206,7 +212,7 @@ def stationarity_residual(rho: ScalarField, S: ScalarField, params: PhysicalPara
     """
     params.matches_space(rho.space)
     space = rho.space
-    w = clamped_log(rho.values, DENSITY_REL_FLOOR) - 2.0 * S.values
+    w = clamped_log(rho.values) - 2.0 * S.values
     rhs = np.zeros_like(rho.values)
     for a in range(space.dim):
         dx = space.spacings[a]

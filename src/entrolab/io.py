@@ -32,7 +32,7 @@ def _meta_path(path) -> str:
     return str(path) + ".meta.json"
 
 
-def _write_meta(path, space: ConfigSpace, extra=None):
+def _write_meta(path, space: ConfigSpace):
     meta = {
         "dim": space.dim,
         "extents": list(space.extents),
@@ -40,8 +40,6 @@ def _write_meta(path, space: ConfigSpace, extra=None):
         "boundary": space.boundary,
         "sigma_sq": list(space.sigma_sq),
     }
-    if extra:
-        meta.update(extra)
     with open(_meta_path(path), "w") as fh:
         json.dump(meta, fh, indent=2)
         fh.write("\n")
@@ -84,10 +82,10 @@ def _write_table(path, header, table):
             fh.write(row_fmt * len(block) % tuple(block.ravel().tolist()))
 
 
-def _write_grid_csv(path, space, headers, columns, extra_meta=None):
+def _write_grid_csv(path, space, headers, columns):
     table = np.column_stack([m.ravel() for m in space.meshes] + list(columns))
     _write_table(path, _axis_header(space.dim) + headers, table)
-    _write_meta(path, space, extra_meta)
+    _write_meta(path, space)
 
 
 def _read_csv(path, skip=0):
@@ -112,8 +110,7 @@ def _read_csv(path, skip=0):
 
 def _read_grid_csv(path, value_columns):
     """value_columns may be an int or a callable of the grid dim."""
-    meta = _read_meta(path)
-    space = space_from_meta(meta)
+    space = space_from_meta(_read_meta(path))
     if callable(value_columns):
         value_columns = value_columns(space.dim)
     expected = int(np.prod(space.points))
@@ -124,41 +121,37 @@ def _read_grid_csv(path, value_columns):
         raise ConfigError(
             f"{path}: expected {space.dim + value_columns} columns, found {len(header)}"
         )
-    return space, data, meta
+    return space, data
 
 
-def save_scalar_field(path, f: ScalarField, extra_meta=None):
-    _write_grid_csv(path, f.space, ["value"], [f.values.ravel()], extra_meta)
+def save_scalar_field(path, f: ScalarField):
+    _write_grid_csv(path, f.space, ["value"], [f.values.ravel()])
 
 
 def load_scalar_field(path) -> ScalarField:
-    space, data, _ = _read_grid_csv(path, 1)
+    space, data = _read_grid_csv(path, 1)
     return ScalarField(space, data[:, 0].reshape(space.shape))
 
 
-def save_complex_field(path, f: ComplexField, extra_meta=None):
+def save_complex_field(path, f: ComplexField):
     _write_grid_csv(
-        path,
-        f.space,
-        ["real", "imag"],
-        [f.values.real.ravel(), f.values.imag.ravel()],
-        extra_meta,
+        path, f.space, ["real", "imag"], [f.values.real.ravel(), f.values.imag.ravel()]
     )
 
 
 def load_complex_field(path) -> ComplexField:
-    space, data, _ = _read_grid_csv(path, 2)
+    space, data = _read_grid_csv(path, 2)
     return ComplexField(space, (data[:, 0] + 1j * data[:, 1]).reshape(space.shape))
 
 
-def save_vector_field(path, f: VectorField, extra_meta=None):
+def save_vector_field(path, f: VectorField):
     headers = [f"component{a}" for a in range(f.space.dim)]
     cols = [f.components[a].ravel() for a in range(f.space.dim)]
-    _write_grid_csv(path, f.space, headers, cols, extra_meta)
+    _write_grid_csv(path, f.space, headers, cols)
 
 
 def load_vector_field(path) -> VectorField:
-    space, data, _ = _read_grid_csv(path, lambda dim: dim)
+    space, data = _read_grid_csv(path, lambda dim: dim)
     comps = np.stack([data[:, a].reshape(space.shape) for a in range(space.dim)])
     return VectorField(space, comps)
 

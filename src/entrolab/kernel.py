@@ -43,13 +43,23 @@ ALPHA_BRACKET_HALF_WIDTH = 10.0
 # wraps onto itself and the kernel is meaningless.
 LOCALIZATION_MIN_DECAY = 3.0
 
+# solve_alpha stops once the row's squared-step moment is this close to the
+# target, relative to it.
+ALPHA_REL_TOL = 1e-8
+
+# The optimality certificate perturbs the row by exp(CERTIFICATE_AMPLITUDE g),
+# g standard normal, and projects it back onto the constraints in at most
+# CERTIFICATE_MAX_ITERATIONS rounds, each moment to CONSTRAINT_REL_TOL.
+CERTIFICATE_AMPLITUDE = 0.1
+CERTIFICATE_MAX_ITERATIONS = 50
+CONSTRAINT_REL_TOL = 1e-10
+
 
 @dataclass(frozen=True, eq=False)
 class EmCoupling:
-    """Electromagnetic step constraint: multiplier beta, realized moment."""
+    """Electromagnetic step constraint: the multiplier beta."""
 
     beta: float
-    constraint_value: float | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,7 +215,7 @@ def _step_sq_at_alpha(entropy_values, dl2, alpha):
     return float((probs * dl2).sum())
 
 
-def solve_alpha(S: ScalarField, source, target_step_sq: float, rel_tol: float = 1e-8) -> float:
+def solve_alpha(S: ScalarField, source, target_step_sq: float) -> float:
     """Find alpha so the exact row's expected squared step hits the target.
 
     The moment is strictly decreasing in alpha, so bisection on log(alpha)
@@ -239,7 +249,7 @@ def solve_alpha(S: ScalarField, source, target_step_sq: float, rel_tol: float = 
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         m = _step_sq_at_alpha(S.values, dl2, math.exp(mid))
-        if abs(m - target_step_sq) <= rel_tol * target_step_sq:
+        if abs(m - target_step_sq) <= ALPHA_REL_TOL * target_step_sq:
             return math.exp(mid)
         if m > target_step_sq:
             lo = mid
@@ -383,19 +393,17 @@ def gibbs_optimality_certificate(
     kernel: TransitionKernel,
     trials: int = 1000,
     rng_seed: int = 0,
-    amplitude: float = 0.1,
     tolerance: float = 1e-9,
-    max_iterations: int = 50,
-    constraint_rel_tol: float = 1e-10,
 ) -> GibbsCertificate:
     """Certify that the kernel maximizes the constrained relative entropy.
 
-    Each trial multiplies the kernel row by exp(amplitude * g) with iid
-    standard-normal g, then alternates renormalization and exponential tilts
-    until the squared-step moment (and the EM moment, if present) match the
-    kernel's own.  Any admissible competitor must score at or below the
-    kernel; the certificate reports the largest observed objective gap.
-    Trials whose projection fails to converge are skipped and counted.
+    Each trial multiplies the kernel row by exp(CERTIFICATE_AMPLITUDE * g)
+    with iid standard-normal g, then alternates renormalization and
+    exponential tilts until the squared-step moment (and the EM moment, if
+    present) match the kernel's own.  Any admissible competitor must score
+    at or below the kernel; the certificate reports the largest observed
+    objective gap.  Trials whose projection fails to converge are skipped
+    and counted.
     """
     space = kernel.space
     _, dl2, em_lin = _row_geometry(space, kernel.source, kernel.vector_potential)
@@ -420,17 +428,17 @@ def gibbs_optimality_certificate(
 
     for _ in range(trials):
         g = rng.standard_normal(flat_p.shape)
-        q = flat_p * np.exp(amplitude * g)
+        q = flat_p * np.exp(CERTIFICATE_AMPLITUDE * g)
         ok = False
-        for _ in range(max_iterations):
+        for _ in range(CERTIFICATE_MAX_ITERATIONS):
             q = q / q.sum()
             m = float((q * flat_dl2).sum())
             em_ok = True
             if has_em:
                 em_m = float((q * flat_em).sum())
                 em_scale = max(abs(target_em), 1e-30)
-                em_ok = abs(em_m - target_em) <= constraint_rel_tol * em_scale
-            if abs(m - target_dl2) <= constraint_rel_tol * target_dl2 and em_ok:
+                em_ok = abs(em_m - target_em) <= CONSTRAINT_REL_TOL * em_scale
+            if abs(m - target_dl2) <= CONSTRAINT_REL_TOL * target_dl2 and em_ok:
                 ok = True
                 break
             tilted = _tilt_to_moment(q, flat_dl2, target_dl2)

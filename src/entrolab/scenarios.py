@@ -486,118 +486,115 @@ def _check(value, tolerance) -> dict:
     return {"value": float(value), "tolerance": tolerance, "passed": bool(value <= tolerance)}
 
 
+def _engine(sc: Scenario, dt: float, A: VectorField | None):
+    """One engine as (initial state, advance(state, step), snapshot(state, step)).
+
+    advance takes the state after step - 1 to the state after step, with V
+    at the step's midpoint.  snapshot returns (t, rho, energy breakdown or
+    None, psi or None); the breakdown is the functional the engine conserves.
+    """
+    params = sc.params
+
+    def v_mid(step):
+        return sc.potential_at((step - 0.5) * dt)
+
+    if sc.engine == "fokker-planck":
+        return (
+            sc.initial.rho,
+            lambda rho, step: fp.fp_step(rho, sc.entropy, params, dt, A),
+            lambda rho, step: (step * dt, rho, None, None),
+        )
+    if sc.engine == "ensemble":
+        return (
+            ens.Ensemble.from_density(sc.initial.rho, sc.walkers, dt, seed=sc.seed),
+            lambda cloud, step: ens.step_ensemble(cloud, sc.entropy, params, A),
+            lambda cloud, step: (cloud.time, ens.estimate_density(cloud), None, None),
+        )
+    if sc.engine == "coupled":
+        return (
+            sc.initial,
+            lambda st, step: dynamics.coupled_step(st, params, v_mid(step), dt, A),
+            lambda st, step: (
+                st.time, st.rho,
+                dynamics.energy(st, params, sc.potential_at(st.time), A), None,
+            ),
+        )
+    if sc.engine == "nonlinear" and A is not None:
+        raise ConfigError("the nonlinear engine does not take a vector potential")
+    return (
+        schro.to_wavefunction(sc.initial),
+        lambda w, step: (
+            schro.nonlinear_step(w, params, v_mid(step), dt) if sc.engine == "nonlinear"
+            else schro.unitary_step(w, params, v_mid(step), dt, A)
+        ),
+        lambda w, step: (
+            w.time, schro.probability_density(w),
+            schro.wavefunction_energy_breakdown(w, params, sc.potential_at(w.time), A), w.psi,
+        ),
+    )
+
+
+def _trajectory(sc: Scenario, state, advance):
+    """Yield (step, state, snapshot due) for step 0 and every step after it."""
+    yield 0, state, True
+    for step in range(1, sc.steps + 1):
+        state = advance(state, step)
+        yield step, state, step % sc.snapshot_stride == 0 or step == sc.steps
+
+
+def _save_failure(outdir, sc: Scenario, dt, last_step, exc):
+    """The summary.json of a run or check that raised after `last_step`."""
+    io.save_summary(
+        os.path.join(outdir, "summary.json"),
+        {"status": "failed", "error": {"type": type(exc).__name__, "message": str(exc)},
+         "last_step": last_step, "dt": dt, "config": sc.echo},
+    )
+
+
 def run(sc: Scenario, outdir) -> dict:
     """Execute the scenario and write snapshots, series, audit, summary."""
-    os.makedirs(outdir, exist_ok=True)
     dt = resolve_dt(sc)
-    stride = sc.snapshot_stride
-    space = sc.space
+    state, advance, snapshot = _engine(sc, dt, sc.vector_potential)
+    os.makedirs(outdir, exist_ok=True)
+    dim = sc.space.dim
 
     snap_times = []
     moment_rows = []
     energy_rows = []
-    mass_gaps = []
     norm_gaps = []
-    states_for_audit = []
-    v_for_audit = []
+    rhos = []
 
-    def record(t, rho, state=None, psi=None):
-        mass = rho.integral()
+    def record(t, rho, breakdown, psi):
         com, var = density_moments(rho)
-        moment_rows.append([t, mass, *var, *com])
-        mass_gaps.append(abs(mass - 1.0))
+        moment_rows.append([t, rho.integral(), *var, *com])
         tag = f"{len(snap_times):06d}"
         snap_times.append(t)
+        rhos.append(rho)
         io.save_scalar_field(os.path.join(outdir, f"rho_{tag}.csv"), rho)
         if psi is not None:
-            io.save_complex_field(os.path.join(outdir, f"psi_{tag}.csv"), psi.psi)
-            norm_gaps.append(abs(psi.psi.norm_sq() - 1.0))
-        if state is not None:
-            if psi is not None:
-                # measure the functional the wave stepper actually conserves
-                breakdown = schro.wavefunction_energy_breakdown(
-                    psi, sc.params, sc.potential_at(t), sc.vector_potential
-                )
-            else:
-                breakdown = dynamics.energy(
-                    state, sc.params, sc.potential_at(t), sc.vector_potential
-                )
+            io.save_complex_field(os.path.join(outdir, f"psi_{tag}.csv"), psi)
+            norm_gaps.append(abs(psi.norm_sq() - 1.0))
+        if breakdown is not None:
             energy_rows.append(
                 [t, breakdown.current_term, breakdown.osmotic_term,
                  breakdown.potential_term, breakdown.total]
             )
-            states_for_audit.append(state)
-            v_for_audit.append(sc.potential_at(t))
-
-    # Each engine: an initial state, advance(state, step) -> next state, and
-    # observe(state, step), which records a snapshot at that state's time.
-    if sc.engine == "fokker-planck":
-        state = sc.initial.rho
-
-        def advance(rho, step):
-            return fp.fp_step(rho, sc.entropy, sc.params, dt, sc.vector_potential)
-
-        def observe(rho, step):
-            record(step * dt, rho)
-
-    elif sc.engine == "ensemble":
-        state = ens.Ensemble.from_density(sc.initial.rho, sc.walkers, dt, seed=sc.seed)
-
-        def advance(cloud, step):
-            return ens.step_ensemble(cloud, sc.entropy, sc.params, sc.vector_potential)
-
-        def observe(cloud, step):
-            record(cloud.time, ens.estimate_density(cloud))
-
-    elif sc.engine == "coupled":
-        state = sc.initial
-
-        def advance(st, step):
-            v_mid = sc.potential_at((step - 0.5) * dt)
-            return dynamics.coupled_step(st, sc.params, v_mid, dt, sc.vector_potential)
-
-        def observe(st, step):
-            record(st.time, st.rho, state=st)
-
-    else:  # schrodinger, nonlinear
-        if sc.engine == "nonlinear" and sc.vector_potential is not None:
-            raise ConfigError("the nonlinear engine does not take a vector potential")
-        state = schro.to_wavefunction(sc.initial)
-
-        def advance(w, step):
-            v_mid = sc.potential_at((step - 0.5) * dt)
-            if sc.engine == "nonlinear":
-                return schro.nonlinear_step(w, sc.params, v_mid, dt)
-            return schro.unitary_step(w, sc.params, v_mid, dt, sc.vector_potential)
-
-        def observe(w, step):
-            st = schro.from_wavefunction(w)
-            record(w.time, st.rho, state=st, psi=w)
 
     last_step = 0  # the last step the engine completed
     try:
-        observe(state, 0)
-        for step in range(1, sc.steps + 1):
-            state = advance(state, step)
-            last_step = step
-            if step % stride == 0 or step == sc.steps:
-                observe(state, step)
+        for last_step, state, due in _trajectory(sc, state, advance):
+            if due:
+                record(*snapshot(state, last_step))
         if sc.engine == "ensemble":
             io.save_series(
                 os.path.join(outdir, "final_positions.csv"),
-                [f"axis{a}" for a in range(space.dim)],
+                [f"axis{a}" for a in range(dim)],
                 state.positions,
             )
     except Exception as exc:
-        failure = {"type": type(exc).__name__, "message": str(exc)}
-        io.save_summary(
-            os.path.join(outdir, "summary.json"),
-            {"status": "failed", "error": failure, "last_step": last_step, "dt": dt,
-             "config": sc.echo},
-        )
+        _save_failure(outdir, sc, dt, last_step, exc)
         raise
 
-    dim = space.dim
     io.save_series(
         os.path.join(outdir, "series.csv"),
         ["t", "mass"] + [f"variance{a}" for a in range(dim)] + [f"com{a}" for a in range(dim)],
@@ -610,16 +607,19 @@ def run(sc: Scenario, outdir) -> dict:
             energy_rows,
         )
 
-    checks = {"mass_conservation": _check(max(mass_gaps), 1e-10)}
+    mass_gap = max(abs(row[1] - 1.0) for row in moment_rows)
+    checks = {"mass_conservation": _check(mass_gap, 1e-10)}
     if norm_gaps:
         checks["norm_conservation"] = _check(max(norm_gaps), 1e-10 * max(sc.steps, 1))
+    totals = np.array([row[4] for row in energy_rows])
     if energy_rows and sc.static_potential:
-        totals = np.array([row[4] for row in energy_rows])
         scale = max(abs(totals[0]), 1e-30)
         drift = np.max(np.abs(totals - totals[0])) / scale
         checks["energy_drift"] = _check(drift, sc.energy_tolerance)
-    if energy_rows and not sc.static_potential and len(states_for_audit) >= 3:
-        report = dynamics.energy_rate_audit(states_for_audit, sc.params, v_for_audit)
+    if len(energy_rows) >= 3 and not sc.static_potential:
+        report = dynamics.energy_rate_audit(
+            snap_times, totals, rhos, [sc.potential_at(t) for t in snap_times]
+        )
         checks["energy_rate_audit"] = _check(report.max_relative_mismatch, 0.05)
 
     summary = {
@@ -802,7 +802,6 @@ def gauge_check(sc: Scenario, chi_amplitude, chi_mode, outdir, tolerance=1e-8) -
     beta = sc.params.beta
     if beta == 0.0:
         raise ConfigError("gauge-check needs params.beta != 0")
-    os.makedirs(outdir, exist_ok=True)
     space = sc.space
     chi = ScalarField(
         space,
@@ -810,13 +809,11 @@ def gauge_check(sc: Scenario, chi_amplitude, chi_mode, outdir, tolerance=1e-8) -
         * np.sin(2.0 * math.pi * int(chi_mode) * space.meshes[0] / space.extents[0]),
     )
     dt = resolve_dt(sc)
-    stride = sc.snapshot_stride
     A = sc.vector_potential
 
     rho_gaps, psi_gaps, times = [], [], []
 
     if sc.engine == "schrodinger":
-        step_fn = schro.unitary_step
         base = schro.to_wavefunction(sc.initial)
         twin, A_twin = schro.gauge_transform(base, A, chi, beta)
         unphase = np.exp(-1j * beta * chi.values)
@@ -832,7 +829,6 @@ def gauge_check(sc: Scenario, chi_amplitude, chi_mode, outdir, tolerance=1e-8) -
             times.append(wb.time)
 
     else:
-        step_fn = dynamics.coupled_step
         grad_chi = gradient(chi)
         if A is None:
             A_twin = grad_chi
@@ -854,13 +850,19 @@ def gauge_check(sc: Scenario, chi_amplitude, chi_mode, outdir, tolerance=1e-8) -
             psi_gaps.append(math.sqrt(max(w, 0.0)))
             times.append(sb.time)
 
-    measure(base, twin)
-    for step in range(1, sc.steps + 1):
-        v_mid = sc.potential_at((step - 0.5) * dt)
-        base = step_fn(base, sc.params, v_mid, dt, A)
-        twin = step_fn(twin, sc.params, v_mid, dt, A_twin)
-        if step % stride == 0 or step == sc.steps:
-            measure(base, twin)
+    pair = zip(
+        _trajectory(sc, base, _engine(sc, dt, A)[1]),
+        _trajectory(sc, twin, _engine(sc, dt, A_twin)[1]),
+    )
+    os.makedirs(outdir, exist_ok=True)
+    last_step = 0  # the last step both trajectories completed
+    try:
+        for (last_step, base, due), (_, twin, _) in pair:
+            if due:
+                measure(base, twin)
+    except Exception as exc:
+        _save_failure(outdir, sc, dt, last_step, exc)
+        raise
 
     report = {
         "name": sc.name,
@@ -1021,7 +1023,7 @@ def classical_limit(
     return report
 
 
-def maxent_audit(sc: Scenario, trials=1000, outdir=None, tolerance=1e-9, seed=None) -> dict:
+def maxent_audit(sc: Scenario, trials=1000, outdir=None, tolerance=1e-9) -> dict:
     """Build the exact one-step kernel at the box center and certify it
     against constrained perturbations."""
     from . import kernel as ker
@@ -1042,7 +1044,7 @@ def maxent_audit(sc: Scenario, trials=1000, outdir=None, tolerance=1e-9, seed=No
         sc.entropy,
         kern,
         trials=int(trials),
-        rng_seed=sc.seed if seed is None else int(seed),
+        rng_seed=sc.seed,
         tolerance=tolerance,
     )
     report = {

@@ -50,6 +50,7 @@ from .fields import (
     ScalarField,
     VectorField,
 )
+from .fokker_planck import _require_same_grid
 
 
 @dataclass(frozen=True, eq=False)
@@ -286,6 +287,7 @@ def _nonlinear_potential(psi, space, params):
 def _split_step(w, params, V, dt, A, nonlinear):
     params.matches_space(w.space)
     _require_periodic(w.space, "the wavefunction solver")
+    _require_same_grid(A, w.space)
     space = w.space
     psi = w.psi.values
 
@@ -349,6 +351,7 @@ def wavefunction_energy_breakdown(
     nonlinear stepper conserves, reducing to plain <H> when mu = m.
     """
     params.matches_space(w.space)
+    _require_same_grid(A, w.space)
     space = w.space
     psi = w.psi.values
     vol = space.cell_volume

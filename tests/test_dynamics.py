@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from entrolab import dynamics as dyn
-from entrolab.errors import StabilityError
+from entrolab import dynamics as dyn, ensemble as ens, fokker_planck as fp, schrodinger as schro
+from entrolab.errors import GridMismatchError, StabilityError
 from entrolab.fokker_planck import drift_velocity
 from entrolab.fields import (
     ScalarField,
@@ -332,6 +332,29 @@ def test_energy_conserved_by_coupled_flow():
     assert abs(e1 - e0) / abs(e0) < 1e-6
 
 
+@pytest.mark.parametrize(
+    "step",
+    [
+        lambda st, p, V, A: dyn.coupled_step(st, p, V, 1e-3, A),
+        lambda st, p, V, A: dyn.energy(st, p, V, A),
+        lambda st, p, V, A: schro.unitary_step(schro.to_wavefunction(st), p, V, 1e-3, A),
+        lambda st, p, V, A: schro.wavefunction_energy_breakdown(schro.to_wavefunction(st), p, V, A),
+        lambda st, p, V, A: fp.fp_step(st.rho, st.phi, p, 1e-4, A),
+        lambda st, p, V, A: ens.step_ensemble(
+            ens.Ensemble.from_density(st.rho, 100, 1e-3), st.phi, p, A
+        ),
+    ],
+    ids=["coupled_step", "energy", "unitary_step", "wavefunction_energy", "fp_step",
+         "step_ensemble"],
+)
+def test_engines_refuse_a_vector_potential_on_another_grid(step):
+    p = make_params(beta=0.7)
+    st = rest_state(make_space(20.0, 64, p))
+    A = VectorField(make_space(16.0, 64, p), np.full((1, 64), 0.4))
+    with pytest.raises(GridMismatchError, match="vector potential"):
+        step(st, p, zero_field(st.space), A)
+
+
 def test_energy_rate_audit_static_potential():
     p = make_params()
     space = make_space(12.0, 256, p)
@@ -341,7 +364,10 @@ def test_energy_rate_audit_static_potential():
     states = [st]
     for _ in range(40):
         states.append(dyn.coupled_step(states[-1], p, V, dt))
-    report = dyn.energy_rate_audit(states, p, [V] * len(states))
+    report = dyn.energy_rate_audit(
+        [s.time for s in states], [dyn.energy(s, p, V).total for s in states],
+        [s.rho for s in states], [V] * len(states),
+    )
     assert report.max_relative_mismatch < 1e-4
 
 
@@ -361,7 +387,11 @@ def test_energy_rate_audit_driven_potential():
         states.append(dyn.coupled_step(states[-1], p, v_mid, dt))
         t += dt
         v_series.append(ScalarField(space, harmonic(space).values * (1.0 + 0.5 * t)))
-    report = dyn.energy_rate_audit(states, p, v_series)
+    report = dyn.energy_rate_audit(
+        [s.time for s in states],
+        [dyn.energy(s, p, v).total for s, v in zip(states, v_series)],
+        [s.rho for s in states], v_series,
+    )
     assert report.max_relative_mismatch < 0.05
 
 

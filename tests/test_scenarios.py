@@ -213,6 +213,23 @@ def test_time_dependent_potential_audited(tmp_path):
     assert summary["checks"]["energy_rate_audit"]["passed"]
 
 
+@pytest.mark.parametrize("engine", ["coupled", "schrodinger"])
+def test_energy_rate_audit_counts_the_vector_potential(engine, tmp_path):
+    # the audit reads the totals in energy.csv, which carry A; an audit that
+    # drops A reads about 2e-4 on this run
+    cfg = base_cfg(
+        params={"beta": 0.7},
+        initial={"type": "gaussian", "center": 0.0, "width": 1.0, "momentum": 0.5},
+        potentials={
+            "V": {"type": "harmonic", "omega": 1.0, "time_scale": 2.0},
+            "A": {"type": "constant", "value": 0.4},
+        },
+        run={"engine": engine, "steps": 60, "snapshot_stride": 5},
+    )
+    summary = run(scenario_from_dict(cfg), str(tmp_path))
+    assert summary["checks"]["energy_rate_audit"]["value"] < 2e-5
+
+
 def test_time_scale_scalar_is_a_positive_time():
     sc = scenario_from_dict(base_cfg(potentials={"V": {"type": "harmonic", "time_scale": 4}}))
     assert sc.time_scale == (1.0, 0.25)
@@ -313,6 +330,23 @@ def test_gauge_check_unitary_engine(tmp_path):
 def test_gauge_check_requires_charge():
     with pytest.raises(ConfigError, match="beta"):
         gauge_check(scenario_from_dict(base_cfg()), 0.8, 1, None)
+
+
+def test_failed_gauge_check_leaves_a_failed_summary(tmp_path):
+    # dt far above the coupled engine's explicit bound: step 1 raises
+    cfg = base_cfg(
+        params={"beta": 0.7},
+        space={"points": 64},
+        run={"engine": "coupled", "dt": 0.5, "steps": 5},
+    )
+    with pytest.raises(StabilityError):
+        gauge_check(scenario_from_dict(cfg), 0.8, 1, str(tmp_path))
+    summary = io.load_summary(tmp_path / "summary.json")
+    assert summary["status"] == "failed"
+    assert summary["error"]["type"] == "StabilityError"
+    assert summary["last_step"] == 0
+    assert summary["dt"] == 0.5
+    assert summary["config"]["run"]["engine"] == "coupled"
 
 
 def test_maxent_audit_small(tmp_path):

@@ -22,15 +22,11 @@ from .fields import (
     VectorField,
     entropy_field,
     gradient,
-    laplacian,
     normalize_density,
 )
 from .kernel import (
-    EmCoupling,
     GibbsCertificate,
-    StepConstraints,
     TransitionKernel,
-    bayes_reverse_kernel,
     build_exact_kernel,
     gaussian_step_moments,
     gibbs_optimality_certificate,
@@ -46,12 +42,9 @@ from .ensemble import (
     step_ensemble,
 )
 from .fokker_planck import (
-    VelocityDecomposition,
     fp_stability_limit,
     fp_step,
     fp_step_continuity,
-    stationarity_residual,
-    velocity_fields,
 )
 from .dynamics import (
     EnergyBreakdown,
@@ -72,7 +65,6 @@ from .schrodinger import (
     phase_aligned_distance,
     to_wavefunction,
     unitary_step,
-    wavefunction_energy,
 )
 from .scenarios import Scenario, compare, load_scenario, run
 

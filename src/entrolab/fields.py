@@ -302,22 +302,9 @@ def axis_gradient(f: ScalarField, axis: int) -> np.ndarray:
     return (shift(v, axis, 1, b) - shift(v, axis, -1, b)) / (2.0 * f.space.spacings[axis])
 
 
-def axis_second_derivative(f: ScalarField, axis: int) -> np.ndarray:
-    """Three-point second difference along one axis (raw array)."""
-    v, b = f.values, f.space.boundary
-    return (shift(v, axis, 1, b) - 2.0 * v + shift(v, axis, -1, b)) / f.space.spacings[axis] ** 2
-
-
 def gradient(f: ScalarField) -> VectorField:
     comps = np.stack([axis_gradient(f, a) for a in range(f.space.dim)])
     return VectorField(f.space, comps)
-
-
-def laplacian(f: ScalarField) -> ScalarField:
-    total = np.zeros(f.space.shape)
-    for a in range(f.space.dim):
-        total += axis_second_derivative(f, a)
-    return ScalarField(f.space, total)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,13 +37,6 @@ from .fields import (
 )
 
 log = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True, eq=False)
-class VelocityDecomposition:
-    drift: VectorField
-    osmotic: VectorField
-    current: VectorField
 
 
 def _require_same_grid(A: VectorField | None, space):
@@ -74,18 +66,6 @@ def osmotic_velocity(rho: ScalarField, params: PhysicalParams) -> VectorField:
     g = gradient(logrho).components
     scale = (0.5 * params.eta_over_m).reshape((-1,) + (1,) * rho.space.dim)
     return VectorField(rho.space, -scale * g)
-
-
-def velocity_fields(
-    rho: ScalarField,
-    S: ScalarField,
-    params: PhysicalParams,
-    A: VectorField | None = None,
-) -> VelocityDecomposition:
-    b = drift_velocity(S, params, A)
-    u = osmotic_velocity(rho, params)
-    v = VectorField(rho.space, b.components + u.components)
-    return VelocityDecomposition(drift=b, osmotic=u, current=v)
 
 
 # ---------------------------------------------------------------------------
@@ -193,31 +173,11 @@ def fp_step_continuity(
     space = rho.space
 
     def rhs(values):
-        field = ScalarField(space, values)
-        v = velocity_fields(field, S, params, A).current.components
+        u = osmotic_velocity(ScalarField(space, values), params).components
+        v = drift_velocity(S, params, A).components + u
         return _drift_diffusion_rhs(values, v, np.zeros(space.dim), space)
 
     k1 = rhs(rho.values)
     mid = np.maximum(rho.values + dt * k1, 0.0)
     k2 = rhs(mid)
     return _finish_step(space, rho.values + 0.5 * dt * (k1 + k2))
-
-
-def stationarity_residual(rho: ScalarField, S: ScalarField, params: PhysicalParams) -> float:
-    """L2 norm of the discrete right-hand side in equilibrium-exact form.
-
-    The right-hand side is written as the flux divergence of
-    D_a rho d(log rho - 2 S)/dx_a, which vanishes identically (to roundoff)
-    when rho is proportional to exp(2S), the detailed-balance state.
-    """
-    params.matches_space(rho.space)
-    space = rho.space
-    w = clamped_log(rho.values) - 2.0 * S.values
-    rhs = np.zeros_like(rho.values)
-    for a in range(space.dim):
-        dx = space.spacings[a]
-        D = 0.5 * params.eta_over_m[a]
-        rho_face = 0.5 * (rho.values + shift(rho.values, a, 1, space.boundary))
-        dw = (shift(w, a, 1, space.boundary) - w) / dx
-        rhs += _face_div(D * rho_face * dw, a, dx, space.boundary)
-    return math.sqrt(float((rhs**2).sum()) * space.cell_volume)

@@ -8,9 +8,12 @@ where S is the entropy field evaluated at the destination, dl2 is the squared
 metric step length sum_a (x'_a - x_a)^2 / sigma_a^2 (minimum image on periodic
 boxes), and the optional linear term couples the displacement to a vector
 potential sampled at the source.  The multiplier alpha fixes the expected
-squared step; large alpha means short steps.  The Gaussian large-alpha limit
-has mean displacement (sigma_a^2/alpha)(dS/dx_a - beta A_a) and per-axis
-variance sigma_a^2/alpha, which is what the walker and density solvers use.
+squared step; large alpha means short steps.  build_exact_kernel(S, source,
+alpha, A, beta) takes alpha directly, and solve_alpha finds the alpha that
+hits a target squared step (the paper's step-length constraint).  The
+Gaussian large-alpha limit has mean displacement
+(sigma_a^2/alpha)(dS/dx_a - beta A_a) and per-axis variance sigma_a^2/alpha,
+which is what the walker and density solvers use.
 
 Everything here works with dense kernel rows: one source cell, probabilities
 over every destination cell.  That is deliberate; exact rows are the oracle
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import AlphaSolveError, DegenerateDensityError, KernelNotLocalizedError
+from .errors import AlphaSolveError, KernelNotLocalizedError
 from .fields import ConfigSpace, PhysicalParams, ScalarField, VectorField
 from .fokker_planck import drift_velocity
 
@@ -56,52 +59,15 @@ CONSTRAINT_REL_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
-class EmCoupling:
-    """Electromagnetic step constraint: the multiplier beta."""
-
-    beta: float
-
-
-@dataclass(frozen=True, eq=False)
-class StepConstraints:
-    """Either the multiplier alpha or the target squared step, plus EM."""
-
-    target_step_sq: float | None = None
-    alpha: float | None = None
-    em: EmCoupling | None = None
-
-    def __post_init__(self):
-        if (self.target_step_sq is None) == (self.alpha is None):
-            raise ValueError("give exactly one of target_step_sq or alpha")
-        if self.alpha is not None and self.alpha <= 0:
-            raise ValueError("alpha must be positive")
-        if self.target_step_sq is not None and self.target_step_sq <= 0:
-            raise ValueError("target_step_sq must be positive")
-
-
-@dataclass(frozen=True, eq=False)
 class TransitionKernel:
     """One dense kernel row: distribution over destinations for one source."""
 
     space: ConfigSpace
     source: tuple
     probs: np.ndarray  # grid-shaped, sums to 1
-    zeta: float  # midpoint-rule normalization integral
     alpha: float
     beta: float
-    entropy: ScalarField
     vector_potential: VectorField | None = None
-
-    @property
-    def step_sq_moment(self):
-        return kernel_step_sq(self)
-
-    @property
-    def em_moment(self):
-        if self.vector_potential is None:
-            return None
-        _, _, em_lin = _row_geometry(self.space, self.source, self.vector_potential)
-        return float((self.probs * em_lin).sum())
 
 
 def _axis_displacements(space: ConfigSpace, source: tuple):
@@ -140,8 +106,7 @@ def _row_probs(entropy_values, dl2, em_lin, alpha, beta):
     logits = entropy_values - 0.5 * alpha * dl2 - beta * em_lin
     peak = logits.max()
     w = np.where(logits >= peak - EXPONENT_CUTOFF, np.exp(logits - peak), 0.0)
-    total = w.sum()
-    return w / total, peak, total
+    return w / w.sum()
 
 
 def _normalize_source(space, source):
@@ -156,22 +121,26 @@ def _normalize_source(space, source):
 def build_exact_kernel(
     S: ScalarField,
     source,
-    constraints: StepConstraints,
+    alpha: float,
     A: VectorField | None = None,
+    beta: float = 0.0,
 ) -> TransitionKernel:
-    """Build one dense kernel row, solving for alpha if a target was given."""
+    """Build one dense kernel row for the multiplier alpha.
+
+    A nonzero beta couples the step to the vector potential A, which must
+    then be given; with beta = 0, A is ignored.  To fix the expected squared
+    step instead of alpha, pass solve_alpha(S, source, target_step_sq).
+    """
     space = S.space
     if space.dim > 2:
         raise ValueError("exact kernel rows are limited to dim <= 2")
+    alpha = float(alpha)
+    if alpha <= 0:
+        raise ValueError("alpha must be positive")
     src = _normalize_source(space, source)
-    beta = constraints.em.beta if constraints.em is not None else 0.0
     if beta != 0.0 and A is None:
         raise ValueError("EM constraint given but no vector potential")
-
-    if constraints.alpha is not None:
-        alpha = float(constraints.alpha)
-    else:
-        alpha = solve_alpha(S, src, constraints.target_step_sq)
+    A = A if beta != 0.0 else None
 
     # Localization: the Gaussian envelope alone must decay by a few e-folds
     # across the largest representable displacement on every axis.
@@ -184,19 +153,10 @@ def build_exact_kernel(
                 f"need alpha >= {2.0 * LOCALIZATION_MIN_DECAY * space.sigma_sq[a] / reach**2:g}"
             )
 
-    comps, dl2, em_lin = _row_geometry(space, src, A if beta != 0.0 else None)
-    probs, peak, total = _row_probs(S.values, dl2, em_lin, alpha, beta)
-    zeta = math.exp(peak) * total * space.cell_volume
-
+    _, dl2, em_lin = _row_geometry(space, src, A)
+    probs = _row_probs(S.values, dl2, em_lin, alpha, beta)
     return TransitionKernel(
-        space=space,
-        source=src,
-        probs=probs,
-        zeta=zeta,
-        alpha=alpha,
-        beta=beta,
-        entropy=S,
-        vector_potential=A if beta != 0.0 else None,
+        space=space, source=src, probs=probs, alpha=alpha, beta=beta, vector_potential=A
     )
 
 
@@ -211,7 +171,7 @@ def kernel_step_sq(kernel: TransitionKernel) -> float:
 
 
 def _step_sq_at_alpha(entropy_values, dl2, alpha):
-    probs, _, _ = _row_probs(entropy_values, dl2, np.zeros_like(dl2), alpha, 0.0)
+    probs = _row_probs(entropy_values, dl2, np.zeros_like(dl2), alpha, 0.0)
     return float((probs * dl2).sum())
 
 
@@ -275,55 +235,6 @@ def gaussian_step_moments(
     drift = VectorField(S.space, drift_velocity(S, params, A).components * dt)
     cov = params.eta_over_m * dt
     return drift, cov
-
-
-def bayes_reverse_kernel(forward: TransitionKernel, rho: ScalarField) -> TransitionKernel:
-    """Distribution over sources given the destination, by Bayes' rule.
-
-    The forward kernel's source index is read as the fixed destination x'.
-    For every candidate source x the full forward row P(. | x) is rebuilt
-    (same entropy, alpha, beta, potential), and
-
-        P(x | x') = P(x' | x) p(x) / ptilde(x')
-
-    with p the cell masses of rho and ptilde the one-step pushforward.  The
-    result is exact joint consistency: P(x'|x) p(x) = P(x|x') ptilde(x').
-    """
-    space = forward.space
-    if not space.same_grid(rho.space):
-        raise DegenerateDensityError("rho lives on a different grid")
-    dest = forward.source
-    p_mass = rho.values * space.cell_volume
-    if p_mass.sum() <= 0:
-        raise DegenerateDensityError("rho carries no mass")
-
-    S_vals = forward.entropy.values
-    A = forward.vector_potential
-    beta = forward.beta
-    joint = np.zeros(space.shape)
-    # dense sweep over sources; desk-scale grids only
-    for flat in range(space.size):
-        src = np.unravel_index(flat, space.shape)
-        if p_mass[src] == 0.0:
-            continue
-        _, dl2, em_lin = _row_geometry(space, src, A if beta != 0.0 else None)
-        probs, _, _ = _row_probs(S_vals, dl2, em_lin, forward.alpha, beta)
-        joint[src] = probs[dest] * p_mass[src]
-
-    pushforward = joint.sum()
-    if pushforward <= 0.0:
-        raise DegenerateDensityError("destination has zero pushforward mass")
-    rev_probs = joint / pushforward
-    return TransitionKernel(
-        space=space,
-        source=dest,
-        probs=rev_probs,
-        zeta=pushforward,
-        alpha=forward.alpha,
-        beta=beta,
-        entropy=forward.entropy,
-        vector_potential=A,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -127,12 +127,28 @@ def _check_keys(node, allowed, path):
             raise ConfigError(f"unknown key '{path}.{key}'")
 
 
-def _per_axis(value, dim, path):
+def _number(value, path, kind=float):
+    """The one conversion of a config number; anything else names its key."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{path} must be a number, got {value!r}") from None
+
+
+def _numbers(value, path, kind=float):
+    """A number, or a list converted entry by entry."""
     if isinstance(value, (list, tuple)):
+        return [_number(v, path, kind) for v in value]
+    return _number(value, path, kind)
+
+
+def _per_axis(value, dim, path):
+    value = _numbers(value, path)
+    if isinstance(value, list):
         if len(value) != dim:
             raise ConfigError(f"{path} needs {dim} entries, got {len(value)}")
-        return tuple(float(v) for v in value)
-    return (float(value),) * dim
+        return tuple(value)
+    return (value,) * dim
 
 
 @dataclass(eq=False)
@@ -176,8 +192,8 @@ def _build_space(cfg, dim, params):
         "space",
         ConfigSpace,
         dim=dim,
-        extents=cfg.get("extent", 20.0),
-        points=cfg.get("points", 256),
+        extents=_numbers(cfg.get("extent", 20.0), "space.extent"),
+        points=_numbers(cfg.get("points", 256), "space.points", int),
         sigma_sq=params.sigma_sq,
         boundary=cfg.get("boundary", PERIODIC),
     )
@@ -192,8 +208,8 @@ def _build_entropy(cfg, space, initial):
         slope = _per_axis(cfg.get("slope", 0.0), space.dim, "entropy.slope")
         values = sum(k * x[a] for a, k in enumerate(slope))
     elif kind == "sine":
-        amp = float(cfg.get("amplitude", 0.1))
-        mode = int(cfg.get("mode", 1))
+        amp = _number(cfg.get("amplitude", 0.1), "entropy.amplitude")
+        mode = _number(cfg.get("mode", 1), "entropy.mode", int)
         values = amp * np.sin(2.0 * math.pi * mode * x[0] / space.extents[0])
     elif kind == "from_initial":
         return entropy_field(initial.rho, initial.phi)
@@ -220,7 +236,7 @@ def _build_initial(cfg, space, eta):
         )
         phi = ScalarField(space, np.asarray(phi_vals, dtype=float) + np.zeros(space.shape))
     elif kind == "plane_wave":
-        mode = int(cfg.get("mode", 1))
+        mode = _number(cfg.get("mode", 1), "initial.mode", int)
         k = 2.0 * math.pi * mode / space.extents[0]
         volume = float(np.prod(space.extents))
         rho = ScalarField(space, np.full(space.shape, 1.0 / volume))
@@ -256,7 +272,7 @@ def _build_potential(cfg, space, masses):
     if kind == "none":
         values = np.zeros(space.shape)
     elif kind == "harmonic":
-        omega = float(cfg.get("omega", 1.0))
+        omega = _number(cfg.get("omega", 1.0), "potentials.V.omega")
         center = _per_axis(cfg.get("center", 0.0), space.dim, "potentials.V.center")
         values = sum(
             0.5 * masses[a] * omega**2 * (x[a] - center[a]) ** 2
@@ -288,7 +304,7 @@ def _time_scale(scale):
         raise ConfigError(
             "potentials.V.time_scale must be a [constant, rate] pair or a positive time"
         )
-    return (float(scale[0]), float(scale[1]))
+    return tuple(_numbers(scale, "potentials.V.time_scale"))
 
 
 def _build_vector_potential(cfg, space):
@@ -302,8 +318,8 @@ def _build_vector_potential(cfg, space):
         comps = np.stack([np.full(space.shape, v) for v in value])
         return VectorField(space, comps)
     if kind == "pure_gauge":
-        amp = float(cfg.get("chi_amplitude", 1.0))
-        mode = int(cfg.get("chi_mode", 1))
+        amp = _number(cfg.get("chi_amplitude", 1.0), "potentials.A.chi_amplitude")
+        mode = _number(cfg.get("chi_mode", 1), "potentials.A.chi_mode", int)
         chi = ScalarField(
             space,
             amp * np.sin(2.0 * math.pi * mode * space.meshes[0] / space.extents[0]),
@@ -337,18 +353,17 @@ def scenario_from_dict(raw: dict, base_dir: str = ".") -> Scenario:
         _check_keys(_require_mapping(raw[section], section), allowed, section)
 
     p_cfg = _require_mapping(raw.get("params"), "params")
-    eta = float(p_cfg.get("eta", 1.0))
-    tau = float(p_cfg.get("tau", 0.1))
-    beta = float(p_cfg.get("beta", 0.0))
+    eta = _number(p_cfg.get("eta", 1.0), "params.eta")
+    tau = _number(p_cfg.get("tau", 0.1), "params.tau")
+    beta = _number(p_cfg.get("beta", 0.0), "params.beta")
     s_cfg = _require_mapping(raw.get("space"), "space")
-    dim = int(s_cfg.get("dim", 1))
+    dim = _number(s_cfg.get("dim", 1), "space.dim", int)
     masses = _per_axis(p_cfg.get("masses", 1.0), dim, "params.masses")
-    ratio_raw = p_cfg.get("osmotic_ratio", 1.0)
-    if isinstance(ratio_raw, (list, tuple)):
-        if len(set(float(r) for r in ratio_raw)) != 1:
+    ratio = _numbers(p_cfg.get("osmotic_ratio", 1.0), "params.osmotic_ratio")
+    if isinstance(ratio, list):
+        if len(set(ratio)) != 1:
             raise ConfigError("params.osmotic_ratio must be a single shared value")
-        ratio_raw = ratio_raw[0]
-    ratio = float(ratio_raw)
+        ratio = ratio[0]
     if ratio <= 0:
         raise ConfigError("params.osmotic_ratio must be positive")
 
@@ -388,20 +403,22 @@ def scenario_from_dict(raw: dict, base_dir: str = ".") -> Scenario:
     if dt_raw == "auto" or dt_raw is None:
         dt = None
     else:
-        dt = float(dt_raw)
+        dt = _number(dt_raw, "run.dt")
         if dt <= 0:
             raise ConfigError("run.dt must be positive or 'auto'")
-    steps = int(r_cfg.get("steps", 100))
+    steps = _number(r_cfg.get("steps", 100), "run.steps", int)
     if steps <= 0:
         raise ConfigError("run.steps must be positive")
-    stride = int(r_cfg.get("snapshot_stride", max(1, steps // 10)))
+    stride = _number(r_cfg.get("snapshot_stride", max(1, steps // 10)), "run.snapshot_stride", int)
     if stride <= 0:
         raise ConfigError("run.snapshot_stride must be positive")
-    seed = int(r_cfg.get("seed", 0))
-    walkers = int(r_cfg.get("walkers", 100_000))
+    seed = _number(r_cfg.get("seed", 0), "run.seed", int)
+    walkers = _number(r_cfg.get("walkers", 100_000), "run.walkers", int)
     if walkers <= 0:
         raise ConfigError("run.walkers must be positive")
-    energy_tol = float(r_cfg.get("energy_tolerance", DEFAULT_TOLERANCES["energy"]))
+    energy_tol = _number(
+        r_cfg.get("energy_tolerance", DEFAULT_TOLERANCES["energy"]), "run.energy_tolerance"
+    )
 
     if engine == "coupled" and ratio != 1.0:
         logger.info(
@@ -685,7 +702,7 @@ class ComparisonReport:
 def _matched_snapshots(dir_a, dir_b, prefix):
     names_a = {os.path.basename(p) for p in glob.glob(os.path.join(dir_a, f"{prefix}_*.csv"))}
     names_b = {os.path.basename(p) for p in glob.glob(os.path.join(dir_b, f"{prefix}_*.csv"))}
-    common = sorted(n for n in names_a & names_b if not n.endswith(".meta.json"))
+    common = sorted(names_a & names_b)
     if not common:
         raise ConfigError(f"no matching {prefix} snapshots between {dir_a} and {dir_b}")
     return common
@@ -698,14 +715,19 @@ def _series_columns(dir_path, wanted_prefix):
 
 
 def _check_time_alignment(dir_a, dir_b):
-    """Refuse to compare snapshots taken at different times."""
+    """Refuse to compare a failed run, or snapshots taken at different times."""
     times = []
     for d in (dir_a, dir_b):
         path = os.path.join(d, "summary.json")
-        try:
-            times.append(np.asarray(io.load_summary(path)["snapshot_times"], dtype=float))
-        except (FileNotFoundError, KeyError):
-            return  # bare directories (no run summary): compare by index
+        summary = io.load_summary(path) if os.path.exists(path) else {}
+        if summary.get("status") == "failed":
+            error = summary.get("error", {})
+            raise ConfigError(
+                f"{d} holds a failed run (last_step {summary.get('last_step')}, "
+                f"{error.get('type')}: {error.get('message')}); it cannot be compared"
+            )
+        # a bare directory (no run summary) has no times: compare by index
+        times.append(np.asarray(summary.get("snapshot_times", ()), dtype=float))
     ta, tb = times
     n = min(ta.size, tb.size)
     if n and np.any(np.abs(ta[:n] - tb[:n]) > 1e-9 * np.maximum(1.0, np.abs(ta[:n]))):
@@ -1033,13 +1055,9 @@ def maxent_audit(sc: Scenario, trials=1000, outdir=None, tolerance=1e-9) -> dict
     dt = resolve_dt(sc)
     alpha = sc.params.tau / dt
     source = tuple(n // 2 for n in sc.space.points)
-    em = None
     A = sc.vector_potential
-    if sc.params.beta != 0.0 and A is not None:
-        em = ker.EmCoupling(beta=sc.params.beta)
-    kern = ker.build_exact_kernel(
-        sc.entropy, source, ker.StepConstraints(alpha=alpha, em=em), A=A if em else None
-    )
+    beta = sc.params.beta if A is not None else 0.0
+    kern = ker.build_exact_kernel(sc.entropy, source, alpha, A=A, beta=beta)
     cert = ker.gibbs_optimality_certificate(
         sc.entropy,
         kern,
@@ -1076,11 +1094,7 @@ def _ks_metric(dir_a, dir_b, min_p):
     if not os.path.exists(pos_path):
         raise ConfigError("ks metric needs an ensemble run with final_positions.csv")
     samples = np.loadtxt(pos_path, delimiter=",", skiprows=1, ndmin=2)[:, 0]
-    rho_names = sorted(
-        os.path.basename(p)
-        for p in glob.glob(os.path.join(dir_b, "rho_*.csv"))
-        if not p.endswith(".meta.json")
-    )
+    rho_names = sorted(os.path.basename(p) for p in glob.glob(os.path.join(dir_b, "rho_*.csv")))
     if not rho_names:
         raise ConfigError(f"ks metric needs rho_*.csv snapshots in {dir_b}")
     rho = io.load_scalar_field(os.path.join(dir_b, rho_names[-1]))

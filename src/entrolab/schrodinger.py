@@ -375,16 +375,6 @@ def wavefunction_energy_breakdown(
     return EnergyBreakdown(current, osmotic, potential)
 
 
-def wavefunction_energy(
-    w: WaveFunction,
-    params: PhysicalParams,
-    V: ScalarField,
-    A: VectorField | None = None,
-) -> float:
-    """Total conserved energy of the wave state (see the breakdown form)."""
-    return wavefunction_energy_breakdown(w, params, V, A).total
-
-
 def phase_aligned_distance(a: WaveFunction, b: WaveFunction) -> float:
     """L2 distance between wavefunctions minimized over a global phase.
 

@@ -9,7 +9,6 @@ from entrolab.fields import (
     ScalarField,
     VectorField,
     axis_gradient,
-    axis_second_derivative,
     clamped_log,
     density_moments,
     entropy_field,
@@ -18,7 +17,6 @@ from entrolab.fields import (
     interpolate_vector,
     l1_distance,
     l2_distance,
-    laplacian,
     normalize_density,
 )
 
@@ -147,17 +145,6 @@ def test_gradient_second_order_on_sine():
         errs[n] = np.abs(g - 3.0 * np.cos(3.0 * x)).max()
     assert errs[128] < 2e-2
     assert errs[64] / errs[128] == pytest.approx(4.0, rel=0.1)
-
-
-def test_second_derivative_and_laplacian():
-    p = make_params()
-    space = make_space(2.0 * math.pi, 256, p)
-    x = space.meshes[0]
-    f = ScalarField(space, np.sin(2.0 * x))
-    d2 = axis_second_derivative(f, 0)
-    assert np.abs(d2 + 4.0 * np.sin(2.0 * x)).max() < 4e-3
-    lap = laplacian(f)
-    assert np.allclose(lap.values, d2)
 
 
 def test_gradient_requires_matching_dims():

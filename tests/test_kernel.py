@@ -6,10 +6,6 @@ import pytest
 from entrolab.errors import AlphaSolveError
 from entrolab.fields import ScalarField, VectorField
 from entrolab.kernel import (
-    EmCoupling,
-    StepConstraints,
-    TransitionKernel,
-    bayes_reverse_kernel,
     build_exact_kernel,
     gaussian_step_moments,
     gibbs_optimality_certificate,
@@ -18,7 +14,7 @@ from entrolab.kernel import (
     solve_alpha,
 )
 
-from conftest import gaussian_density, make_params, make_space
+from conftest import make_params, make_space
 
 
 def sine_entropy(space, amplitude=0.4, mode=1):
@@ -31,7 +27,7 @@ def test_kernel_row_is_a_distribution():
     p = make_params(tau=0.5)
     space = make_space(12.0, 256, p)
     S = sine_entropy(space)
-    kern = build_exact_kernel(S, (128,), StepConstraints(alpha=16.0))
+    kern = build_exact_kernel(S, (128,), 16.0)
     assert kern.probs.sum() == pytest.approx(1.0, abs=1e-12)
     assert kern.probs.min() >= 0.0
     assert kern.alpha == 16.0
@@ -42,7 +38,7 @@ def test_step_sq_shrinks_with_alpha():
     space = make_space(12.0, 256, p)
     S = sine_entropy(space)
     vals = [
-        kernel_step_sq(build_exact_kernel(S, (128,), StepConstraints(alpha=a)))
+        kernel_step_sq(build_exact_kernel(S, (128,), a))
         for a in (4.0, 16.0, 64.0)
     ]
     assert vals[0] > vals[1] > vals[2] > 0.0
@@ -52,11 +48,11 @@ def test_solve_alpha_roundtrip():
     p = make_params(tau=0.5)
     space = make_space(12.0, 512, p)
     S = sine_entropy(space)
-    target = kernel_step_sq(build_exact_kernel(S, (200,), StepConstraints(alpha=24.0)))
+    target = kernel_step_sq(build_exact_kernel(S, (200,), 24.0))
     alpha = solve_alpha(S, (200,), target)
     assert alpha == pytest.approx(24.0, rel=1e-6)
-    kern = build_exact_kernel(S, (200,), StepConstraints(target_step_sq=target))
-    assert kern.step_sq_moment == pytest.approx(target, rel=1e-8)
+    kern = build_exact_kernel(S, (200,), solve_alpha(S, (200,), target))
+    assert kernel_step_sq(kern) == pytest.approx(target, rel=1e-8)
 
 
 def test_solve_alpha_reports_achievable_range():
@@ -97,7 +93,7 @@ def test_kernel_moments_approach_gaussian_law():
     gaps = []
     for alpha in (16.0, 32.0):
         dt = p.tau / alpha
-        kern = build_exact_kernel(S, source, StepConstraints(alpha=alpha))
+        kern = build_exact_kernel(S, source, alpha)
         mean = kernel_mean_displacement(kern)
         drift, cov = gaussian_step_moments(S, p, dt)
         mean_gap = abs(mean[0] - drift.components[0][source]) / dt
@@ -114,16 +110,13 @@ def test_em_coupling_shifts_the_mean():
     S = sine_entropy(space, amplitude=0.2)
     A = VectorField(space, np.full((1,) + space.shape, 0.3))
     alpha = 64.0
-    plain = build_exact_kernel(S, (256,), StepConstraints(alpha=alpha))
-    em = build_exact_kernel(
-        S, (256,), StepConstraints(alpha=alpha, em=EmCoupling(beta=p.beta)), A=A
-    )
+    plain = build_exact_kernel(S, (256,), alpha)
+    em = build_exact_kernel(S, (256,), alpha, A=A, beta=p.beta)
     dt = p.tau / alpha
     shift = kernel_mean_displacement(em)[0] - kernel_mean_displacement(plain)[0]
     # a constant A subtracts (eta/m) beta A dt from the mean, to O(dt^2)
     expect = -p.eta_over_m[0] * p.beta * 0.3 * dt
     assert shift == pytest.approx(expect, rel=0.05)
-    assert em.em_moment is not None
 
 
 def test_em_constraint_value_is_recorded():
@@ -131,49 +124,16 @@ def test_em_constraint_value_is_recorded():
     space = make_space(12.0, 256, p)
     S = sine_entropy(space, amplitude=0.2)
     A = VectorField(space, np.full((1,) + space.shape, 0.3))
-    kern = build_exact_kernel(
-        S, (128,), StepConstraints(alpha=32.0, em=EmCoupling(beta=p.beta)), A=A
-    )
+    kern = build_exact_kernel(S, (128,), 32.0, A=A, beta=p.beta)
     assert kern.beta == 0.8
-    assert kern.em_moment == pytest.approx(float((kern.probs * 0.3 * _disp(kern)).sum()))
-
-
-def _disp(kern: TransitionKernel):
-    coords = kern.space.axis_coords(0)
-    d = coords - coords[kern.source[0]]
-    L = kern.space.extents[0]
-    return d - L * np.round(d / L)
-
-
-def test_bayes_reverse_kernel_detailed_identity():
-    """rho(x) P(x'|x) = rho'(x') P*(x|x') cell by cell (the reversal is exact,
-    not a small-noise approximation)."""
-    p = make_params(tau=0.5)
-    space = make_space(12.0, 128, p)
-    S = sine_entropy(space, amplitude=0.3)
-    rho = gaussian_density(space, 1.0, 1.5)
-    source = (40,)
-    forward = build_exact_kernel(S, source, StepConstraints(alpha=24.0))
-
-    # evolve rho one kernel step to get the destination marginal at x' = source
-    # of the reverse kernel; reverse rows are conditioned on arrival there.
-    reverse = bayes_reverse_kernel(forward, rho)
-    assert reverse.probs.sum() == pytest.approx(1.0, abs=1e-12)
-
-    # joint consistency: P*(x|x') prop rho(x) P(x'|x) over sources x
-    joint = np.empty(space.shape)
-    for i in range(space.points[0]):
-        k_i = build_exact_kernel(S, (i,), StepConstraints(alpha=24.0))
-        joint[i] = rho.values[i] * k_i.probs[source]
-    expect = joint / joint.sum()
-    assert np.abs(reverse.probs - expect).max() < 1e-13
+    assert kern.vector_potential is A
 
 
 def test_certificate_passes_on_exact_kernel():
     p = make_params(tau=0.1)
     space = make_space(10.0, 128, p)
     S = sine_entropy(space, amplitude=0.4)
-    kern = build_exact_kernel(S, (64,), StepConstraints(alpha=40.0))
+    kern = build_exact_kernel(S, (64,), 40.0)
     cert = gibbs_optimality_certificate(S, kern, trials=100, rng_seed=11)
     assert cert.passed
     assert cert.max_gap <= 1e-9
@@ -188,7 +148,7 @@ def test_certificate_tilts_ignore_dead_cells():
     space = make_space(10.0, 256, p)
     S = sine_entropy(space, amplitude=0.2, mode=2)
     # large alpha concentrates the row so most of the box is exactly zero
-    kern = build_exact_kernel(S, (128,), StepConstraints(alpha=150.0))
+    kern = build_exact_kernel(S, (128,), 150.0)
     assert (kern.probs == 0.0).any()
     cert = gibbs_optimality_certificate(S, kern, trials=200, rng_seed=5)
     assert cert.skipped == 0

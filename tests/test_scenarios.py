@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -80,6 +81,21 @@ def test_bad_initial_type_rejected():
 def test_bad_space_and_params_name_their_section(section, bad):
     with pytest.raises(ConfigError, match=rf"^{section}\b"):
         scenario_from_dict(base_cfg(**{section: bad}))
+
+
+@pytest.mark.parametrize(
+    "path", ["run.steps", "run.dt", "space.extent", "params.eta", "initial.width"]
+)
+def test_non_numeric_value_names_its_key(tmp_path, capsys, path):
+    section, key = path.split(".")
+    cfg = base_cfg()
+    cfg[section] = {**cfg[section], key: "ten"}
+    with pytest.raises(ConfigError, match=rf"^{re.escape(path)} must be a number, got 'ten'$"):
+        scenario_from_dict(cfg)
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert cli.main(["evolve", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    assert f"{path} must be a number" in capsys.readouterr().err
 
 
 def test_nonlinear_engine_refuses_vector_potential(tmp_path):
@@ -281,6 +297,22 @@ def test_compare_refuses_mismatched_times(tmp_path):
         compare(str(tmp_path / "a"), str(tmp_path / "b"), ["rho_l2"])
 
 
+def test_compare_refuses_a_failed_run(tmp_path, capsys):
+    """A run that raised leaves one snapshot and a failed summary; comparing
+    against it must name the failure, not report on the snapshot."""
+    good, bad = str(tmp_path / "good"), str(tmp_path / "bad")
+    run(scenario_from_dict(base_cfg(run={"engine": "coupled", "dt": 0.002, "steps": 40,
+                                         "snapshot_stride": 20})), good)
+    with pytest.raises(StabilityError):
+        run(scenario_from_dict(base_cfg(run={"engine": "coupled", "dt": 0.03, "steps": 40,
+                                             "snapshot_stride": 20})), bad)
+    with pytest.raises(ConfigError, match=r"bad holds a failed run \(last_step 0, StabilityError"):
+        compare(good, bad, ["rho_l2"])
+    capsys.readouterr()
+    assert cli.main(["compare", good, bad, "--metrics", "rho_l2"]) == 2
+    assert "failed run" in capsys.readouterr().err
+
+
 def test_compare_psi_requires_wave_runs(tmp_path):
     dir_a, dir_b = run_pair(tmp_path)  # coupled run has no psi snapshots
     with pytest.raises(ConfigError):
@@ -360,6 +392,18 @@ def test_maxent_audit_small(tmp_path):
     assert rep["skipped"] == 0
     assert rep["max_gap"] <= 1e-9
     assert rep["alpha"] == pytest.approx(40.0)
+    # the same audit with a vector potential: the row carries the EM constraint
+    cfg = base_cfg(
+        space={"extent": 10.0},
+        entropy={"type": "sine", "amplitude": 0.4, "mode": 1},
+        params={"beta": 0.8},
+        potentials={"A": {"type": "constant", "value": 0.3}},
+        run={"engine": "fokker-planck", "dt": 0.1 / 40.0, "steps": 5, "seed": 11},
+    )
+    rep = maxent_audit(scenario_from_dict(cfg), trials=100)
+    assert rep["max_gap"] == -1.0336918428999198e-06
+    assert rep["skipped"] == 0
+    assert rep["passed"]
 
 
 # ---------------------------------------------------------------------------

@@ -63,7 +63,7 @@ def test_unitary_step_preserves_norm_and_energy():
     space = make_space(12.0, 256, p)
     V = harmonic(space)
     w = schro.to_wavefunction(coherent_state(space))
-    e0 = schro.wavefunction_energy(w, p, V)
+    e0 = schro.wavefunction_energy_breakdown(w, p, V).total
     n0 = w.psi.norm_sq()
 
     drifts = {}
@@ -72,7 +72,7 @@ def test_unitary_step_preserves_norm_and_energy():
         for _ in range(n):
             w = schro.unitary_step(w, p, V, dt)
         assert w.psi.norm_sq() == pytest.approx(n0, rel=1e-13)
-        drifts[dt] = abs(schro.wavefunction_energy(w, p, V) - e0) / abs(e0)
+        drifts[dt] = abs(schro.wavefunction_energy_breakdown(w, p, V).total - e0) / abs(e0)
     assert drifts[0.002] < 1e-6
     assert drifts[0.01] / drifts[0.002] > 10.0  # second order in dt
 
@@ -390,12 +390,12 @@ def test_nonlinear_step_conserves_its_energy():
     st = coherent_state(space)
     dt = 0.3 * dyn.coupled_stability_limit(st, p)
     w = schro.to_wavefunction(st)
-    e0 = schro.wavefunction_energy(w, p, V)
+    e0 = schro.wavefunction_energy_breakdown(w, p, V).total
     n0 = w.psi.norm_sq()
     for _ in range(400):
         w = schro.nonlinear_step(w, p, V, dt)
     assert w.psi.norm_sq() == pytest.approx(n0, rel=1e-12)
-    assert schro.wavefunction_energy(w, p, V) == pytest.approx(e0, rel=1e-7)
+    assert schro.wavefunction_energy_breakdown(w, p, V).total == pytest.approx(e0, rel=1e-7)
 
 
 def test_spectral_gradient_exact_on_modes():

@@ -20,7 +20,6 @@ import pytest
 
 from entrolab.fields import ConfigSpace, PhysicalParams, ScalarField
 from entrolab.kernel import (
-    StepConstraints,
     build_exact_kernel,
     gaussian_step_moments,
     kernel_mean_displacement,
@@ -41,7 +40,7 @@ def gaps():
     rows = []
     for alpha in ALPHAS:
         dt = params.tau / alpha
-        kern = build_exact_kernel(S, source, StepConstraints(alpha=alpha))
+        kern = build_exact_kernel(S, source, alpha)
         mean = kernel_mean_displacement(kern)
         drift, cov = gaussian_step_moments(S, params, dt)
         var = kernel_step_sq(kern) * params.sigma_sq[0] - mean[0] ** 2

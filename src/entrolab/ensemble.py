@@ -6,6 +6,10 @@ Gaussian noise of per-axis variance (eta/m_a) dt.  Histogramming the cloud
 recovers the density the deterministic solver evolves, and conditional step
 averages recover the forward and backward drift fields.
 
+Positions are wrapped into the box once, by the Ensemble constructor, so
+every walker step wraps exactly once and interpolation always sees in-box
+points.
+
 Reproducibility: every ensemble owns a seeded generator; equal seeds and
 inputs give bit-identical trajectories.
 """
@@ -45,7 +49,7 @@ class Ensemble:
             )
         if not self.dt > 0.0:
             raise ConfigError("dt must be positive")
-        object.__setattr__(self, "positions", self.space.wrap(pos))
+        self.positions = self.space.wrap(pos)
 
     @property
     def walkers(self) -> int:
@@ -79,7 +83,8 @@ def step_ensemble(
     params: PhysicalParams,
     A: VectorField | None = None,
 ) -> Ensemble:
-    """Advance every walker by drift*dt plus Gaussian noise, then wrap."""
+    """Advance every walker by drift*dt plus Gaussian noise; the Ensemble
+    constructor wraps the result back into the box."""
     if not e.space.same_grid(S.space):
         raise GridMismatchError("entropy field lives on a different grid")
     params.matches_space(e.space)
@@ -87,7 +92,7 @@ def step_ensemble(
     drift = interpolate_vector(b, e.positions)
     scale = np.sqrt(params.eta_over_m * e.dt)
     noise = e.rng.standard_normal(e.positions.shape) * scale
-    new_pos = e.space.wrap(e.positions + drift * e.dt + noise)
+    new_pos = e.positions + drift * e.dt + noise
     return Ensemble(e.space, new_pos, e.dt, e.rng, e.time + e.dt)
 
 

@@ -11,6 +11,8 @@ phase solvers) shares the conventions fixed here:
   fluxes) is built on it, and fokker_planck._face_div passes no flux
   through a reflecting wall,
 * second-order central differences respecting the boundary condition,
+* multilinear interpolation (interpolate_vector) of in-box positions only:
+  callers wrap first, as the Ensemble constructor does,
 * a diagonal configuration-space metric with weight 1/sigma_a^2 per axis,
   so the squared step length of a displacement dx is sum_a dx_a^2/sigma_a^2.
 
@@ -111,14 +113,20 @@ class ConfigSpace:
         return tuple(np.meshgrid(*axes, indexing="ij")) if self.dim > 1 else (axes[0],)
 
     def wrap(self, positions):
-        """Map arbitrary points back into the box (wrap or reflect)."""
+        """Map arbitrary points back into the box (wrap or reflect).
+
+        Idempotent: wrap(wrap(x)) == wrap(x) bit for bit.  A periodic axis
+        maps into [-L/2, L/2); a point a rounding error below -L/2 has
+        remainder L, which is the lower wall, not the upper one.
+        """
         pos = np.array(positions, dtype=float, copy=True)
         pos = pos.reshape(-1, self.dim)
         for a in range(self.dim):
             lo = -0.5 * self.extents[a]
             L = self.extents[a]
             if self.boundary == PERIODIC:
-                pos[:, a] = (pos[:, a] - lo) % L + lo
+                r = (pos[:, a] - lo) % L
+                pos[:, a] = np.where(r < L, r, 0.0) + lo
             else:
                 # fold repeatedly: period-2L sawtooth gives specular reflection
                 y = (pos[:, a] - lo) % (2.0 * L)
@@ -370,46 +378,28 @@ def l2_distance(a: ScalarField, b: ScalarField) -> float:
 # sampling fields at off-grid points
 
 
-def interpolate_scalar(space: ConfigSpace, values: np.ndarray, positions: np.ndarray) -> np.ndarray:
-    """Multilinear interpolation of a grid array at (W, dim) positions.
-
-    Periodic axes wrap; reflecting axes see the even extension of the data,
-    matching the symmetric-pad convention of the difference stencils.
-    """
-    pos = np.asarray(positions, dtype=float).reshape(-1, space.dim)
-    base = np.empty((pos.shape[0], space.dim), dtype=np.intp)
-    frac = np.empty((pos.shape[0], space.dim))
-    for a in range(space.dim):
-        lo = -0.5 * space.extents[a]
-        dx = space.spacings[a]
-        f = (pos[:, a] - lo) / dx - 0.5  # fractional index in cell-center units
-        i0 = np.floor(f).astype(np.intp)
-        base[:, a] = i0
-        frac[:, a] = f - i0
-
-    # reflecting fold mirrors about cell centers: -1 -> 0, n -> n-1
-    def fold_reflect(idx, n):
-        idx = np.where(idx < 0, -1 - idx, idx)
-        return np.where(idx >= n, 2 * n - 1 - idx, idx)
-
-    out = np.zeros(pos.shape[0])
-    for corner in range(1 << space.dim):
-        weight = np.ones(pos.shape[0])
-        gather = []
-        for a in range(space.dim):
-            hi = (corner >> a) & 1
-            idx = base[:, a] + hi
-            n = space.points[a]
-            idx = idx % n if space.boundary == PERIODIC else fold_reflect(idx, n)
-            gather.append(idx)
-            weight *= frac[:, a] if hi else (1.0 - frac[:, a])
-        out += weight * values[tuple(gather)]
-    return out
-
-
 def interpolate_vector(field: VectorField, positions: np.ndarray) -> np.ndarray:
-    pos = np.asarray(positions, dtype=float).reshape(-1, field.space.dim)
-    out = np.empty_like(pos)
-    for a in range(field.space.dim):
-        out[:, a] = interpolate_scalar(field.space, field.components[a], pos)
-    return out
+    """Multilinear interpolation of every component at (W, dim) positions.
+
+    Positions must lie in the box, as ConfigSpace.wrap leaves them; corner
+    cells then fall in [-1, n].  Periodic axes wrap them; reflecting axes
+    clip them (-1 -> 0, n -> n-1), which is the even extension of the data
+    that the difference stencils see.
+    """
+    space = field.space
+    pos = np.asarray(positions, dtype=float).reshape(-1, space.dim)
+    f = (pos + np.multiply(0.5, space.extents)) / space.spacings - 0.5
+    base = np.floor(f).astype(np.intp)
+    frac = f - base
+    mode = "wrap" if space.boundary == PERIODIC else "clip"
+    table = field.components.reshape(space.dim, -1)
+    out = np.zeros((space.dim, pos.shape[0]))
+    for corner in range(1 << space.dim):
+        hi = [(corner >> a) & 1 for a in range(space.dim)]
+        cells = tuple(base[:, a] + h for a, h in enumerate(hi))
+        flat = np.ravel_multi_index(cells, space.shape, mode=mode)
+        weight = np.ones(pos.shape[0])
+        for a, h in enumerate(hi):
+            weight *= frac[:, a] if h else (1.0 - frac[:, a])
+        out += weight * table.take(flat, axis=1)
+    return out.T

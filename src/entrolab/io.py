@@ -144,12 +144,6 @@ def load_complex_field(path) -> ComplexField:
     return ComplexField(space, (data[:, 0] + 1j * data[:, 1]).reshape(space.shape))
 
 
-def save_vector_field(path, f: VectorField):
-    headers = [f"component{a}" for a in range(f.space.dim)]
-    cols = [f.components[a].ravel() for a in range(f.space.dim)]
-    _write_grid_csv(path, f.space, headers, cols)
-
-
 def load_vector_field(path) -> VectorField:
     space, data = _read_grid_csv(path, lambda dim: dim)
     comps = np.stack([data[:, a].reshape(space.shape) for a in range(space.dim)])

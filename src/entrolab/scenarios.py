@@ -129,6 +129,8 @@ def _check_keys(node, allowed, path):
 
 def _number(value, path, kind=float):
     """The one conversion of a config number; anything else names its key."""
+    if kind is int and isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"{path} must be a whole number, got {value!r}")
     try:
         return kind(value)
     except (TypeError, ValueError):
@@ -1093,7 +1095,10 @@ def _ks_metric(dir_a, dir_b, min_p):
         dir_b = dir_a
     if not os.path.exists(pos_path):
         raise ConfigError("ks metric needs an ensemble run with final_positions.csv")
-    samples = np.loadtxt(pos_path, delimiter=",", skiprows=1, ndmin=2)[:, 0]
+    try:
+        samples = np.loadtxt(pos_path, delimiter=",", skiprows=1, ndmin=2)[:, 0]
+    except ValueError as exc:
+        raise ConfigError(f"{pos_path}: {exc}") from None
     rho_names = sorted(os.path.basename(p) for p in glob.glob(os.path.join(dir_b, "rho_*.csv")))
     if not rho_names:
         raise ConfigError(f"ks metric needs rho_*.csv snapshots in {dir_b}")

@@ -300,6 +300,23 @@ def test_ground_state_is_stationary():
     assert abs(e1.total - e0.total) / abs(e0.total) < 1e-8
 
 
+@pytest.mark.parametrize("dim, points", [(1, 256), (2, 64)])
+def test_unresolved_cliff_runs_with_the_amplitude_ratio_clip(dim, points):
+    """A top-hat at rest is a cliff the grid cannot resolve.  The
+    amplitude-ratio clip keeps the stability bound near its initial value;
+    without it the bound collapses to ~1e-9 within a few steps and
+    coupled_step raises StabilityError."""
+    p = make_params(masses=(1.0,) * dim)
+    space = make_space(20.0, points, p, dim=dim)
+    r_sq = sum(m**2 for m in space.meshes)
+    rho = normalize_density(ScalarField(space, (r_sq < 4.0).astype(float)))
+    st = dyn.ManifoldState(rho, zero_field(space), 0.0)
+    dt = 0.25 * dyn.coupled_stability_limit(st, p)
+    for _ in range(40):
+        st = dyn.coupled_step(st, p, zero_field(space), dt)
+    assert st.rho.integral() == pytest.approx(1.0, abs=1e-12)
+
+
 def test_coupled_step_rejects_unstable_dt():
     p = make_params()
     space = make_space(12.0, 128, p)

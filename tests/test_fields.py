@@ -5,6 +5,8 @@ import pytest
 
 from entrolab.errors import ConfigError, DegenerateDensityError, GridMismatchError
 from entrolab.fields import (
+    PERIODIC,
+    REFLECTING,
     ConfigSpace,
     ScalarField,
     VectorField,
@@ -13,7 +15,6 @@ from entrolab.fields import (
     density_moments,
     entropy_field,
     gradient,
-    interpolate_scalar,
     interpolate_vector,
     l1_distance,
     l2_distance,
@@ -181,7 +182,7 @@ def test_interpolate_scalar_hits_grid_points():
     space = make_space(10.0, 64, p)
     rho = gaussian_density(space, 0.0, 1.0)
     x = space.axis_coords(0)
-    vals = interpolate_scalar(space, rho.values, x.reshape(-1, 1))
+    vals = interpolate_vector(VectorField(space, rho.values[None]), x.reshape(-1, 1))[:, 0]
     assert np.allclose(vals, rho.values, atol=1e-14)
 
 
@@ -191,7 +192,7 @@ def test_interpolate_scalar_linear_between_cells():
     x = space.axis_coords(0)
     f = np.sin(2.0 * math.pi * x / 10.0)
     mid = (x[:-1] + x[1:]) / 2.0
-    vals = interpolate_scalar(space, f, mid.reshape(-1, 1))
+    vals = interpolate_vector(VectorField(space, f[None]), mid.reshape(-1, 1))[:, 0]
     assert np.allclose(vals, 0.5 * (f[:-1] + f[1:]), atol=1e-14)
 
 
@@ -205,3 +206,76 @@ def test_interpolate_vector_periodic_seam():
     q = np.array([[x[-1] + 0.5 * space.spacings[0]]])
     got = interpolate_vector(field, q)[0, 0]
     assert got == pytest.approx(0.5 * (comp[-1] + comp[0]), abs=1e-14)
+
+
+def _per_component_interpolation(space, components, positions):
+    """The earlier interpolation, one component at a time with a hand-written
+    reflecting fold, kept as the bitwise reference."""
+
+    def fold_reflect(idx, n):
+        idx = np.where(idx < 0, -1 - idx, idx)
+        return np.where(idx >= n, 2 * n - 1 - idx, idx)
+
+    pos = positions.reshape(-1, space.dim)
+    out = np.empty_like(pos)
+    for c in range(space.dim):
+        base = np.empty(pos.shape, dtype=np.intp)
+        frac = np.empty(pos.shape)
+        for a in range(space.dim):
+            f = (pos[:, a] - (-0.5 * space.extents[a])) / space.spacings[a] - 0.5
+            base[:, a] = np.floor(f).astype(np.intp)
+            frac[:, a] = f - base[:, a]
+        acc = np.zeros(pos.shape[0])
+        for corner in range(1 << space.dim):
+            weight = np.ones(pos.shape[0])
+            gather = []
+            for a in range(space.dim):
+                hi = (corner >> a) & 1
+                idx = base[:, a] + hi
+                n = space.points[a]
+                gather.append(idx % n if space.boundary == PERIODIC else fold_reflect(idx, n))
+                weight *= frac[:, a] if hi else (1.0 - frac[:, a])
+            acc += weight * components[c][tuple(gather)]
+        out[:, c] = acc
+    return out
+
+
+def _in_box_points(space, rng, count):
+    """Random points through space.wrap, plus points on and a rounding
+    error either side of every wall."""
+    ext = np.asarray(space.extents)
+    pts = [rng.uniform(-0.5, 0.5, size=(count, space.dim)) * ext]
+    for a in range(space.dim):
+        for wall in (-0.5 * ext[a], 0.5 * ext[a]):
+            edge = rng.uniform(-0.5, 0.5, size=(60, space.dim)) * ext
+            edge[:, a] = wall + rng.choice([-1e-15, 0.0, 1e-15], size=60) * ext[a]
+            pts.append(edge)
+    return space.wrap(np.concatenate(pts))
+
+
+@pytest.mark.parametrize("boundary", [PERIODIC, REFLECTING])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_interpolate_vector_matches_per_component_interpolation(dim, boundary):
+    rng = np.random.default_rng(10 * dim + (boundary == REFLECTING))
+    points = {1: (37,), 2: (16, 11), 3: (8, 6, 5)}[dim]
+    space = ConfigSpace(dim=dim, extents=(7.3, 4.0, 5.5)[:dim], points=points, boundary=boundary)
+    field = VectorField(space, rng.normal(size=(dim,) + space.shape))
+    pos = _in_box_points(space, rng, 4000)
+    got = interpolate_vector(field, pos)
+    assert np.array_equal(got, _per_component_interpolation(space, field.components, pos))
+
+
+@pytest.mark.parametrize("boundary", [PERIODIC, REFLECTING])
+def test_wrap_is_idempotent(boundary):
+    rng = np.random.default_rng(3)
+    for dim in (1, 2, 3):
+        space = ConfigSpace(dim=dim, extents=20.0, points=16, boundary=boundary)
+        x = rng.normal(0.0, 20.0, size=(20000, dim))
+        # on, and a rounding error either side of, both walls
+        x[:3000] = rng.choice([-10.0, 10.0], size=(3000, dim)) + rng.choice(
+            [-1e-14, -1e-15, 0.0, 1e-15, 1e-14], size=(3000, dim)
+        )
+        once = space.wrap(x)
+        assert np.array_equal(space.wrap(once), once)
+        if boundary == PERIODIC:
+            assert once.max() < 10.0

@@ -1,11 +1,12 @@
 import csv
+import json
 
 import numpy as np
 import pytest
 
 from entrolab import io
 from entrolab.errors import ConfigError
-from entrolab.fields import ComplexField, ScalarField, VectorField
+from entrolab.fields import ComplexField, ConfigSpace, ScalarField
 
 from conftest import gaussian_density, make_params, make_space
 
@@ -47,13 +48,21 @@ def test_complex_field_roundtrip(tmp_path):
 
 
 def test_vector_field_roundtrip(tmp_path):
-    p = make_params()
-    space = make_space(10.0, 64, p)
-    v = VectorField(space, np.sin(space.meshes[0]).reshape(1, -1))
+    """A hand-written vector-field input (grid CSV plus `.meta.json`
+    sidecar, the documented format) loads exactly."""
+    p = make_params(masses=(1.0, 2.0))
+    space = ConfigSpace(dim=2, extents=(8.0, 4.0), points=(16, 8), sigma_sq=p.sigma_sq)
+    comps = np.stack([np.sin(space.meshes[0]), np.cos(space.meshes[1]) / 3.0])
     path = tmp_path / "v.csv"
-    io.save_vector_field(path, v)
+    cols = [m.ravel() for m in space.meshes] + [c.ravel() for c in comps]
+    np.savetxt(path, np.stack(cols, axis=1), fmt="%.17g", delimiter=",",
+               header="axis0,axis1,component0,component1", comments="")
+    meta = {"dim": 2, "extents": [8.0, 4.0], "points": [16, 8], "boundary": "periodic",
+            "sigma_sq": list(p.sigma_sq)}
+    (tmp_path / "v.csv.meta.json").write_text(json.dumps(meta))
     back = io.load_vector_field(path)
-    assert np.array_equal(back.components, v.components)
+    assert back.space.same_grid(space)
+    assert np.array_equal(back.components, comps)
 
 
 def test_missing_sidecar_is_a_config_error(tmp_path):

@@ -98,6 +98,26 @@ def test_non_numeric_value_names_its_key(tmp_path, capsys, path):
     assert f"{path} must be a number" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("path, value", [("run.steps", 2.5), ("space.points", 100.7)])
+def test_fractional_count_names_its_key(tmp_path, capsys, path, value):
+    section, key = path.split(".")
+    cfg = base_cfg()
+    cfg[section] = {**cfg[section], key: value}
+    with pytest.raises(
+        ConfigError, match=rf"^{re.escape(path)} must be a whole number, got {value}$"
+    ):
+        scenario_from_dict(cfg)
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert cli.main(["evolve", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    assert f"{path} must be a whole number" in capsys.readouterr().err
+
+
+def test_whole_float_count_is_accepted():
+    sc = scenario_from_dict(base_cfg(run={"steps": 40.0}, space={"points": 128.0}))
+    assert sc.steps == 40 and sc.space.points == (128,)
+
+
 def test_nonlinear_engine_refuses_vector_potential(tmp_path):
     cfg = base_cfg(
         params={"beta": 0.5},
@@ -555,3 +575,19 @@ def test_cli_compare_ks_without_density_snapshots_exits_2(tmp_path, capsys):
                      "--metrics", "ks"])
     assert code == 2
     assert "rho_" in capsys.readouterr().err
+
+
+def test_cli_compare_ks_with_malformed_positions_exits_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, name="ens", potentials={},
+                    run={"engine": "ensemble", "steps": 5, "snapshot_stride": 5,
+                         "walkers": 500, "seed": 1})
+    assert cli.main(["ensemble", cfg, "--out", str(tmp_path / "a")]) == 0
+    path = tmp_path / "a" / "final_positions.csv"
+    lines = path.read_text().splitlines()
+    lines[7] = "0.25,abc"
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    code = cli.main(["compare", str(tmp_path / "a"), str(tmp_path / "a"),
+                     "--metrics", "ks"])
+    assert code == 2
+    assert "final_positions.csv" in capsys.readouterr().err

@@ -33,8 +33,9 @@ and bounded across unresolved jumps.  (2) Continuity faces steeper than
 FACE_RATIO_LIMIT in density fall back from central to donor-cell flux, so
 cliffs diffuse monotonically instead of ringing negative.  (3) The energy
 integrand and the stability estimate ignore cells below the support
-floor, a connected-region mask with hysteresis (SUPPORT_REL_FLOOR,
-SUPPORT_CORE_FACTOR): velocities over empty cells move nothing.  (4)
+floor, SUPPORT_REL_FLOOR times the peak density: the phase has meaning only
+through the current where rho > 0, and velocities over empty cells move
+nothing.  (4)
 After every step the phase below the support floor is rewritten from the
 support boundary: in 1D a smooth blend of slope-tapered extensions from
 both ends of each gap; in 2D and 3D layer by layer outward, each cell the
@@ -53,7 +54,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import ConfigError, StabilityError
 from .fields import (
@@ -101,9 +101,6 @@ class EnergyBreakdown:
 # relative density level that counts as dynamical support; kept well above
 # the clamp floor so the clamped osmotic shell lies entirely in the vacuum
 SUPPORT_REL_FLOOR = 1e-8
-# a connected region only counts as support if it climbs this far above the
-# floor somewhere; bare floor-level islands are transport noise, not mass
-SUPPORT_CORE_FACTOR = 100.0
 # density this far below the peak is flushed to exact zero after each step;
 # trace amounts left in the vacuum are the seed that convergent filled-phase
 # velocities can compress back up into fake mass islands
@@ -111,38 +108,12 @@ VACUUM_FLUSH_FLOOR = 1e-14
 
 
 def _mass_mask(rho_values):
-    """Support = connected regions above the floor that contain a core cell.
+    """Support = the cells at or above SUPPORT_REL_FLOOR times the peak density.
 
-    Transport noise sprinkles isolated cells around the floor level; treating
-    them as support would hand the phase fill garbage boundary slopes, so a
-    region is kept only if it reaches SUPPORT_CORE_FACTOR times the floor.
-    Components are connected across the periodic wrap.
+    Support is a property of the density alone: a floor-level cell counts
+    whether or not it touches the bulk.
     """
-    peak = rho_values.max()
-    loose = rho_values >= SUPPORT_REL_FLOOR * peak
-    if loose.all():
-        return loose
-    labels, n = ndimage.label(loose)
-    parent = list(range(n + 1))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for a in range(rho_values.ndim):
-        seam = zip(labels.take(0, a).ravel().tolist(), labels.take(-1, a).ravel().tolist())
-        for i, j in set(seam):  # each distinct label pair across the seam once
-            ri, rj = find(i), find(j)
-            if i and j and ri != rj:
-                parent[ri] = rj
-    roots = np.array([find(i) for i in range(n + 1)])
-    rooted = roots[labels]
-    core = rho_values >= SUPPORT_CORE_FACTOR * SUPPORT_REL_FLOOR * peak
-    kept = np.unique(rooted[core])
-    kept = kept[kept != 0]
-    return np.isin(rooted, kept)
+    return rho_values >= SUPPORT_REL_FLOOR * rho_values.max()
 
 
 def _extend_phase_into_vacuum(phi_values, rho_values):

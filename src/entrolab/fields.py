@@ -142,8 +142,10 @@ class ConfigSpace:
         return d
 
     def cell_index(self, positions):
-        """Integer cell indices (W, dim) for in-box positions."""
-        pos = self.wrap(positions)
+        """Integer cell indices (W, dim) for in-box positions, as the
+        Ensemble constructor leaves them; nothing is wrapped here, and a
+        point outside the box clips to the edge cell."""
+        pos = np.asarray(positions, dtype=float)
         idx = np.empty(pos.shape, dtype=np.intp)
         for a in range(self.dim):
             lo = -0.5 * self.extents[a]

@@ -957,7 +957,9 @@ def classical_limit(
         raise ConfigError("scale sweeps must start at 1.0 (the reference)")
     if any(s <= 0 for s in scales):
         raise ConfigError("sweep scales must be positive")
-    walkers = int(walkers or sc.walkers)
+    walkers = sc.walkers if walkers is None else int(walkers)
+    if walkers < 1:
+        raise ConfigError(f"walkers must be at least 1, got {walkers}")
 
     base_params = sc.params
     masses = base_params.masses
@@ -1054,6 +1056,9 @@ def maxent_audit(sc: Scenario, trials=1000, outdir=None, tolerance=1e-9) -> dict
 
     if sc.space.dim > 2:
         raise ConfigError("maxent-audit runs on dim <= 2 scenarios")
+    trials = int(trials)
+    if trials < 1:
+        raise ConfigError(f"trials must be at least 1, got {trials}")
     dt = resolve_dt(sc)
     alpha = sc.params.tau / dt
     source = tuple(n // 2 for n in sc.space.points)
@@ -1063,7 +1068,7 @@ def maxent_audit(sc: Scenario, trials=1000, outdir=None, tolerance=1e-9) -> dict
     cert = ker.gibbs_optimality_certificate(
         sc.entropy,
         kern,
-        trials=int(trials),
+        trials=trials,
         rng_seed=sc.seed,
         tolerance=tolerance,
     )

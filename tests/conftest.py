@@ -8,7 +8,6 @@ covers the dimensional surface.
 import math
 
 import numpy as np
-import pytest
 
 from entrolab.dynamics import ManifoldState
 from entrolab.fields import (
@@ -53,17 +52,3 @@ def rest_state(space, center=0.0, var=1.0):
 def field_l2(a, b, space):
     return math.sqrt(float(((a - b) ** 2).sum()) * space.cell_volume)
 
-
-@pytest.fixture
-def announce(capsys):
-    """Print a status line that survives pytest's capture.
-
-    The acceptance tests emit one verdict line per criterion so a plain
-    `pytest tests/test_acceptance.py` run reads as a checklist.
-    """
-
-    def _announce(line):
-        with capsys.disabled():
-            print(line)
-
-    return _announce

@@ -112,18 +112,17 @@ def test_energy_osmotic_scales_with_mass_ratio():
 # vacuum guards
 
 
-def test_mass_mask_drops_disconnected_crumbs():
+def test_mass_mask_is_the_density_floor():
+    """Support is a property of the density alone: every cell at or above
+    the floor counts, whether or not it is connected to the bulk."""
     p = make_params()
     space = make_space(10.0, 128, p)
     v = np.zeros(space.shape)
     v[20:40] = 1.0
-    v[80] = 5.0 * dyn.SUPPORT_REL_FLOOR  # above floor, below the core factor
+    v[80] = 5.0 * dyn.SUPPORT_REL_FLOOR  # a floor-level crumb
+    v[90] = 0.99 * dyn.SUPPORT_REL_FLOOR  # just below the floor
     mask = dyn._mass_mask(v)
-    assert mask[20:40].all()
-    assert not mask[80]
-    # a crumb that reaches the core threshold is kept
-    v[80] = 2.0 * dyn.SUPPORT_CORE_FACTOR * dyn.SUPPORT_REL_FLOOR
-    assert dyn._mass_mask(v)[80]
+    assert np.array_equal(np.flatnonzero(mask), np.r_[20:40, 80])
 
 
 def test_mass_mask_joins_regions_across_the_seam():
@@ -134,18 +133,6 @@ def test_mass_mask_joins_regions_across_the_seam():
     v[-10:] = 1.0  # core on the other side
     mask = dyn._mass_mask(v)
     assert mask[:10].all() and mask[-10:].all()
-
-
-def test_mass_mask_joins_2d_regions_across_both_seams_and_the_corner():
-    """A block centred on the corner of a 2D box is cut into four labels by
-    the two seams; only the piece in the far corner reaches the core, so the
-    other three are kept only if the seam merge joins across both axes."""
-    block = np.zeros((16, 12), dtype=bool)
-    block[np.ix_([-2, -1, 0, 1], [-2, -1, 0, 1])] = True
-    v = np.where(block, 5e-8, 0.0)  # above the floor, below the core level
-    v[-2:, -2:] = 1.0
-    v[7:9, 5:7] = 5e-8  # an island with no core cell
-    assert np.array_equal(dyn._mass_mask(v), block)
 
 
 def test_phase_fill_is_continuous_and_tapered():

@@ -524,18 +524,42 @@ def test_classical_limit_refuses_vector_potential(tmp_path, capsys):
     assert "vector potential" in capsys.readouterr().err
 
 
+AUDIT_CFG = dict(
+    entropy={"type": "sine", "amplitude": 0.4, "mode": 1},
+    potentials={},
+    run={"engine": "fokker-planck", "dt": 0.1 / 40.0, "steps": 5, "seed": 11},
+)
+
+
 def test_cli_maxent_audit(tmp_path, capsys):
-    cfg = write_cfg(
-        tmp_path,
-        name="audit",
-        entropy={"type": "sine", "amplitude": 0.4, "mode": 1},
-        potentials={},
-        run={"engine": "fokker-planck", "dt": 0.1 / 40.0, "steps": 5, "seed": 11},
-    )
+    cfg = write_cfg(tmp_path, name="audit", **AUDIT_CFG)
     code = cli.main(["maxent-audit", cfg, "--trials", "50",
                      "--out", str(tmp_path / "m")])
     assert code == 0
     assert "maxent-audit" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_maxent_audit_refuses_fewer_than_one_trial(tmp_path, capsys, trials):
+    with pytest.raises(ConfigError, match="trials"):
+        maxent_audit(scenario_from_dict(base_cfg(**AUDIT_CFG)), trials=trials)
+    cfg = write_cfg(tmp_path, name="audit", **AUDIT_CFG)
+    code = cli.main(["maxent-audit", cfg, "--trials", str(trials),
+                     "--out", str(tmp_path / "m")])
+    assert code == 2
+    assert "trials" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("walkers", [0, -5])
+def test_classical_limit_refuses_fewer_than_one_walker(tmp_path, capsys, walkers):
+    """An explicit walker count is used as given, never swapped for run.walkers."""
+    with pytest.raises(ConfigError, match="walkers"):
+        classical_limit(scenario_from_dict(base_cfg()), eta_scales=(1.0, 0.5), walkers=walkers)
+    cfg = write_cfg(tmp_path, name="classical")
+    code = cli.main(["classical-limit", cfg, "--eta-sweep", "1,0.5",
+                     "--walkers", str(walkers), "--out", str(tmp_path / "c")])
+    assert code == 2
+    assert "walkers" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -112,8 +112,11 @@ def _cmd_gauge_check(args):
     return EXIT_PASS if report["passed"] else EXIT_FAIL
 
 
-def _parse_scales(text):
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+def _parse_scales(text, flag):
+    try:
+        return [float(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        raise ConfigError(f"{flag} takes comma-separated numbers, got {text!r}") from None
 
 
 def _cmd_classical_limit(args):
@@ -121,8 +124,8 @@ def _cmd_classical_limit(args):
     outdir = _outdir(args, sc.name + "-classical")
     report = scenarios.classical_limit(
         sc,
-        eta_scales=_parse_scales(args.eta_sweep) if args.eta_sweep else None,
-        mu_scales=_parse_scales(args.mu_sweep) if args.mu_sweep else None,
+        eta_scales=_parse_scales(args.eta_sweep, "--eta-sweep") if args.eta_sweep else None,
+        mu_scales=_parse_scales(args.mu_sweep, "--mu-sweep") if args.mu_sweep else None,
         outdir=outdir,
         walkers=args.walkers,
     )

@@ -7,14 +7,19 @@ rebuild the grid from the sidecar and verify the row count.
 
 Every CSV is written by one table writer: numbers as `%.17g`, which
 round-trips float64 exactly, with `\r\n` line ends, formatted a block of
-rows per `%` call.  A save/load round trip is exact, and repeated runs of a
-seeded scenario produce bit-identical files.
+rows per `%` call.  A grid's coordinate cells are the same in every file on
+that grid, so their text is formatted once per grid and cached inside the
+block formats; a write then formats only its value cells.  A save/load round
+trip is exact, and repeated runs of a seeded scenario produce bit-identical
+files.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import json
+import math
 import os
 
 import numpy as np
@@ -24,7 +29,9 @@ from .fields import ComplexField, ConfigSpace, ScalarField, VectorField
 
 
 # Rows per `%` call: enough to amortise the call, few enough that the
-# temporary string and argument tuple stay O(block) rather than O(grid).
+# temporary string and argument tuple stay O(block) rather than O(grid).  A
+# grid's block formats, coordinate text included, are built once per grid
+# and cached (`_grid_block_formats`), one block at a time.
 _BLOCK_ROWS = 4096
 
 
@@ -70,21 +77,53 @@ def _axis_header(dim):
     return [f"axis{a}" for a in range(dim)]
 
 
-def _write_table(path, header, table):
-    """Write the header line, then the rows of `table` (one value per header
-    column) as `%.17g` cells, one C-level `%` format per block of rows."""
+def _write_table(path, header, table, block_formats):
+    """Write the header line, then the rows of `table`, one C-level `%`
+    format per block of rows.  `block_formats` yields one format per block,
+    with a `%.17g` slot for each of the block's cells of `table`."""
     table = np.asarray(table, dtype=float)
-    row_fmt = ",".join(["%.17g"] * len(header)) + "\r\n"
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(header)
-        for start in range(0, len(table), _BLOCK_ROWS):
-            block = table[start : start + _BLOCK_ROWS]
-            fh.write(row_fmt * len(block) % tuple(block.ravel().tolist()))
+        starts = range(0, len(table), _BLOCK_ROWS)
+        for start, fmt in zip(starts, block_formats, strict=True):
+            fh.write(fmt % tuple(table[start : start + _BLOCK_ROWS].ravel().tolist()))
 
 
-def _write_grid_csv(path, space, headers, columns):
-    table = np.column_stack([m.ravel() for m in space.meshes] + list(columns))
-    _write_table(path, _axis_header(space.dim) + headers, table)
+def _table_block_formats(n_rows, n_columns):
+    """Block formats of a table with every cell a `%.17g` slot."""
+    row_fmt = ",".join(["%.17g"] * n_columns) + "\r\n"
+    for start in range(0, n_rows, _BLOCK_ROWS):
+        yield row_fmt * min(_BLOCK_ROWS, n_rows - start)
+
+
+@functools.lru_cache(maxsize=4)
+def _grid_block_formats(extents, points, n_values):
+    """Block formats of a grid CSV with `n_values` value columns: each row's
+    coordinate cells already formatted `%.17g`, its value cells left as
+    `%.17g` slots, e.g. `-9.921875,-9.921875,%.17g\r\n`.
+
+    Keyed on the grid's values, not on a ConfigSpace, since every loaded
+    scenario builds a new one; four entries hold the density and wave
+    formats of two grids.  Coordinate text never contains `%`, so baking it
+    into a format is safe.
+    """
+    space = ConfigSpace(dim=len(points), extents=extents, points=points)
+    axes = [space.axis_coords(a) for a in range(space.dim)]
+    coord_fmt = "%.17g," * space.dim + ",".join(["%%.17g"] * n_values) + "\r\n"
+    n_rows = math.prod(points)
+    blocks = []
+    for start in range(0, n_rows, _BLOCK_ROWS):
+        index = np.unravel_index(np.arange(start, min(start + _BLOCK_ROWS, n_rows)), points)
+        coords = np.stack([ax[i] for ax, i in zip(axes, index)], axis=1)
+        blocks.append(coord_fmt * len(coords) % tuple(coords.ravel().tolist()))
+    return tuple(blocks)
+
+
+def _write_grid_csv(path, space, headers, values):
+    """`values` has one row per cell, in row-major order, and one column per
+    header."""
+    formats = _grid_block_formats(space.extents, space.points, len(headers))
+    _write_table(path, _axis_header(space.dim) + headers, values, formats)
     _write_meta(path, space)
 
 
@@ -125,7 +164,7 @@ def _read_grid_csv(path, value_columns):
 
 
 def save_scalar_field(path, f: ScalarField):
-    _write_grid_csv(path, f.space, ["value"], [f.values.ravel()])
+    _write_grid_csv(path, f.space, ["value"], f.values.reshape(-1, 1))
 
 
 def load_scalar_field(path) -> ScalarField:
@@ -134,9 +173,9 @@ def load_scalar_field(path) -> ScalarField:
 
 
 def save_complex_field(path, f: ComplexField):
-    _write_grid_csv(
-        path, f.space, ["real", "imag"], [f.values.real.ravel(), f.values.imag.ravel()]
-    )
+    # a complex128 array read as float64 pairs is the (real, imag) table
+    values = np.ascontiguousarray(f.values, dtype=complex)
+    _write_grid_csv(path, f.space, ["real", "imag"], values.view(float).reshape(-1, 2))
 
 
 def load_complex_field(path) -> ComplexField:
@@ -152,7 +191,7 @@ def load_vector_field(path) -> VectorField:
 
 def save_series(path, header, rows):
     """Generic numeric table, e.g. (t, mass, variances, centers) rows."""
-    _write_table(path, header, rows)
+    _write_table(path, header, rows, _table_block_formats(len(rows), len(header)))
 
 
 def load_series(path):

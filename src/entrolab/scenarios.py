@@ -952,11 +952,12 @@ def classical_limit(
     if sc.vector_potential is not None:
         # the steps below and the Hamilton-Jacobi residual carry no A term
         raise ConfigError("the classical-limit audit does not take a vector potential")
-    scales = [float(s) for s in (eta_scales if eta_scales is not None else mu_scales)]
+    key = "eta_scales" if eta_scales is not None else "mu_scales"
+    scales = [_number(s, key) for s in (eta_scales if eta_scales is not None else mu_scales)]
     if not scales or scales[0] != 1.0:
         raise ConfigError("scale sweeps must start at 1.0 (the reference)")
-    if any(s <= 0 for s in scales):
-        raise ConfigError("sweep scales must be positive")
+    if not all(math.isfinite(s) and s > 0 for s in scales):
+        raise ConfigError(f"{key} must be finite and positive, got {scales}")
     walkers = sc.walkers if walkers is None else int(walkers)
     if walkers < 1:
         raise ConfigError(f"walkers must be at least 1, got {walkers}")

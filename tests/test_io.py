@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
@@ -131,6 +132,45 @@ def test_writer_matches_reference_bytes(tmp_path):
     io.save_series(tmp_path / "series.csv", ["t", "mass", "n"], rows)
     _reference_csv(tmp_path / "series_ref.csv", ["t", "mass", "n"], rows)
     assert (tmp_path / "series.csv").read_bytes() == (tmp_path / "series_ref.csv").read_bytes()
+
+
+def _assert_grid_files_match_reference(tmp_path, space, seed):
+    """Scalar and complex saves on `space` against the reference writer."""
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal(space.shape)
+    psi = values + 1j * rng.standard_normal(space.shape)
+    coords = [m.ravel() for m in space.meshes]
+    axes = [f"axis{a}" for a in range(space.dim)]
+
+    io.save_scalar_field(tmp_path / "rho.csv", ScalarField(space, values))
+    _reference_csv(tmp_path / "rho_ref.csv", axes + ["value"], zip(*coords, values.ravel()))
+    assert (tmp_path / "rho.csv").read_bytes() == (tmp_path / "rho_ref.csv").read_bytes()
+
+    io.save_complex_field(tmp_path / "psi.csv", ComplexField(space, psi))
+    _reference_csv(tmp_path / "psi_ref.csv", axes + ["real", "imag"],
+                   zip(*coords, psi.real.ravel(), psi.imag.ravel()))
+    assert (tmp_path / "psi.csv").read_bytes() == (tmp_path / "psi_ref.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "extents, points",
+    [((8.0, 4.0), (67, 65)), ((6.0, 5.0, 4.0), (10, 12, 40))],
+    ids=["2d-partial-last-block", "3d"],
+)
+def test_grid_writer_matches_reference_bytes(tmp_path, extents, points):
+    """Grids whose row count is not a multiple of the block size: the cached
+    coordinate text must line up with the value rows in every block."""
+    assert math.prod(points) % io._BLOCK_ROWS != 0 and math.prod(points) > io._BLOCK_ROWS
+    space = ConfigSpace(dim=len(points), extents=extents, points=points)
+    _assert_grid_files_match_reference(tmp_path, space, seed=7)
+
+
+def test_grids_with_equal_points_and_other_extents_keep_their_coordinates(tmp_path):
+    """The cached coordinate text belongs to the grid's values, all of them."""
+    a = ConfigSpace(dim=2, extents=(8.0, 4.0), points=(16, 8))
+    b = ConfigSpace(dim=2, extents=(5.0, 4.0), points=(16, 8))
+    for seed, space in enumerate((a, b, a, b)):
+        _assert_grid_files_match_reference(tmp_path, space, seed)
 
 
 def test_grid_roundtrip_across_row_blocks(tmp_path):

@@ -524,6 +524,24 @@ def test_classical_limit_refuses_vector_potential(tmp_path, capsys):
     assert "vector potential" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--eta-sweep", "--mu-sweep"])
+@pytest.mark.parametrize("bad", ["abc", "nan", "inf"])
+def test_classical_limit_refuses_bad_sweep_scales(tmp_path, capsys, flag, bad):
+    """A scale that is not a finite positive number is refused before any step."""
+    key = "eta_scales" if flag == "--eta-sweep" else "mu_scales"
+    message = "takes comma-separated numbers" if bad == "abc" else "finite and positive"
+    api_message = "must be a number" if bad == "abc" else message
+    with pytest.raises(ConfigError, match=api_message):
+        classical_limit(scenario_from_dict(base_cfg()), **{key: (1.0, bad)})
+    cfg = write_cfg(tmp_path, name="classical")
+    code = cli.main(["classical-limit", cfg, flag, f"1,{bad}", "--out", str(tmp_path / "c")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert message in err
+    if bad == "abc":
+        assert flag in err
+
+
 AUDIT_CFG = dict(
     entropy={"type": "sine", "amplitude": 0.4, "mode": 1},
     potentials={},

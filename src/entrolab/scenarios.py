@@ -952,8 +952,8 @@ def classical_limit(
     if sc.vector_potential is not None:
         # the steps below and the Hamilton-Jacobi residual carry no A term
         raise ConfigError("the classical-limit audit does not take a vector potential")
-    key = "eta_scales" if eta_scales is not None else "mu_scales"
-    scales = [_number(s, key) for s in (eta_scales if eta_scales is not None else mu_scales)]
+    key, raw = ("eta_scales", eta_scales) if eta_scales is not None else ("mu_scales", mu_scales)
+    scales = _numbers(list(raw), key)
     if not scales or scales[0] != 1.0:
         raise ConfigError("scale sweeps must start at 1.0 (the reference)")
     if not all(math.isfinite(s) and s > 0 for s in scales):

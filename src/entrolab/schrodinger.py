@@ -209,15 +209,14 @@ def _sweep_operators(space, params, axis, h, link):
 
 
 # Per vector potential: its face links and, per axis, the operators of its
-# last sweep with the scalars they were built from, plus the energy's hop
-# phases for the last beta.  VectorField hashes by identity and fields are
-# immutable values, so an entry never goes stale; it dies with its A.
+# last sweep with the scalars they were built from.  VectorField hashes by
+# identity and fields are immutable values, so an entry never goes stale; it
+# dies with its A.
 _GAUGE_OPERATORS = weakref.WeakKeyDictionary()
 
 
 def _gauge_operators(A: VectorField):
-    """A's memo entry: (face links, {axis: (key, sweep operators),
-    "hops": (beta, hop phases)})."""
+    """A's memo entry: (face links, {axis: (key, sweep operators)})."""
     entry = _GAUGE_OPERATORS.get(A)
     if entry is None:
         entry = _GAUGE_OPERATORS[A] = (_face_links(A.space, A), {})
@@ -238,16 +237,6 @@ def _axis_operators(space, params, axis, h, A):
     cached = sweeps.get(axis)
     if cached is None or cached[0] != key:
         cached = sweeps[axis] = (key, _sweep_operators(space, params, axis, h, links[axis]))
-    return cached[1]
-
-
-def _hop_phases(A, beta):
-    """exp(-i beta link_a) per axis; built once per A, rebuilt when beta
-    changes."""
-    links, derived = _gauge_operators(A)
-    cached = derived.get("hops")
-    if cached is None or cached[0] != beta:
-        cached = derived["hops"] = (beta, [np.exp(-1j * beta * link) for link in links])
     return cached[1]
 
 
@@ -366,17 +355,17 @@ def wavefunction_energy_breakdown(
     space = w.space
     psi = w.psi.values
     vol = space.cell_volume
-    hop_phases = _hop_phases(A, params.beta) if A is not None else None
+    links = _gauge_operators(A)[0] if A is not None else None
     amp = np.abs(psi)
     current = 0.0
     osmotic = 0.0
     for a in range(space.dim):
         dx = space.spacings[a]
         c = params.eta**2 / (2.0 * params.masses[a] * dx**2)
-        if hop_phases is None:
+        if links is None:
             hop = np.roll(psi, -1, a)
         else:
-            hop = hop_phases[a] * np.roll(psi, -1, a)
+            hop = np.exp(-1j * params.beta * links[a]) * np.roll(psi, -1, a)
         t_a = c * float((np.abs(hop - psi) ** 2).sum()) * vol
         f_a = c * float(((np.roll(amp, -1, a) - amp) ** 2).sum()) * vol
         ratio = params.osmotic_masses[a] / params.masses[a]

@@ -369,20 +369,6 @@ def test_energy_breakdown_with_memo_equals_uncached(monkeypatch):
     assert cached == uncached
 
 
-def test_energy_breakdown_hop_phases_follow_beta(monkeypatch):
-    """Switching beta between calls on one A must rebuild the memo's hop
-    phases, never reuse the last beta's."""
-    p, space, w, V, A = _curl_case()
-    p_weak = make_params(masses=(1.0, 1.5), beta=0.3)
-    cached = [schro.wavefunction_energy_breakdown(w, pk, V, A) for pk in (p, p_weak, p)]
-    monkeypatch.setattr(
-        schro, "_gauge_operators", lambda A: (_uncached_face_links(A.space, A), {})
-    )
-    uncached = [schro.wavefunction_energy_breakdown(w, pk, V, A) for pk in (p, p_weak, p)]
-    assert cached == uncached
-    assert cached[0] != cached[1]
-
-
 def test_nonlinear_step_reduces_to_unitary_at_equal_masses():
     p = make_params(osmotic_ratio=1.0)
     space = make_space(12.0, 256, p)

@@ -175,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("run_a")
     p.add_argument("run_b")
     p.add_argument("--metrics", nargs="+", required=True,
-                   choices=sorted(scenarios.DEFAULT_TOLERANCES))
+                   choices=sorted(scenarios.METRICS))
     p.add_argument("--tolerance", action="append", metavar="NAME=VALUE",
                    help="override a default tolerance")
     p.add_argument("--out", default=None, help="where to write comparison.json")

@@ -289,24 +289,19 @@ def _split_step(w, params, V, dt, A, nonlinear):
     _require_periodic(w.space, "the wavefunction solver")
     _require_same_grid(A, w.space)
     space = w.space
-    psi = w.psi.values
 
-    V_eff = V.values
-    if nonlinear:
-        extra = _nonlinear_potential(psi, space, params)
-        if extra is not None:
-            V_eff = V_eff + extra
-    psi = psi * np.exp(-0.5j * dt * V_eff / params.eta)
+    def kick(psi):
+        """Half a step of V, plus the osmotic-mismatch potential if nonlinear."""
+        V_eff = V.values
+        if nonlinear:
+            extra = _nonlinear_potential(psi, space, params)
+            if extra is not None:
+                V_eff = V_eff + extra
+        return psi * np.exp(-0.5j * dt * V_eff / params.eta)
 
+    psi = kick(w.psi.values)
     psi = _kinetic_palindrome(psi, space, params, dt, A)
-
-    V_eff = V.values
-    if nonlinear:
-        extra = _nonlinear_potential(psi, space, params)
-        if extra is not None:
-            V_eff = V_eff + extra
-    psi = psi * np.exp(-0.5j * dt * V_eff / params.eta)
-
+    psi = kick(psi)
     return WaveFunction(psi=ComplexField(space, psi), time=w.time + dt)
 
 

@@ -1,12 +1,15 @@
 import json
+import math
 import os
 import re
 
 import numpy as np
 import pytest
+import yaml
 
 from entrolab import cli, io
 from entrolab.errors import ConfigError, StabilityError
+from entrolab.fields import ScalarField
 from entrolab.scenarios import (
     classical_limit,
     compare,
@@ -96,6 +99,25 @@ def test_non_numeric_value_names_its_key(tmp_path, capsys, path):
     cfg_path.write_text(json.dumps(cfg))
     assert cli.main(["evolve", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
     assert f"{path} must be a number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize(
+    "path", ["run.dt", "params.eta", "run.energy_tolerance", "potentials.V.time_scale"]
+)
+def test_non_finite_value_names_its_key(tmp_path, capsys, path, value):
+    *sections, key = path.split(".")
+    cfg = base_cfg()
+    node = cfg
+    for section in sections:
+        node = node[section]
+    node[key] = value
+    with pytest.raises(ConfigError, match=rf"^{re.escape(path)} must be finite, got {value}$"):
+        scenario_from_dict(cfg)
+    cfg_path = tmp_path / "bad.yaml"
+    cfg_path.write_text(yaml.safe_dump(cfg))  # YAML spells them .nan and .inf
+    assert cli.main(["evolve", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    assert f"{path} must be finite" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("path, value", [("run.steps", 2.5), ("space.points", 100.7)])
@@ -236,6 +258,24 @@ def test_schrodinger_run_records_psi_and_norm(tmp_path):
     assert "energy_drift" in summary["checks"]
 
 
+def test_nan_potential_fails_mass_and_norm_checks(tmp_path):
+    """A NaN cell in V poisons every later snapshot; the run's conservation
+    checks must fail, not keep the clean first snapshot's 0."""
+    sc = scenario_from_dict(base_cfg())
+    V = np.zeros(sc.space.shape)
+    V[64] = np.nan
+    v_path = tmp_path / "V.csv"
+    io.save_scalar_field(v_path, ScalarField(sc.space, V))
+    cfg = base_cfg(potentials={"V": {"type": "file", "file": str(v_path)}},
+                   run={"engine": "schrodinger", "dt": 0.002, "steps": 20,
+                        "snapshot_stride": 10})
+    summary = run(scenario_from_dict(cfg), str(tmp_path / "out"))
+    for name in ("mass_conservation", "norm_conservation"):
+        check = summary["checks"][name]
+        assert math.isnan(check["value"]) and not check["passed"], name
+    assert not summary["passed"]
+
+
 def test_time_dependent_potential_audited(tmp_path):
     cfg = base_cfg(
         potentials={"V": {"type": "harmonic", "omega": 1.0, "time_scale": 2.0}},
@@ -331,6 +371,23 @@ def test_compare_refuses_a_failed_run(tmp_path, capsys):
     capsys.readouterr()
     assert cli.main(["compare", good, bad, "--metrics", "rho_l2"]) == 2
     assert "failed run" in capsys.readouterr().err
+
+
+def test_compare_fails_on_a_nan_snapshot(tmp_path, capsys):
+    """One NaN cell in a middle rho snapshot fails rho_l2; it is not skipped."""
+    dir_a, dir_b = run_pair(tmp_path)
+    path = os.path.join(dir_b, "rho_000002.csv")
+    lines = open(path).read().splitlines()
+    lines[10] = lines[10].rsplit(",", 1)[0] + ",nan"
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    report = compare(dir_a, dir_b, ["rho_l2"])
+    [metric] = report.metrics
+    assert math.isnan(metric.values[2]) and math.isnan(metric.worst)
+    assert not metric.passed and not report.passed
+    capsys.readouterr()
+    assert cli.main(["compare", dir_a, dir_b, "--metrics", "rho_l2"]) == 1
+    assert "[FAIL]" in capsys.readouterr().out
 
 
 def test_compare_psi_requires_wave_runs(tmp_path):

@@ -123,34 +123,49 @@ def _extend_phase_into_vacuum(phi_values, rho_values):
     it there lets the clamped osmotic term build phase kinks at the clamp
     edge that creep back into the support through the kinetic term.  Each
     vacuum cell is instead rewritten from the support boundary (guard (4)
-    of the module docstring).  In 2D and 3D the fill advances one frontier
-    layer at a time, from a neighbour table built once per grid shape.  The
-    fill is linear in the phase values, so it commutes with the
-    coupling-rescaling map; no cell that carries mass is touched.
+    of the module docstring).  In 2D and 3D each vacuum cell's layer is its
+    periodic taxicab distance to the support, computed once per step; layer
+    by layer, a cell takes the mean of its neighbours in the layer below,
+    summed from +0.0 in neighbour-table order.  The fill is linear in the
+    phase values, so it commutes with the coupling-rescaling map; no cell
+    that carries mass is touched.
     """
     mask = _mass_mask(rho_values)
     if mask.all():
         return phi_values
     if phi_values.ndim == 1:
         return _linear_fill_1d(phi_values, mask)
-    nbr = _neighbor_table(mask.shape)
-    filled = mask.ravel().copy()
-    out = np.where(filled, phi_values.ravel(), 0.0)  # unfilled cells hold +0.0
-    owner = np.empty(filled.size, dtype=np.intp)
-    front = np.flatnonzero(~filled & filled[nbr].any(axis=0))
-    while front.size:
-        nb = nbr[:, front]
-        # acc starts at +0.0, so it is never -0.0 and adding an unfilled
-        # cell's +0.0 leaves its bits as skipping that cell would
-        acc = np.zeros(front.size)
-        for vals in out[nb]:
-            acc += vals
-        out[front] = acc / filled[nb].sum(axis=0)
-        filled[front] = True
-        ahead = nb[~filled[nb]]
-        owner[ahead] = np.arange(ahead.size)  # one write per distinct cell survives
-        front = ahead[owner[ahead] == np.arange(ahead.size)]
+    layer = _support_distance(mask).ravel()
+    order = np.argsort(layer, kind="stable")  # support first, then layer by layer
+    bounds = np.cumsum(np.bincount(layer)).tolist()
+    nb = np.take(_neighbor_table(mask.shape), order, axis=1)
+    below = (layer.take(nb) == layer[order] - 1).sum(axis=0)  # neighbours in the layer below
+    out = np.where(mask.ravel(), phi_values.ravel(), 0.0)  # unfilled cells hold +0.0
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        # the sum starts at +0.0, so it is never -0.0, and an unfilled
+        # neighbour's +0.0 leaves its bits as skipping that neighbour would
+        total = np.add.reduce(out.take(nb[:, lo:hi]), axis=0, initial=0.0)
+        out[order[lo:hi]] = total / below[lo:hi]
     return out.reshape(mask.shape)
+
+
+def _support_distance(mask):
+    """Periodic taxicab distance of each cell to the nearest True cell.
+
+    Per axis, one forward and one backward running minimum over two periods
+    carry the distance along that axis; in turn over the axes they give the
+    taxicab distance.  int16 while every intermediate fits."""
+    far = sum(mask.shape)  # beyond every distance on the grid
+    dtype = np.int16 if 3 * far <= np.iinfo(np.int16).max else np.int32
+    dist = np.where(mask, 0, far).astype(dtype)
+    for axis, n in enumerate(mask.shape):
+        d = np.moveaxis(dist, axis, 0)
+        ramp = np.arange(2 * n, dtype=dtype).reshape((-1,) + (1,) * (mask.ndim - 1))
+        twice = np.concatenate([d, d])
+        ahead = np.minimum.accumulate(twice - ramp, axis=0) + ramp
+        behind = np.minimum.accumulate((twice + ramp)[::-1], axis=0)[::-1] - ramp
+        dist = np.moveaxis(np.minimum(ahead[n:], behind[:n]), 0, axis)
+    return dist
 
 
 @functools.lru_cache(maxsize=8)

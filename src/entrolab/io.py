@@ -12,12 +12,19 @@ that grid, so their text is formatted once per grid and cached inside the
 block formats; a write then formats only its value cells.  A save/load round
 trip is exact, and repeated runs of a seeded scenario produce bit-identical
 files.
+
+Every CSV is read by one table reader: the header by `csv`, the body by one
+`np.loadtxt` call over all of its columns, which parses in C.  The parsed
+shape must be one row per body line and one column per header cell, so a
+blank line or a uniformly too-wide body is refused too.  Only a refused body
+is scanned again, row by row with `csv`, to name its first bad line.
 """
 
 from __future__ import annotations
 
 import csv
 import functools
+import io as pyio
 import json
 import math
 import os
@@ -133,22 +140,44 @@ def _write_grid_csv(path, space, headers, values):
 
 def _read_csv(path, skip=0):
     """Header and float body (columns `skip:`) of a CSV file.  An empty file,
-    a ragged row or a non-numeric cell raises ConfigError naming the file
-    and the line."""
+    a ragged row, a blank line or a cell that is not a bare number raises
+    ConfigError naming the file and the line."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    if not raw:
+        raise ConfigError(f"{path}: empty file")
+    start = raw.find(b"\n") + 1 or len(raw)  # the body's first byte
+    header = next(csv.reader([raw[:start].decode()]))
+    n_lines = raw.count(b"\n", start) + (start < len(raw) and not raw.endswith(b"\n"))
+    if not n_lines:  # header only; loadtxt would warn about the missing data
+        return header, np.empty((0, len(header) - skip))
+    body = pyio.BytesIO(raw)
+    body.seek(start)
+    try:
+        data = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
+    except ValueError as exc:
+        _raise_bad_line(path, len(header), exc)
+    # loadtxt skips blank lines and accepts any one uniform width
+    if data.shape != (n_lines, len(header)):
+        _raise_bad_line(path, len(header), f"read {data.shape} cells for {n_lines} lines")
+    return header, np.ascontiguousarray(data[:, skip:])
+
+
+def _raise_bad_line(path, n_cells, reason):
+    """Name the first line of `path` that the body parse refused: a scan with
+    csv, unquoted, and float() per cell.  `reason` is the fallback."""
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ConfigError(f"{path}: empty file")
-        data = []
+        reader = csv.reader(fh, quoting=csv.QUOTE_NONE)
+        next(reader)
         for row in reader:
             try:
-                if len(row) != len(header):
-                    raise ValueError(f"expected {len(header)} cells, found {len(row)}")
-                data.append([float(v) for v in row[skip:]])
+                if len(row) != n_cells:
+                    raise ValueError(f"expected {n_cells} cells, found {len(row)}")
+                for v in row:
+                    float(v)
             except ValueError as exc:
                 raise ConfigError(f"{path}, line {reader.line_num}: {exc}") from None
-    return header, np.array(data)
+    raise ConfigError(f"{path}: {reason}")
 
 
 def _read_grid_csv(path, value_columns):

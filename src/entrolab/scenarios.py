@@ -942,8 +942,10 @@ def classical_limit(
         scales = [float(s) for s in raw]
     except (TypeError, ValueError):
         raise ConfigError(f"{key} must be a number, got {list(raw)!r}") from None
-    if not scales or scales[0] != 1.0:
-        raise ConfigError("scale sweeps must start at 1.0 (the reference)")
+    if len(scales) < 2 or scales[0] != 1.0:
+        raise ConfigError(
+            f"{key} must start at 1.0 (the reference) and hold at least two scales, got {scales}"
+        )
     if not all(math.isfinite(s) and s > 0 for s in scales):
         raise ConfigError(f"{key} must be finite and positive, got {scales}")
     walkers = sc.walkers if walkers is None else int(walkers)
@@ -1074,10 +1076,7 @@ def _ks_metric(dir_a, dir_b):
         dir_b = dir_a
     if not os.path.exists(pos_path):
         raise ConfigError("ks metric needs an ensemble run with final_positions.csv")
-    try:
-        samples = np.loadtxt(pos_path, delimiter=",", skiprows=1, ndmin=2)[:, 0]
-    except ValueError as exc:
-        raise ConfigError(f"{pos_path}: {exc}") from None
+    samples = io.load_series(pos_path)[1][:, 0]
     rho_names = sorted(os.path.basename(p) for p in glob.glob(os.path.join(dir_b, "rho_*.csv")))
     if not rho_names:
         raise ConfigError(f"ks metric needs rho_*.csv snapshots in {dir_b}")

@@ -1,3 +1,4 @@
+import collections
 import math
 
 import numpy as np
@@ -231,6 +232,67 @@ def test_phase_fill_3d_matches_the_whole_grid_sweep():
     rho = np.where(support, 1.0, 0.0)
     filled = dyn._extend_phase_into_vacuum(phi, rho)
     assert np.array_equal(filled, _reference_fill_nd(phi, support))
+
+
+def _frontier_fill(phi_values, mask):
+    """The frontier fill the layer-indexed fill replaced: each pass finds the
+    unfilled cells next to filled ones, fills them from their filled
+    neighbours, and de-duplicates the cells one layer further out."""
+    nbr = dyn._neighbor_table(mask.shape)
+    filled = mask.ravel().copy()
+    out = np.where(filled, phi_values.ravel(), 0.0)
+    owner = np.empty(filled.size, dtype=np.intp)
+    front = np.flatnonzero(~filled & filled[nbr].any(axis=0))
+    while front.size:
+        nb = nbr[:, front]
+        acc = np.zeros(front.size)
+        for vals in out[nb]:
+            acc += vals
+        out[front] = acc / filled[nb].sum(axis=0)
+        filled[front] = True
+        ahead = nb[~filled[nb]]
+        owner[ahead] = np.arange(ahead.size)
+        front = ahead[owner[ahead] == np.arange(ahead.size)]
+    return out.reshape(mask.shape)
+
+
+def _bfs_distance(mask):
+    """Graph distance to the support over the neighbour table, one BFS."""
+    nbr = dyn._neighbor_table(mask.shape)
+    dist = np.where(mask.ravel(), 0, -1)
+    queue = collections.deque(np.flatnonzero(mask).tolist())
+    while queue:
+        cell = queue.popleft()
+        for other in nbr[:, cell].tolist():
+            if dist[other] < 0:
+                dist[other] = dist[cell] + 1
+                queue.append(other)
+    return dist.reshape(mask.shape)
+
+
+def _island_mask(rng, shape):
+    """A few box islands at random origins, wrapped around the grid, so that
+    some cross the periodic seam; the first always starts on the last cell."""
+    mask = np.zeros(shape, dtype=bool)
+    for k in range(int(rng.integers(2, 5))):
+        origin = [n - 1 for n in shape] if k == 0 else [int(rng.integers(n)) for n in shape]
+        box = [(o + np.arange(int(rng.integers(1, 4)))) % n for o, n in zip(origin, shape)]
+        mask[np.ix_(*box)] = True
+    return mask
+
+
+@pytest.mark.parametrize("shape", [(23, 17), (31, 8), (9, 7, 11), (6, 10, 5)])
+def test_phase_fill_matches_the_frontier_fill_bit_for_bit(shape):
+    rng = np.random.default_rng(sum(shape))
+    for _ in range(6):
+        mask = _island_mask(rng, shape)
+        phi = rng.normal(scale=3.0, size=shape)
+        phi[rng.random(shape) < 0.3] = -0.0
+        rho = np.where(mask, 1.0, 0.0)
+        assert np.array_equal(dyn._mass_mask(rho), mask)
+        filled = dyn._extend_phase_into_vacuum(phi, rho)
+        assert np.array_equal(filled.view(np.int64), _frontier_fill(phi, mask).view(np.int64))
+        assert np.array_equal(dyn._support_distance(mask), _bfs_distance(mask))
 
 
 def test_coupled_step_flushes_vacuum_dust():

@@ -196,3 +196,46 @@ def test_summary_roundtrip(tmp_path):
     io.save_summary(path, {"passed": True, "gap": 1.25e-9, "nested": {"a": [1, 2]}})
     back = io.load_summary(path)
     assert back == {"passed": True, "gap": 1.25e-9, "nested": {"a": [1, 2]}}
+
+
+# ---------------------------------------------------------------------------
+# reader contract: one C parse of the body, and a refused body names its line
+
+
+def _series_file(tmp_path, body, header="t,mass,n"):
+    path = tmp_path / "series.csv"
+    path.write_bytes((header + "\r\n" + body).encode())
+    return path
+
+
+@pytest.mark.filterwarnings("error")
+def test_header_only_file_reads_as_no_rows_without_a_warning(tmp_path):
+    io.save_series(tmp_path / "series.csv", ["t", "mass"], [])
+    header, rows = io.load_series(tmp_path / "series.csv")
+    assert header == ["t", "mass"]
+    assert rows.shape == (0, 2)
+
+
+def test_uniformly_too_wide_body_is_refused(tmp_path):
+    """A body of one width parses as a table; the width must match the header."""
+    path = _series_file(tmp_path, "1,2,3,4\r\n5,6,7,8\r\n")
+    with pytest.raises(ConfigError, match=r"series\.csv, line 2: expected 3 cells, found 4"):
+        io.load_series(path)
+
+
+@pytest.mark.parametrize(
+    "bad_line",
+    ["1,#1.0,3", '1,"1.0",3', "1,,3", ""],
+    ids=["comment-mark", "quoted", "empty-cell", "blank-line"],
+)
+def test_bad_body_line_is_refused_naming_the_file_and_the_line(tmp_path, bad_line):
+    path = _series_file(tmp_path, f"0,1,2\r\n1,2,3\r\n{bad_line}\r\n4,5,6\r\n")
+    with pytest.raises(ConfigError, match=r"series\.csv, line 4: "):
+        io.load_series(path)
+
+
+def test_nan_and_infinite_cells_round_trip(tmp_path):
+    rows = [(0.0, np.nan, np.inf), (1.0, -np.inf, -0.0)]
+    io.save_series(tmp_path / "series.csv", ["t", "a", "b"], rows)
+    _, back = io.load_series(tmp_path / "series.csv")
+    assert np.array_equal(back.view(np.int64), np.array(rows).view(np.int64))

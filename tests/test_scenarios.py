@@ -599,6 +599,19 @@ def test_classical_limit_refuses_bad_sweep_scales(tmp_path, capsys, flag, bad):
         assert flag in err
 
 
+@pytest.mark.parametrize("flag", ["--eta-sweep", "--mu-sweep"])
+def test_classical_limit_refuses_a_sweep_of_one_scale(tmp_path, capsys, flag):
+    """The reference alone sets no scaling: refused before any step."""
+    key = "eta_scales" if flag == "--eta-sweep" else "mu_scales"
+    with pytest.raises(ConfigError, match="at least two scales"):
+        classical_limit(scenario_from_dict(base_cfg()), **{key: (1.0,)})
+    cfg = write_cfg(tmp_path, name="classical", space={"points": 64})
+    code = cli.main(["classical-limit", cfg, flag, "1", "--out", str(tmp_path / "c")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert key in err and "at least two scales" in err
+
+
 AUDIT_CFG = dict(
     entropy={"type": "sine", "amplitude": 0.4, "mode": 1},
     potentials={},
@@ -689,4 +702,4 @@ def test_cli_compare_ks_with_malformed_positions_exits_2(tmp_path, capsys):
     code = cli.main(["compare", str(tmp_path / "a"), str(tmp_path / "a"),
                      "--metrics", "ks"])
     assert code == 2
-    assert "final_positions.csv" in capsys.readouterr().err
+    assert "final_positions.csv, line 8" in capsys.readouterr().err

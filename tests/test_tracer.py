@@ -53,5 +53,6 @@ def test_tracer_records_each_layer_of_a_run_and_a_compare(monkeypatch, tmp_path)
         "schrodinger.unitary_step",
         "io.save_scalar_field",
         "io.load_scalar_field",
+        "numpy.loadtxt",
     ):
         assert name in recorded, name

@@ -232,15 +232,21 @@ def _linear_fill_1d(phi_values, mask):
 AMP_RATIO_LIMIT = 8.0
 
 
-def clipped_amplitude_curvature(amp, space, axis):
-    """Second difference of amp along one axis over amp, the neighbor
-    amplitude ratios clipped at AMP_RATIO_LIMIT; amp must be clamped
-    positive by the caller."""
-    return (
-        np.minimum(shift(amp, axis, 1, space.boundary) / amp, AMP_RATIO_LIMIT)
-        + np.minimum(shift(amp, axis, -1, space.boundary) / amp, AMP_RATIO_LIMIT)
-        - 2.0
-    ) / space.spacings[axis] ** 2
+def clipped_amplitude_curvature(amp, space, coeffs):
+    """sum_a coeffs[a] (second difference of amp along axis a) / amp, the
+    neighbor amplitude ratios clipped at AMP_RATIO_LIMIT and axes with a zero
+    coefficient skipped; amp must be clamped positive by the caller."""
+    out = np.zeros(space.shape)
+    for a in range(space.dim):
+        if coeffs[a] == 0.0:
+            continue
+        curvature = (
+            np.minimum(shift(amp, a, 1, space.boundary) / amp, AMP_RATIO_LIMIT)
+            + np.minimum(shift(amp, a, -1, space.boundary) / amp, AMP_RATIO_LIMIT)
+            - 2.0
+        ) / space.spacings[a] ** 2
+        out += coeffs[a] * curvature
+    return out
 
 
 def quantum_potential(rho: ScalarField, params: PhysicalParams) -> ScalarField:
@@ -254,15 +260,9 @@ def quantum_potential(rho: ScalarField, params: PhysicalParams) -> ScalarField:
     three-point ratio.
     """
     params.matches_space(rho.space)
-    space = rho.space
     amp = np.sqrt(np.maximum(rho.values, DENSITY_REL_FLOOR * rho.values.max()))
-    out = np.zeros(space.shape)
-    for a in range(space.dim):
-        coeff = params.osmotic_masses[a] * params.eta**2 / (2.0 * params.masses[a] ** 2)
-        if coeff == 0.0:
-            continue
-        out += coeff * clipped_amplitude_curvature(amp, space, a)
-    return ScalarField(space, out)
+    coeffs = params.osmotic_masses * params.eta**2 / (2.0 * params.masses**2)
+    return ScalarField(rho.space, clipped_amplitude_curvature(amp, rho.space, coeffs))
 
 
 def energy(
@@ -304,13 +304,22 @@ def _require_periodic(space, what):
         raise ConfigError(f"{what} needs a periodic box")
 
 
-def _phase_rhs(rho_values, phi_values, space, params, V_values, A):
+def _phase_rhs(q, phi_values, space, params, V_values, A):
     kinetic = np.zeros(space.shape)
     g = covariant_gradient(ScalarField(space, phi_values), params, A)
     for a in range(space.dim):
         kinetic += (params.eta**2 / (2.0 * params.masses[a])) * g[a] ** 2
-    q = quantum_potential(ScalarField(space, rho_values), params).values
     return (q - kinetic - V_values) / params.eta
+
+
+def _phi_step(rho_values, phi, params, V, A, dt):
+    """phi advanced by one explicit midpoint step with rho frozen, so both
+    stages share one quantum potential."""
+    q = quantum_potential(ScalarField(phi.space, rho_values), params).values
+    k1 = _phase_rhs(q, phi.values, phi.space, params, V.values, A)
+    mid = phi.values + 0.5 * dt * k1
+    k2 = _phase_rhs(q, mid, phi.space, params, V.values, A)
+    return phi.values + dt * k2
 
 
 # faces with a density ratio above this are advected donor-cell instead of
@@ -319,44 +328,28 @@ def _phase_rhs(rho_values, phi_values, space, params, V_values, A):
 FACE_RATIO_LIMIT = math.exp(1.5)
 
 
-def _continuity_rhs_central(rho_values, v_comps, space):
-    """-sum_a d(rho v_a)/dx_a in flux form, v the drift velocity of phi.
+def _rho_halfstep(rho_values, v, space, half_dt):
+    """rho advanced by one explicit midpoint step of -sum_a d(rho v_a)/dx_a
+    in flux form, the drift velocity v and its face values v_face frozen for
+    both stages.  Faces steeper than FACE_RATIO_LIMIT in density fall back
+    from the central flux to donor-cell, which diffuses a cliff monotonically
+    instead of ringing; resolved mass-carrying regions never trigger it."""
+    v_face = [0.5 * (v[a] + shift(v[a], a, 1, PERIODIC)) for a in range(space.dim)]
 
-    Faces between cells of comparable density take the second-order central
-    flux; faces steeper than FACE_RATIO_LIMIT fall back to first-order
-    donor-cell, which diffuses a cliff monotonically instead of ringing.
-    Resolved mass-carrying regions never trigger the fallback.
-    """
-    rhs = np.zeros(space.shape)
-    for a in range(space.dim):
-        v = v_comps[a]
-        cell_flux = rho_values * v
-        rho_plus = np.roll(rho_values, -1, a)
-        central = 0.5 * (cell_flux + np.roll(cell_flux, -1, a))
-        v_face = 0.5 * (v + np.roll(v, -1, a))
-        donor = np.where(v_face > 0.0, rho_values, rho_plus) * v_face
-        steep = (rho_values > FACE_RATIO_LIMIT * rho_plus) | (
-            rho_plus > FACE_RATIO_LIMIT * rho_values
-        )
-        face = np.where(steep, donor, central)  # face[i]: between cells i, i+1
-        rhs -= (face - np.roll(face, 1, a)) / space.spacings[a]
-    return rhs
+    def rhs(rho):
+        out = np.zeros(space.shape)
+        for a in range(space.dim):
+            cell_flux = rho * v[a]
+            rho_plus = shift(rho, a, 1, PERIODIC)
+            central = 0.5 * (cell_flux + shift(cell_flux, a, 1, PERIODIC))
+            donor = np.where(v_face[a] > 0.0, rho, rho_plus) * v_face[a]
+            steep = (rho > FACE_RATIO_LIMIT * rho_plus) | (rho_plus > FACE_RATIO_LIMIT * rho)
+            face = np.where(steep, donor, central)  # face[i]: between cells i, i+1
+            out -= (face - shift(face, a, -1, PERIODIC)) / space.spacings[a]
+        return out
 
-
-def _phi_step(rho_values, phi, params, V, A, dt):
-    """phi advanced by one explicit midpoint step with rho frozen."""
-    k1 = _phase_rhs(rho_values, phi.values, phi.space, params, V.values, A)
-    mid = phi.values + 0.5 * dt * k1
-    k2 = _phase_rhs(rho_values, mid, phi.space, params, V.values, A)
-    return phi.values + dt * k2
-
-
-def _rho_halfstep(rho_values, phi, params, A, half_dt):
-    v = drift_velocity(phi, params, A).components
-    k1 = _continuity_rhs_central(rho_values, v, phi.space)
-    mid = rho_values + 0.5 * half_dt * k1
-    k2 = _continuity_rhs_central(mid, v, phi.space)
-    return rho_values + half_dt * k2
+    mid = rho_values + 0.5 * half_dt * rhs(rho_values)
+    return rho_values + half_dt * rhs(mid)
 
 
 def coupled_stability_limit(
@@ -373,13 +366,17 @@ def coupled_stability_limit(
     neutrally stable for omega dt <= 2.  Advection speeds are measured only
     where the density carries mass (velocity over empty cells moves nothing).
     """
-    space = state.space
+    v = drift_velocity(state.phi, params, A).components
+    return _stability_limit(state.rho.values, v, state.space, params, safety)
+
+
+def _stability_limit(rho_values, v, space, params, safety):
+    """coupled_stability_limit for the drift velocity v (components) of the phase."""
     omega = 0.0
     for a in range(space.dim):
         ratio = params.osmotic_masses[a] / params.masses[a]
         omega += math.sqrt(ratio) * (params.eta / (2.0 * params.masses[a])) * 4.0 / space.spacings[a] ** 2
-    v = drift_velocity(state.phi, params, A).components
-    mask = _mass_mask(state.rho.values)
+    mask = _mass_mask(rho_values)
     rate = 0.5 * omega
     for a in range(space.dim):
         vmax = float(np.abs(v[a])[mask].max()) if mask.any() else 0.0
@@ -396,18 +393,22 @@ def coupled_step(
     dt: float,
     A: VectorField | None = None,
 ) -> ManifoldState:
-    """One symmetric split step: rho half, phi full, rho half."""
+    """One symmetric split step: rho half, phi full, rho half.  One drift
+    velocity v serves the bound and the first rho half step; each phi step
+    builds q once, each rho half step its v_face once."""
     params.matches_space(state.space)
     _require_periodic(state.space, "the coupled solver")
     space = state.space
-    limit = coupled_stability_limit(state, params, A, safety=1.0)
+    v = drift_velocity(state.phi, params, A).components
+    limit = _stability_limit(state.rho.values, v, space, params, safety=1.0)
     if dt > limit:
         raise StabilityError(f"dt={dt:g} exceeds the split-step bound {limit:g}", dt_max=limit)
 
-    rho_half = _rho_halfstep(state.rho.values, state.phi, params, A, 0.5 * dt)
+    rho_half = _rho_halfstep(state.rho.values, v, space, 0.5 * dt)
     rho_half = np.maximum(rho_half, 0.0)
     phi_new = ScalarField(space, _phi_step(rho_half, state.phi, params, V, A, dt))
-    rho_new = _rho_halfstep(rho_half, phi_new, params, A, 0.5 * dt)
+    v_new = drift_velocity(phi_new, params, A).components
+    rho_new = _rho_halfstep(rho_half, v_new, space, 0.5 * dt)
     rho_new = np.maximum(rho_new, 0.0)
     rho_new[rho_new < VACUUM_FLUSH_FLOOR * rho_new.max()] = 0.0
     rho_new = normalize_density(ScalarField(space, rho_new))

@@ -56,10 +56,6 @@ class Ensemble:
         return self.positions.shape[0]
 
     @classmethod
-    def from_points(cls, space, positions, dt, seed=0):
-        return cls(space, np.array(positions, dtype=float), dt, np.random.default_rng(seed))
-
-    @classmethod
     def from_density(cls, rho: ScalarField, walkers: int, dt: float, seed=0):
         """Sample walkers from a grid density: multinomial over cells, then a
         uniform jitter inside each cell."""

@@ -813,8 +813,13 @@ def gauge_check(sc: Scenario, chi_amplitude, chi_mode, outdir, tolerance=1e-8) -
     beta = sc.params.beta
     if beta == 0.0:
         raise ConfigError("gauge-check needs params.beta != 0")
+    chi_amplitude = float(chi_amplitude)
+    if not math.isfinite(chi_amplitude):
+        raise ConfigError(f"chi amplitude must be finite, got {chi_amplitude}")
+    if not (math.isfinite(tolerance) and tolerance >= 0.0):
+        raise ConfigError(f"tolerance must be finite and >= 0, got {tolerance}")
     space = sc.space
-    chi = _sine(space, float(chi_amplitude), int(chi_mode))
+    chi = _sine(space, chi_amplitude, int(chi_mode))
     dt = resolve_dt(sc)
     A = sc.vector_potential
 
@@ -875,7 +880,7 @@ def gauge_check(sc: Scenario, chi_amplitude, chi_mode, outdir, tolerance=1e-8) -
         "name": sc.name,
         "engine": sc.engine,
         "beta": beta,
-        "chi_amplitude": float(chi_amplitude),
+        "chi_amplitude": chi_amplitude,
         "chi_mode": int(chi_mode),
         "dt": dt,
         "times": [float(t) for t in times],

@@ -276,12 +276,7 @@ def _nonlinear_potential(psi, space, params):
         return None
     raw = np.abs(psi)
     amp = np.maximum(raw, math.sqrt(DENSITY_REL_FLOOR) * raw.max())
-    out = np.zeros(space.shape)
-    for a in range(space.dim):
-        if coeffs[a] == 0.0:
-            continue
-        out += coeffs[a] * clipped_amplitude_curvature(amp, space, a)
-    return out
+    return clipped_amplitude_curvature(amp, space, coeffs)
 
 
 def _split_step(w, params, V, dt, A, nonlinear):

@@ -375,6 +375,31 @@ def test_coupled_step_rejects_unstable_dt():
         dyn.coupled_step(st, p, zero_field(space), 3.0 * limit)
 
 
+def test_coupled_step_builds_each_field_once(monkeypatch):
+    """One drift velocity per phase (the bound shares the first), one quantum
+    potential per phase step, and no call of the public bound."""
+    calls = collections.Counter()
+
+    def counted(name):
+        inner = getattr(dyn, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("drift_velocity", "quantum_potential", "coupled_stability_limit"):
+        monkeypatch.setattr(dyn, name, counted(name))
+    p = make_params(masses=(1.0, 1.0))
+    space = make_space(12.0, 32, p, dim=2)
+    rho = gaussian_density(space, (0.5, -0.5), 0.8)
+    phi = ScalarField(space, 0.4 * np.sin(2.0 * math.pi * space.meshes[0] / 12.0))
+    st = dyn.ManifoldState(rho, phi, 0.0)
+    dyn.coupled_step(st, p, harmonic(space), 1e-3)
+    assert calls == {"drift_velocity": 2, "quantum_potential": 1}
+
+
 def test_stability_limit_scales_with_grid():
     p = make_params()
     coarse = make_space(12.0, 64, p)

@@ -26,7 +26,7 @@ def test_from_density_counts_and_determinism():
 def test_positions_are_wrapped():
     p = make_params()
     space = make_space(10.0, 64, p)
-    e = ens.Ensemble.from_points(space, np.array([[7.3], [-6.1]]), dt=0.01)
+    e = ens.Ensemble(space, np.array([[7.3], [-6.1]]), 0.01, np.random.default_rng(0))
     assert np.all(np.abs(e.positions) <= 5.0)
 
 
@@ -34,9 +34,9 @@ def test_bad_shapes_rejected():
     p = make_params()
     space = make_space(10.0, 64, p)
     with pytest.raises(ConfigError):
-        ens.Ensemble.from_points(space, np.zeros((10, 2)), dt=0.01)
+        ens.Ensemble(space, np.zeros((10, 2)), 0.01, np.random.default_rng(0))
     with pytest.raises(ConfigError):
-        ens.Ensemble.from_points(space, np.zeros((10, 1)), dt=-0.1)
+        ens.Ensemble(space, np.zeros((10, 1)), -0.1, np.random.default_rng(0))
 
 
 def test_estimate_density_normalized():

@@ -234,7 +234,7 @@ def test_reflecting_box_matches_padded_stencils(dim):
         assert np.array_equal(axis_gradient(f, a), (plus - minus) / (2.0 * dx))
         curvature = (np.minimum(plus / noise, AMP_RATIO_LIMIT)
                      + np.minimum(minus / noise, AMP_RATIO_LIMIT) - 2.0) / dx**2
-        assert np.array_equal(clipped_amplitude_curvature(noise, space, a), curvature)
+        assert np.array_equal(clipped_amplitude_curvature(noise, space, np.eye(dim)[a]), curvature)
 
     rho = ScalarField(space, rho0)
     assert fp.fp_stability_limit(S, p, A) == _padded_limit(S, p, A)

@@ -565,6 +565,23 @@ def test_cli_gauge_check_requires_beta(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--chi", "nan:1"), ("--chi", "inf:1"), ("--tolerance", "nan"), ("--tolerance", "-1")],
+    ids=["chi-nan", "chi-inf", "tolerance-nan", "tolerance-negative"],
+)
+def test_cli_gauge_check_refuses_non_finite_input(tmp_path, capsys, flag, value):
+    """Refused before any step, and before the output directory exists."""
+    cfg = write_cfg(tmp_path, name="gauge", params={"beta": 0.7},
+                    run={"engine": "schrodinger", "steps": 10, "snapshot_stride": 5})
+    # a repeated option takes its last value
+    code = cli.main(["gauge-check", cfg, "--chi", "0.8:1", flag, value,
+                     "--out", str(tmp_path / "g")])
+    assert code == 2
+    assert value.split(":")[0] in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "g")
+
+
 def test_classical_limit_refuses_vector_potential(tmp_path, capsys):
     """The audit's steps and its Hamilton-Jacobi residual carry no A term."""
     potentials = {

@@ -8,7 +8,8 @@ averages recover the forward and backward drift fields.
 
 Positions are wrapped into the box once, by the Ensemble constructor, so
 every walker step wraps exactly once and interpolation always sees in-box
-points.
+points.  The constructor refuses non-finite coordinates, so a NaN or infinite
+drift fails the step instead of leaving walkers on a wall.
 
 Reproducibility: every ensemble owns a seeded generator; equal seeds and
 inputs give bit-identical trajectories.
@@ -49,6 +50,9 @@ class Ensemble:
             )
         if not self.dt > 0.0:
             raise ConfigError("dt must be positive")
+        bad = pos.size - np.count_nonzero(np.isfinite(pos))
+        if bad:
+            raise ConfigError(f"{bad} of {pos.size} walker coordinates are not finite")
         self.positions = self.space.wrap(pos)
 
     @property
@@ -85,10 +89,13 @@ def step_ensemble(
         raise GridMismatchError("entropy field lives on a different grid")
     params.matches_space(e.space)
     b = drift_velocity(S, params, A)
-    drift = interpolate_vector(b, e.positions)
-    scale = np.sqrt(params.eta_over_m * e.dt)
-    noise = e.rng.standard_normal(e.positions.shape) * scale
-    new_pos = e.positions + drift * e.dt + noise
+    # (positions + drift * dt) + noise, built in place in the drift array
+    new_pos = interpolate_vector(b, e.positions)
+    new_pos *= e.dt
+    new_pos += e.positions
+    noise = e.rng.standard_normal(e.positions.shape)
+    noise *= np.sqrt(params.eta_over_m * e.dt)
+    new_pos += noise
     return Ensemble(e.space, new_pos, e.dt, e.rng, e.time + e.dt)
 
 

@@ -12,7 +12,9 @@ phase solvers) shares the conventions fixed here:
   through a reflecting wall,
 * second-order central differences respecting the boundary condition,
 * multilinear interpolation (interpolate_vector) of in-box positions only:
-  callers wrap first, as the Ensemble constructor does,
+  callers wrap first, as the Ensemble constructor does; the corners come
+  from one table padded by a cell per side, with periodic copies on a
+  periodic box and edge copies on a reflecting one,
 * a diagonal configuration-space metric with weight 1/sigma_a^2 per axis,
   so the squared step length of a displacement dx is sum_a dx_a^2/sigma_a^2.
 
@@ -117,21 +119,28 @@ class ConfigSpace:
 
         Idempotent: wrap(wrap(x)) == wrap(x) bit for bit.  A periodic axis
         maps into [-L/2, L/2); a point a rounding error below -L/2 has
-        remainder L, which is the lower wall, not the upper one.
+        remainder L, which is the lower wall, not the upper one.  The
+        remainder is taken only for points off the box (r = x + L/2 outside
+        [0, L), or [0, L] when reflecting): on the box it is r itself, so
+        every point still comes out as its remainder plus -L/2.
         """
-        pos = np.array(positions, dtype=float, copy=True)
-        pos = pos.reshape(-1, self.dim)
+        pos = np.asarray(positions, dtype=float).reshape(-1, self.dim)
+        out = np.empty(pos.shape)
         for a in range(self.dim):
             lo = -0.5 * self.extents[a]
             L = self.extents[a]
+            r = pos[:, a] - lo
             if self.boundary == PERIODIC:
-                r = (pos[:, a] - lo) % L
-                pos[:, a] = np.where(r < L, r, 0.0) + lo
+                off = np.flatnonzero(~((r >= 0.0) & (r < L)))
+                y = r[off] % L
+                r[off] = np.where(y < L, y, 0.0)
             else:
                 # fold repeatedly: period-2L sawtooth gives specular reflection
-                y = (pos[:, a] - lo) % (2.0 * L)
-                pos[:, a] = lo + np.where(y > L, 2.0 * L - y, y)
-        return pos
+                off = np.flatnonzero(~((r >= 0.0) & (r <= L)))
+                y = r[off] % (2.0 * L)
+                r[off] = np.where(y > L, 2.0 * L - y, y)
+            np.add(r, lo, out=out[:, a])
+        return out
 
     def min_image(self, delta):
         """Displacements under the boundary rule (minimum image if periodic)."""
@@ -384,24 +393,43 @@ def interpolate_vector(field: VectorField, positions: np.ndarray) -> np.ndarray:
     """Multilinear interpolation of every component at (W, dim) positions.
 
     Positions must lie in the box, as ConfigSpace.wrap leaves them; corner
-    cells then fall in [-1, n].  Periodic axes wrap them; reflecting axes
-    clip them (-1 -> 0, n -> n-1), which is the even extension of the data
-    that the difference stencils see.
+    cells then fall in [-1, n], and a point further out raises ConfigError.
+    The corners are read from one table padded by a cell per side: periodic
+    copies on a periodic box, edge copies on a reflecting one (-1 -> 0,
+    n -> n-1), which is the even extension of the data that the difference
+    stencils see.
     """
     space = field.space
     pos = np.asarray(positions, dtype=float).reshape(-1, space.dim)
-    f = (pos + np.multiply(0.5, space.extents)) / space.spacings - 0.5
-    base = np.floor(f).astype(np.intp)
-    frac = f - base
-    mode = "wrap" if space.boundary == PERIODIC else "clip"
-    table = field.components.reshape(space.dim, -1)
+    # fractional cell coordinates, one contiguous row per axis
+    f = np.empty((space.dim, pos.shape[0]))
+    for a in range(space.dim):
+        np.add(pos[:, a], 0.5 * space.extents[a], out=f[a])
+        f[a] /= space.spacings[a]
+    f -= 0.5
+    floor = np.floor(f)
+    base = floor.astype(np.intp)
+    frac = f - floor
+    lower = 1.0 - frac
+    for a in range(space.dim):
+        if base[a].size and (base[a].min() < -1 or base[a].max() >= space.points[a]):
+            raise ConfigError(f"interpolate_vector needs in-box positions (axis {a}); wrap first")
+    mode = "wrap" if space.boundary == PERIODIC else "edge"
+    padded = np.pad(field.components, [(0, 0)] + [(1, 1)] * space.dim, mode=mode)
+    table = padded.reshape(space.dim, -1)
+    strides = [padded.strides[a + 1] // padded.itemsize for a in range(space.dim)]
+    # cell c sits at c + 1 in the padded table: low is the flat index of
+    # base - 1, so corner base + hi is at low + sum((1 + hi) * strides)
+    low = base[-1]
+    for a in range(space.dim - 1):
+        low = low + base[a] * strides[a]
     out = np.zeros((space.dim, pos.shape[0]))
     for corner in range(1 << space.dim):
         hi = [(corner >> a) & 1 for a in range(space.dim)]
-        cells = tuple(base[:, a] + h for a, h in enumerate(hi))
-        flat = np.ravel_multi_index(cells, space.shape, mode=mode)
-        weight = np.ones(pos.shape[0])
-        for a, h in enumerate(hi):
-            weight *= frac[:, a] if h else (1.0 - frac[:, a])
-        out += weight * table.take(flat, axis=1)
+        weight = frac[0] if hi[0] else lower[0]
+        for a in range(1, space.dim):
+            weight = weight * (frac[a] if hi[a] else lower[a])
+        values = table.take(low + sum((1 + h) * s for h, s in zip(hi, strides)), axis=1)
+        values *= weight
+        out += values
     return out.T

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -5,7 +6,16 @@ import pytest
 
 from entrolab import ensemble as ens
 from entrolab.errors import ConfigError
-from entrolab.fields import ScalarField, axis_gradient, clamped_log
+from entrolab.fields import (
+    PERIODIC,
+    REFLECTING,
+    ConfigSpace,
+    PhysicalParams,
+    ScalarField,
+    axis_gradient,
+    clamped_log,
+    normalize_density,
+)
 from entrolab.fokker_planck import drift_velocity
 
 from conftest import gaussian_density, make_params, make_space, zero_field
@@ -37,6 +47,46 @@ def test_bad_shapes_rejected():
         ens.Ensemble(space, np.zeros((10, 2)), 0.01, np.random.default_rng(0))
     with pytest.raises(ConfigError):
         ens.Ensemble(space, np.zeros((10, 1)), -0.1, np.random.default_rng(0))
+
+
+def test_non_finite_positions_rejected():
+    p = make_params()
+    space = make_space(10.0, 64, p)
+    pos = np.zeros((10, 1))
+    pos[[2, 7], 0] = [np.nan, -np.inf]
+    with pytest.raises(ConfigError, match="2 of 10 walker coordinates are not finite"):
+        ens.Ensemble(space, pos, 0.01, np.random.default_rng(0))
+
+
+# sha256 of the final positions after 20 steps; they were computed with the
+# remainder-on-every-point wrap and the per-corner ravel_multi_index
+# interpolation, so any change of the step's arithmetic shows here.  The
+# fields are polynomials, so no transcendental function enters the bits.
+STEP_BITS = {
+    (1, PERIODIC): "ec91c10f33697907c9b9474c9a08a3d0dfd9cc053817c1d8864fa1b902d709b2",
+    (1, REFLECTING): "24a0993b796ab763b0f20765ad3d62c4b0e946a5d8ff143aa8523f415c1bf90d",
+    (2, PERIODIC): "39ff4f27c9854ab573cbdb4c73304f337a5d22ecae9362272675aa3b9d5b03b2",
+    (2, REFLECTING): "7d5135ddfa209388b55f5a97696467c147442ad25c8f28d8ebc516de92f01933",
+    (3, PERIODIC): "b120e1146b487bfb87d8143663cdb2a642f5bad93b3708fdb6179f7ed2631c92",
+    (3, REFLECTING): "8222087c291ad3eab643933f7b066f85f16e32d234ee1223a37728c0fc4bdb41",
+}
+
+
+@pytest.mark.parametrize("boundary", [PERIODIC, REFLECTING])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_step_ensemble_bits_are_pinned(dim, boundary):
+    p = PhysicalParams.from_masses([1.0, 2.0, 0.5][:dim], eta=1.0, tau=0.1)
+    space = ConfigSpace(dim=dim, extents=(6.0, 5.0, 4.0)[:dim], points=(48, 20, 12)[:dim],
+                        boundary=boundary, sigma_sq=p.sigma_sq)
+    u = [m / L for m, L in zip(space.meshes, space.extents)]
+    S = ScalarField(space, sum(3.0 * x**2 + (a + 1) * x**3 for a, x in enumerate(u)))
+    # nonzero on the walls, so walkers start next to them and cross them
+    rho = normalize_density(ScalarField(space, np.prod([1.2 - 4.0 * x**2 for x in u], axis=0)))
+    e = ens.Ensemble.from_density(rho, 3000, dt=0.01, seed=7)
+    for _ in range(20):
+        e = ens.step_ensemble(e, S, p)
+    digest = hashlib.sha256(e.positions.tobytes()).hexdigest()
+    assert digest == STEP_BITS[dim, boundary]
 
 
 def test_estimate_density_normalized():

@@ -279,3 +279,54 @@ def test_wrap_is_idempotent(boundary):
         assert np.array_equal(space.wrap(once), once)
         if boundary == PERIODIC:
             assert once.max() < 10.0
+
+
+def _remainder_wrap(space, positions):
+    """ConfigSpace.wrap as the remainder rule taken on every point, kept as
+    the bitwise reference for the off-box-only remainder."""
+    pos = np.array(positions, dtype=float, copy=True).reshape(-1, space.dim)
+    for a in range(space.dim):
+        lo = -0.5 * space.extents[a]
+        L = space.extents[a]
+        if space.boundary == PERIODIC:
+            r = (pos[:, a] - lo) % L
+            pos[:, a] = np.where(r < L, r, 0.0) + lo
+        else:
+            y = (pos[:, a] - lo) % (2.0 * L)
+            pos[:, a] = lo + np.where(y > L, 2.0 * L - y, y)
+    return pos
+
+
+@pytest.mark.parametrize("boundary", [PERIODIC, REFLECTING])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_wrap_matches_remainder_rule(dim, boundary):
+    rng = np.random.default_rng(20 + dim)
+    ext = np.array((7.3, 4.0, 5.5)[:dim])
+    space = ConfigSpace(dim=dim, extents=tuple(ext), points=16, boundary=boundary)
+    x = rng.uniform(-4.0, 4.0, size=(6000, dim)) * ext  # several periods out
+    x[:2000] = rng.uniform(-0.5, 0.5, size=(2000, dim)) * ext  # in the box
+    # on each wall and one ulp either side, on every axis at once
+    walls = np.concatenate([-0.5 * ext, 0.5 * ext]).reshape(2, dim)
+    ulps = [np.nextafter(walls, -np.inf), np.nextafter(walls, np.inf)]
+    signed = np.repeat([[-0.0], [np.inf], [-np.inf]], dim, axis=1)
+    x = np.concatenate([x, walls, *ulps, signed])
+    with np.errstate(invalid="ignore"):  # inf % L
+        got = space.wrap(x)
+        want = _remainder_wrap(space, x)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    if boundary == PERIODIC:
+        assert np.all(got[-1] == -0.5 * ext)  # -inf lands on the lower wall
+
+
+@pytest.mark.parametrize("boundary", [PERIODIC, REFLECTING])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_interpolate_vector_refuses_points_past_the_padding(dim, boundary):
+    """A point two cells past a wall would index beyond the padded table."""
+    space = ConfigSpace(dim=dim, extents=(6.0, 4.0)[:dim], points=(12, 8)[:dim], boundary=boundary)
+    field = VectorField(space, np.ones((dim,) + space.shape))
+    for a in range(dim):
+        for wall in (-1.0, 1.0):
+            pos = np.zeros((3, dim))
+            pos[1, a] = wall * (0.5 * space.extents[a] + 2.0 * space.spacings[a])
+            with pytest.raises(ConfigError, match=f"axis {a}"):
+                interpolate_vector(field, pos)

@@ -276,6 +276,45 @@ def test_nan_potential_fails_mass_and_norm_checks(tmp_path):
     assert not summary["passed"]
 
 
+def _nan_vector_potential_cfg(tmp_path):
+    """A 1D ensemble scenario whose A file has one NaN cell: the walkers'
+    drift there is NaN from the first step."""
+    sc = scenario_from_dict(base_cfg())
+    A = np.zeros(sc.space.shape)
+    A[64] = np.nan
+    a_path = tmp_path / "A.csv"
+    # a 1D vector field has one component column, as a scalar field does
+    io.save_scalar_field(a_path, ScalarField(sc.space, A))
+    return base_cfg(params={"beta": 0.5},
+                    potentials={"A": {"type": "file", "file": str(a_path)}},
+                    entropy={"type": "sine", "amplitude": 0.2, "mode": 1},
+                    run={"engine": "ensemble", "dt": 0.005, "steps": 20, "walkers": 20000, "seed": 3,
+                         "snapshot_stride": 10})
+
+
+def test_nan_vector_potential_fails_the_ensemble_run(tmp_path):
+    """NaN walkers once landed on the lower wall and the run passed."""
+    sc = scenario_from_dict(_nan_vector_potential_cfg(tmp_path))
+    with pytest.raises(ConfigError, match="walker coordinates are not finite"):
+        run(sc, str(tmp_path / "out"))
+    summary = io.load_summary(tmp_path / "out" / "summary.json")
+    assert summary["status"] == "failed"
+    assert summary["error"]["type"] == "ConfigError"
+    assert summary["last_step"] == 0
+    assert not os.path.exists(tmp_path / "out" / "final_positions.csv")
+
+
+def test_cli_nan_vector_potential_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "nan-a.json"
+    cfg.write_text(json.dumps(_nan_vector_potential_cfg(tmp_path)))
+    code = cli.main(["ensemble", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "not finite" in capsys.readouterr().err
+    summary = io.load_summary(tmp_path / "out" / "summary.json")
+    assert summary["status"] == "failed"
+    assert summary["last_step"] == 0
+
+
 def test_time_dependent_potential_audited(tmp_path):
     cfg = base_cfg(
         potentials={"V": {"type": "harmonic", "omega": 1.0, "time_scale": 2.0}},

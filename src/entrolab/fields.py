@@ -295,8 +295,11 @@ class PhysicalParams:
         return self.eta / self.masses
 
     def matches_space(self, space):
-        if len(self.sigma_sq) != space.dim or not np.allclose(
-            self.sigma_sq, space.sigma_sq, rtol=1e-12
+        """Refuse a grid whose sigma_sq is not np.allclose(..., rtol=1e-12) to
+        ours, decided per axis in plain Python: the engines check every step."""
+        if len(self.sigma_sq) != space.dim or not all(
+            a == b or (math.isfinite(a - b) and abs(a - b) <= 1e-8 + 1e-12 * abs(b))
+            for a, b in zip(self.sigma_sq, space.sigma_sq)
         ):
             raise GridMismatchError("params.sigma_sq disagrees with the grid's sigma_sq")
 

@@ -485,6 +485,11 @@ def resolve_dt(sc: Scenario) -> float:
         limit = fp.fp_stability_limit(
             sc.entropy, sc.params, sc.vector_potential, sc.initial.rho
         )
+    if math.isnan(limit):
+        raise ConfigError(
+            "run.dt cannot be 'auto': the stability bound is NaN, so a scenario field"
+            " (initial data, entropy or A) is not finite"
+        )
     if not math.isfinite(limit):
         raise ConfigError(
             "run.dt cannot be 'auto' for a scenario with no dynamical rate; set it explicitly"
@@ -505,11 +510,18 @@ def _engine(sc: Scenario, dt: float, A: VectorField | None):
     advance takes the state after step - 1 to the state after step, with V
     at the step's midpoint.  snapshot returns (t, rho, energy breakdown or
     None, psi or None); the breakdown is the functional the engine conserves.
+    A static V is resolved once and the same field goes to every step and
+    snapshot, so the wave engines build its phase factor once per run; a
+    driven V is a new field at every time.
     """
     params = sc.params
+    static_V = sc.potential_at(0.0) if sc.static_potential else None
+
+    def v_at(t):
+        return sc.potential_at(t) if static_V is None else static_V
 
     def v_mid(step):
-        return sc.potential_at((step - 0.5) * dt)
+        return v_at((step - 0.5) * dt)
 
     if sc.engine == "fokker-planck":
         return (
@@ -529,7 +541,7 @@ def _engine(sc: Scenario, dt: float, A: VectorField | None):
             lambda st, step: dynamics.coupled_step(st, params, v_mid(step), dt, A),
             lambda st, step: (
                 st.time, st.rho,
-                dynamics.energy(st, params, sc.potential_at(st.time), A), None,
+                dynamics.energy(st, params, v_at(st.time), A), None,
             ),
         )
     if sc.engine == "nonlinear" and A is not None:
@@ -542,7 +554,7 @@ def _engine(sc: Scenario, dt: float, A: VectorField | None):
         ),
         lambda w, step: (
             w.time, schro.probability_density(w),
-            schro.wavefunction_energy_breakdown(w, params, sc.potential_at(w.time), A), w.psi,
+            schro.wavefunction_energy_breakdown(w, params, v_at(w.time), A), w.psi,
         ),
     )
 

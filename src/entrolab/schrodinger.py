@@ -22,9 +22,13 @@ gauge by the cumulative link phase gives every hop on a periodic line the
 same twist, the line's holonomy over its cell count, so the line's hopping
 operator is circulant and the Cayley factor is diagonal in Fourier space.
 A is static over a run, so the links, the gauge phases and the Cayley
-factors are built once per A object and reused on every step.  The memo is
-keyed on the object, which is sound because fields are immutable values (the
-fields.py contract): code that needs another A builds a new VectorField.
+factors are built once per A object and reused on every step.  V is static
+over a run too (a driven potential is a new ScalarField each step), so its
+half-kick phase factor is built once per V object.  Both memos are keyed on
+the object, which is sound because fields are immutable values (the
+fields.py contract): code that needs another A or V builds a new field.
+Without A the sweep's Cayley factor depends only on scalars and is cached on
+them.
 
 The nonlinear (mu != m) term is a bounded real potential on clamped data; it
 is applied inside the symmetric splitting from the pre- and post-step moduli,
@@ -34,6 +38,7 @@ nonlinear coefficient vanishes the code path is identical to the linear one.
 
 from __future__ import annotations
 
+import functools
 import math
 import weakref
 from dataclasses import dataclass
@@ -182,6 +187,20 @@ def gauge_transform(w: WaveFunction, A: VectorField | None, chi: ScalarField, be
 # Cayley kinetic sweeps
 
 
+def _cayley_factor(n, axis, dim, h, c, twist=0.0):
+    """(1 - i h lam / 2) / (1 + i h lam / 2) over the sweep's Fourier modes,
+    with lam = 2c(1 - cos(k - twist)) the eigenvalues of the line's twisted
+    circulant hopping operator."""
+    j = _reshape_k(np.arange(n), axis, dim)
+    lam = 2.0 * c * (1.0 - np.cos(2.0 * math.pi * j / n - twist))
+    return (1.0 - 0.5j * h * lam) / (1.0 + 0.5j * h * lam)
+
+
+# Without links the factor depends only on its scalars, so one entry per
+# (grid line, axis, h, c) serves every step of every run that shares them.
+_free_cayley_factor = functools.lru_cache(maxsize=16)(_cayley_factor)
+
+
 def _sweep_operators(space, params, axis, h, link):
     """Gauge phases, their conjugates and the Cayley factor of one axis sweep.
 
@@ -191,28 +210,38 @@ def _sweep_operators(space, params, axis, h, link):
     Theta = beta sum link the holonomy of the line, gives every hop the same
     twist exp(-i Theta/n); H_a is then circulant with eigenvalues
     2c(1 - cos(k - Theta/n)), so the factor is diagonal in Fourier space and
-    one batched FFT solves every line of the axis.  Without links alpha =
-    Theta = 0.
+    one batched FFT solves every line of the axis.  Without links there is
+    no gauge (None) and no twist.
     """
     n = space.points[axis]
     c = params.eta / (2.0 * params.masses[axis] * space.spacings[axis] ** 2)
-    j = _reshape_k(np.arange(n), axis, space.dim)
     if link is None:
-        gauge, twist = 1.0, 0.0
-    else:
-        bl = params.beta * link
-        twist = bl.sum(axis=axis, keepdims=True) / n
-        gauge = np.exp(1j * (np.cumsum(bl, axis=axis) - bl - j * twist))
-    lam = 2.0 * c * (1.0 - np.cos(2.0 * math.pi * j / n - twist))
-    factor = (1.0 - 0.5j * h * lam) / (1.0 + 0.5j * h * lam)
-    return gauge, np.conj(gauge), factor
+        return None, None, _free_cayley_factor(n, axis, space.dim, h, c)
+    j = _reshape_k(np.arange(n), axis, space.dim)
+    bl = params.beta * link
+    twist = bl.sum(axis=axis, keepdims=True) / n
+    gauge = np.exp(1j * (np.cumsum(bl, axis=axis) - bl - j * twist))
+    return gauge, np.conj(gauge), _cayley_factor(n, axis, space.dim, h, c, twist)
+
+
+def _last_built(slots, slot, key, build):
+    """slots[slot] as built for key; on a miss, build() replaces it.
+
+    A slot keeps only its last key, so a caller that varies dt rebuilds the
+    value instead of growing the memo.
+    """
+    cached = slots.get(slot)
+    if cached is None or cached[0] != key:
+        cached = slots[slot] = (key, build())
+    return cached[1]
 
 
 # Per vector potential: its face links and, per axis, the operators of its
-# last sweep with the scalars they were built from.  VectorField hashes by
-# identity and fields are immutable values, so an entry never goes stale; it
-# dies with its A.
+# last sweep with the scalars they were built from.  Per potential: the
+# half-kick phase factor of its last (dt, eta).  Fields hash by identity and
+# are immutable values, so an entry never goes stale; it dies with its field.
 _GAUGE_OPERATORS = weakref.WeakKeyDictionary()
+_KICK_PHASES = weakref.WeakKeyDictionary()
 
 
 def _gauge_operators(A: VectorField):
@@ -224,25 +253,32 @@ def _gauge_operators(A: VectorField):
 
 
 def _axis_operators(space, params, axis, h, A):
-    """Operators of one axis sweep; with A, built once per A and per key.
-
-    Each axis keeps only its last key, so a caller that varies dt rebuilds
-    the operators instead of growing the memo.
-    """
+    """Operators of one axis sweep; with A, built once per A and per key."""
     if A is None:
         return _sweep_operators(space, params, axis, h, None)
     links, sweeps = _gauge_operators(A)
     # every scalar _sweep_operators reads; the grid's shape is A's
     key = (h, params.beta, params.eta, params.masses[axis], space.spacings[axis])
-    cached = sweeps.get(axis)
-    if cached is None or cached[0] != key:
-        cached = sweeps[axis] = (key, _sweep_operators(space, params, axis, h, links[axis]))
-    return cached[1]
+    return _last_built(
+        sweeps, axis, key, lambda: _sweep_operators(space, params, axis, h, links[axis])
+    )
+
+
+def _half_kick(values, dt, eta):
+    """exp(-i dt V / 2 eta), the phase of half a step of the potential."""
+    return np.exp(-0.5j * dt * values / eta)
+
+
+def _kick_phase(V: ScalarField, dt, eta):
+    """V's half-kick phase, built once per V and per (dt, eta)."""
+    return _last_built(_KICK_PHASES, V, (dt, eta), lambda: _half_kick(V.values, dt, eta))
 
 
 def _cayley_axis_sweep(psi, axis, operators):
     """One Cayley half-implicit kinetic step along a single axis."""
     gauge, conj_gauge, factor = operators
+    if gauge is None:
+        return np.fft.ifft(factor * np.fft.fft(psi, axis=axis), axis=axis)
     return gauge * np.fft.ifft(factor * np.fft.fft(conj_gauge * psi, axis=axis), axis=axis)
 
 
@@ -286,13 +322,17 @@ def _split_step(w, params, V, dt, A, nonlinear):
     space = w.space
 
     def kick(psi):
-        """Half a step of V, plus the osmotic-mismatch potential if nonlinear."""
-        V_eff = V.values
-        if nonlinear:
-            extra = _nonlinear_potential(psi, space, params)
-            if extra is not None:
-                V_eff = V_eff + extra
-        return psi * np.exp(-0.5j * dt * V_eff / params.eta)
+        """Half a step of V, plus the osmotic-mismatch potential if nonlinear.
+
+        The factor multiplies from the left: complex products are not
+        commutative bit for bit, so the operand order is part of the result.
+        """
+        extra = _nonlinear_potential(psi, space, params) if nonlinear else None
+        if extra is None:
+            factor = _kick_phase(V, dt, params.eta)
+        else:
+            factor = _half_kick(V.values + extra, dt, params.eta)
+        return factor * psi
 
     psi = kick(w.psi.values)
     psi = _kinetic_palindrome(psi, space, params, dt, A)

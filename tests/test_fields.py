@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from entrolab.fields import (
     PERIODIC,
     REFLECTING,
     ConfigSpace,
+    PhysicalParams,
     ScalarField,
     VectorField,
     axis_gradient,
@@ -330,3 +332,32 @@ def test_interpolate_vector_refuses_points_past_the_padding(dim, boundary):
             pos[1, a] = wall * (0.5 * space.extents[a] + 2.0 * space.spacings[a])
             with pytest.raises(ConfigError, match=f"axis {a}"):
                 interpolate_vector(field, pos)
+
+
+@pytest.mark.parametrize(
+    "ours, grid",
+    [
+        ((0.1, 0.2), (0.1, 0.2)),
+        ((1e-3 + 0.99e-8,), (1e-3,)),  # inside the 1e-8 atol
+        ((1e-3 + 1.01e-8,), (1e-3,)),  # outside it
+        ((1e6 + 1.00e-6,), (1e6,)),  # inside atol + rtol * 1e6
+        ((1e6 + 1.02e-6,), (1e6,)),  # outside it
+        ((1e6, 0.1), (1e6, 0.1 + 2e-8)),  # one axis outside
+        ((1.0,), (1.0, 1.0)),  # dim mismatch
+        ((math.inf,), (math.inf,)),
+        ((math.inf,), (1.0,)),
+        ((1.0,), (math.inf,)),
+        ((math.nan,), (math.nan,)),
+        ((1.7e308,), (1e-3,)),  # |a - b| stays finite
+    ],
+)
+def test_matches_space_agrees_with_allclose(ours, grid):
+    space = ConfigSpace(dim=len(grid), extents=1.0, points=8, sigma_sq=grid)
+    expect = len(ours) == len(grid) and bool(np.allclose(ours, grid, rtol=1e-12))
+    params = SimpleNamespace(sigma_sq=ours)
+    try:
+        PhysicalParams.matches_space(params, space)
+        got = True
+    except GridMismatchError:
+        got = False
+    assert got == expect

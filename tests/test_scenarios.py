@@ -315,6 +315,40 @@ def test_cli_nan_vector_potential_exits_2(tmp_path, capsys):
     assert summary["last_step"] == 0
 
 
+def _nan_vector_potential_auto_dt_cfg(tmp_path, engine):
+    cfg = _nan_vector_potential_cfg(tmp_path)
+    cfg["run"] = {"engine": engine, "steps": 20, "snapshot_stride": 10}  # dt: auto
+    return cfg
+
+
+@pytest.mark.parametrize("engine", ["fokker-planck", "coupled"])
+def test_auto_dt_with_a_nan_vector_potential_names_a_non_finite_field(tmp_path, engine):
+    """A NaN bound once read as 'no dynamical rate', sending the user after
+    the wrong input."""
+    sc = scenario_from_dict(_nan_vector_potential_auto_dt_cfg(tmp_path, engine))
+    with pytest.raises(ConfigError, match="not finite") as err:
+        resolve_dt(sc)
+    assert "no dynamical rate" not in str(err.value)
+
+
+@pytest.mark.parametrize("engine", ["fokker-planck", "coupled"])
+def test_cli_auto_dt_with_a_nan_vector_potential_exits_2(tmp_path, capsys, engine):
+    cfg = tmp_path / "nan-a-auto.json"
+    cfg.write_text(json.dumps(_nan_vector_potential_auto_dt_cfg(tmp_path, engine)))
+    code = cli.main(["evolve", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "not finite" in err and "no dynamical rate" not in err
+
+
+def test_auto_dt_with_an_infinite_bound_says_there_is_no_rate(monkeypatch):
+    from entrolab import dynamics
+
+    monkeypatch.setattr(dynamics, "coupled_stability_limit", lambda *args: math.inf)
+    with pytest.raises(ConfigError, match="no dynamical rate"):
+        resolve_dt(scenario_from_dict(base_cfg()))
+
+
 def test_time_dependent_potential_audited(tmp_path):
     cfg = base_cfg(
         potentials={"V": {"type": "harmonic", "omega": 1.0, "time_scale": 2.0}},

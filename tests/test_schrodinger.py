@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from entrolab import dynamics as dyn
+from entrolab import scenarios
 from entrolab import schrodinger as schro
 from entrolab.fields import ScalarField, VectorField
 
@@ -293,10 +294,10 @@ def _uncached_sweep(psi, space, params, axis, h, link, beta):
 def _uncached_step(w, p, V, dt, A):
     """The 2D unitary step: half-phase, sweeps on axes 0, 1, 0, half-phase."""
     links = _uncached_face_links(w.space, A)
-    psi = w.psi.values * np.exp(-0.5j * dt * V.values / p.eta)
+    psi = np.exp(-0.5j * dt * V.values / p.eta) * w.psi.values
     for axis, h in ((0, 0.5 * dt), (1, dt), (0, 0.5 * dt)):
         psi = _uncached_sweep(psi, w.space, p, axis, h, links[axis], p.beta)
-    psi = psi * np.exp(-0.5j * dt * V.values / p.eta)
+    psi = np.exp(-0.5j * dt * V.values / p.eta) * psi
     return schro.WaveFunction(psi=schro.ComplexField(w.space, psi), time=w.time + dt)
 
 
@@ -367,6 +368,130 @@ def test_energy_breakdown_with_memo_equals_uncached(monkeypatch):
     )
     uncached = schro.wavefunction_energy_breakdown(w, p, V, A)
     assert cached == uncached
+
+
+# V's half-kick phase is memoized per V object, and without A each sweep's
+# Cayley factor per set of scalars.  The reference rebuilds both every step.
+
+
+def _uncached_free_step(w, p, V, dt):
+    """The A-free unitary step: half-phase, palindromic sweeps, half-phase."""
+    space = w.space
+    dim = space.dim
+    inner = [(a, 0.5 * dt) for a in range(dim - 1)]
+    sweeps = inner + [(dim - 1, dt)] + inner[::-1]
+    psi = np.exp(-0.5j * dt * V.values / p.eta) * w.psi.values
+    for axis, h in sweeps:
+        n = space.points[axis]
+        c = p.eta / (2.0 * p.masses[axis] * space.spacings[axis] ** 2)
+        j = schro._reshape_k(np.arange(n), axis, dim)
+        lam = 2.0 * c * (1.0 - np.cos(2.0 * math.pi * j / n))
+        factor = (1.0 - 0.5j * h * lam) / (1.0 + 0.5j * h * lam)
+        psi = np.fft.ifft(factor * np.fft.fft(psi, axis=axis), axis=axis)
+    psi = np.exp(-0.5j * dt * V.values / p.eta) * psi
+    return schro.WaveFunction(psi=schro.ComplexField(space, psi), time=w.time + dt)
+
+
+def _free_case(dim, eta=1.0, tau=0.1):
+    """A moving packet in a harmonic well on a small periodic box."""
+    p = make_params(masses=(1.0, 1.5, 0.8)[:dim], eta=eta, tau=tau)
+    space = make_space((8.0, 6.0, 7.0)[:dim], (32, 24, 10)[:dim], p, dim=dim)
+    rho = gaussian_density(space, (0.5, -0.3, 0.2)[:dim], 0.6)
+    phase = 0.8 * np.sin(2.0 * math.pi * space.meshes[0] / 8.0)
+    st = dyn.ManifoldState(rho, ScalarField(space, phase), time=0.0)
+    V = ScalarField(space, 0.5 * sum(x**2 for x in space.meshes))
+    return p, space, schro.to_wavefunction(st), V
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3], ids=["1d", "2d", "3d"])
+def test_kick_memo_steps_equal_uncached_steps(dim):
+    p, space, w0, V = _free_case(dim)
+    dt = 0.01
+    w, w_ref, w_fresh = w0, w0, w0
+    for _ in range(10):
+        w = schro.unitary_step(w, p, V, dt)
+        w_ref = _uncached_free_step(w_ref, p, V, dt)
+        # a new V object per step misses the memo every time
+        w_fresh = schro.unitary_step(w_fresh, p, ScalarField(space, V.values.copy()), dt)
+    assert np.array_equal(w.psi.values, w_ref.psi.values)
+    assert np.array_equal(w_fresh.psi.values, w_ref.psi.values)
+
+
+def test_kick_memo_is_keyed_on_the_potential_and_the_step():
+    p, space, w0, V = _free_case(2)
+    W = ScalarField(space, 0.3 * space.meshes[0] ** 2)
+    # eta 2 with tau 0.05 keeps sigma_sq, hence the grid
+    p_eta, _, _, _ = _free_case(2, eta=2.0, tau=0.05)
+    assert not np.array_equal(
+        schro.unitary_step(w0, p, V, 0.01).psi.values,
+        schro.unitary_step(w0, p, W, 0.01).psi.values,
+    )
+    # switching V, dt or eta between steps must rebuild, never reuse
+    w, w_ref = w0, w0
+    for pk, dt, Vk in ((p, 0.01, V), (p, 0.01, W), (p, 0.02, V), (p_eta, 0.02, V), (p, 0.02, V)):
+        w = schro.unitary_step(w, pk, Vk, dt)
+        w_ref = _uncached_free_step(w_ref, pk, Vk, dt)
+        assert np.array_equal(w.psi.values, w_ref.psi.values)
+
+
+def test_kick_memo_entry_dies_with_its_potential():
+    p, space, w0, V = _free_case(2)
+    schro.unitary_step(w0, p, V, 0.01)
+    entry = schro._KICK_PHASES[V]
+    alive = weakref.ref(V)
+    del V
+    gc.collect()
+    assert alive() is None
+    assert not any(held is entry for held in schro._KICK_PHASES.values())
+
+
+def _wave_scenario(time_scale):
+    return scenarios.scenario_from_dict({
+        "name": "kick-memo",
+        "space": {"dim": 1, "extent": 12.0, "points": 128},
+        "params": {"eta": 1.0, "tau": 0.1, "masses": 1.0},
+        "initial": {"type": "gaussian", "center": 0.5, "width": 1.0, "momentum": 0.4},
+        "potentials": {"V": {"type": "harmonic", "omega": 1.0, "time_scale": time_scale}},
+        "run": {"engine": "schrodinger", "dt": 0.01, "steps": 30, "snapshot_stride": 10},
+    })
+
+
+@pytest.mark.parametrize("time_scale", [[2.0, 0.0], [1.0, 0.5]], ids=["static", "driven"])
+def test_engine_steps_equal_the_per_step_reference(time_scale):
+    """A static V is resolved once per run, a driven one per step; both give
+    the bits of stepping with V at each step's midpoint."""
+    sc = _wave_scenario(time_scale)
+    dt = scenarios.resolve_dt(sc)
+    w, advance, _ = scenarios._engine(sc, dt, None)
+    w_ref = w
+    for step in range(1, sc.steps + 1):
+        w = advance(w, step)
+        w_ref = _uncached_free_step(w_ref, sc.params, sc.potential_at((step - 0.5) * dt), dt)
+    assert np.array_equal(w.psi.values, w_ref.psi.values)
+
+
+@pytest.mark.parametrize("time_scale", [[2.0, 0.0], [1.0, 0.5]], ids=["static", "driven"])
+def test_a_static_potential_builds_its_kick_phase_once_per_run(monkeypatch, tmp_path, time_scale):
+    calls = []
+    half_kick = schro._half_kick
+    monkeypatch.setattr(schro, "_half_kick", lambda *args: calls.append(1) or half_kick(*args))
+    sc = _wave_scenario(time_scale)
+    scenarios.run(sc, str(tmp_path))
+    # a driven V is one field per step: its second half-kick reuses the first
+    assert len(calls) == (1 if sc.static_potential else sc.steps)
+
+
+def test_nonlinear_step_at_equal_masses_takes_the_memo_path(monkeypatch):
+    p, space, w0, V = _free_case(2)
+    calls = []
+    half_kick = schro._half_kick
+    monkeypatch.setattr(schro, "_half_kick", lambda *args: calls.append(1) or half_kick(*args))
+    w_lin, w_nl = w0, w0
+    for _ in range(5):
+        w_lin = schro.unitary_step(w_lin, p, V, 0.01)
+        w_nl = schro.nonlinear_step(w_nl, p, V, 0.01)
+    assert np.array_equal(w_lin.psi.values, w_nl.psi.values)
+    assert len(calls) == 1
 
 
 def test_nonlinear_step_reduces_to_unitary_at_equal_masses():

@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -304,21 +304,20 @@ def _require_periodic(space, what):
         raise ConfigError(f"{what} needs a periodic box")
 
 
-def _phase_rhs(q, phi_values, space, params, V_values, A):
-    kinetic = np.zeros(space.shape)
-    g = covariant_gradient(ScalarField(space, phi_values), params, A)
-    for a in range(space.dim):
+def _phase_rhs(q, g, params, V_values):
+    kinetic = np.zeros(V_values.shape)
+    for a in range(g.shape[0]):
         kinetic += (params.eta**2 / (2.0 * params.masses[a])) * g[a] ** 2
     return (q - kinetic - V_values) / params.eta
 
 
-def _phi_step(rho_values, phi, params, V, A, dt):
+def _phi_step(rho_values, phi, g, params, V, A, dt):
     """phi advanced by one explicit midpoint step with rho frozen, so both
-    stages share one quantum potential."""
+    stages share one quantum potential; g is phi's covariant gradient."""
     q = quantum_potential(ScalarField(phi.space, rho_values), params).values
-    k1 = _phase_rhs(q, phi.values, phi.space, params, V.values, A)
-    mid = phi.values + 0.5 * dt * k1
-    k2 = _phase_rhs(q, mid, phi.space, params, V.values, A)
+    k1 = _phase_rhs(q, g, params, V.values)
+    mid = ScalarField(phi.space, phi.values + 0.5 * dt * k1)
+    k2 = _phase_rhs(q, covariant_gradient(mid, params, A), params, V.values)
     return phi.values + dt * k2
 
 
@@ -372,10 +371,10 @@ def coupled_stability_limit(
 
 def _stability_limit(rho_values, v, space, params, safety):
     """coupled_stability_limit for the drift velocity v (components) of the phase."""
+    root_ratio = math.sqrt(params.osmotic_ratio)
     omega = 0.0
     for a in range(space.dim):
-        ratio = params.osmotic_masses[a] / params.masses[a]
-        omega += math.sqrt(ratio) * (params.eta / (2.0 * params.masses[a])) * 4.0 / space.spacings[a] ** 2
+        omega += root_ratio * (params.eta / (2.0 * params.masses[a])) * 4.0 / space.spacings[a] ** 2
     mask = _mass_mask(rho_values)
     rate = 0.5 * omega
     for a in range(space.dim):
@@ -393,20 +392,22 @@ def coupled_step(
     dt: float,
     A: VectorField | None = None,
 ) -> ManifoldState:
-    """One symmetric split step: rho half, phi full, rho half.  One drift
-    velocity v serves the bound and the first rho half step; each phi step
-    builds q once, each rho half step its v_face once."""
+    """One symmetric split step: rho half, phi full, rho half.  One gradient
+    g of the phase serves the bound, the first rho half step and the phi
+    step's first stage; each phi step builds q once, each rho half step its
+    v_face once."""
     params.matches_space(state.space)
     _require_periodic(state.space, "the coupled solver")
     space = state.space
-    v = drift_velocity(state.phi, params, A).components
+    g = covariant_gradient(state.phi, params, A)
+    v = params.eta_over_m.reshape((-1,) + (1,) * space.dim) * g
     limit = _stability_limit(state.rho.values, v, space, params, safety=1.0)
     if dt > limit:
         raise StabilityError(f"dt={dt:g} exceeds the split-step bound {limit:g}", dt_max=limit)
 
     rho_half = _rho_halfstep(state.rho.values, v, space, 0.5 * dt)
     rho_half = np.maximum(rho_half, 0.0)
-    phi_new = ScalarField(space, _phi_step(rho_half, state.phi, params, V, A, dt))
+    phi_new = ScalarField(space, _phi_step(rho_half, state.phi, g, params, V, A, dt))
     v_new = drift_velocity(phi_new, params, A).components
     rho_new = _rho_halfstep(rho_half, v_new, space, 0.5 * dt)
     rho_new = np.maximum(rho_new, 0.0)
@@ -489,10 +490,10 @@ def hamilton_jacobi_residual(
 def regraduate(state: ManifoldState, params: PhysicalParams, kappa: float | None = None):
     """Rescale (phi, eta, tau, mu) leaving the physical trajectory invariant.
 
-    phi' = kappa phi, eta' = eta/kappa, tau' = kappa tau, mu' = kappa^2 mu;
-    masses are untouched.  With the natural choice kappa = sqrt(A/B) the
-    rescaled osmotic masses equal the masses and the dynamics becomes the
-    polar form of the linear wave equation.
+    phi' = kappa phi, eta' = eta/kappa, tau' = kappa tau, osmotic_ratio' =
+    kappa^2 osmotic_ratio (so mu' = kappa^2 mu); masses and A = eta tau / 2,
+    hence the metric, are untouched.  With kappa = sqrt(A/B) the rescaled
+    osmotic masses equal the masses: the polar form of the linear equation.
 
     The charge coupling carries inverse action units, so it rescales as
     beta' = kappa beta; the drift combination grad(phi) - beta A then picks
@@ -502,14 +503,11 @@ def regraduate(state: ManifoldState, params: PhysicalParams, kappa: float | None
         kappa = params.kappa
     if kappa <= 0:
         raise ConfigError("kappa must be positive")
-    new_params = PhysicalParams(
-        masses=params.masses,
-        osmotic_masses=kappa**2 * params.osmotic_masses,
-        sigma_sq=params.sigma_sq,
+    new_params = replace(
+        params,
         eta=params.eta / kappa,
+        osmotic_ratio=kappa**2 * params.osmotic_ratio,
         tau=kappa * params.tau,
-        a_coeff=params.a_coeff,
-        b_coeff=kappa**2 * params.b_coeff,
         beta=kappa * params.beta,
     )
     new_phi = ScalarField(state.space, kappa * state.phi.values)

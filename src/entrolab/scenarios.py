@@ -357,12 +357,10 @@ def scenario_from_dict(raw: dict, base_dir: str = ".") -> Scenario:
         if len(set(ratio)) != 1:
             raise ConfigError("params.osmotic_ratio must be a single shared value")
         ratio = ratio[0]
-    if ratio <= 0:
-        raise ConfigError("params.osmotic_ratio must be positive")
 
     params = _in_section(
         "params",
-        PhysicalParams.from_masses,
+        PhysicalParams,
         masses=masses, eta=eta, osmotic_ratio=ratio, tau=tau, beta=beta,
     )
     space = _build_space(s_cfg, dim, params)
@@ -828,6 +826,9 @@ def gauge_check(sc: Scenario, chi_amplitude, chi_mode, outdir, tolerance=1e-8) -
     chi_amplitude = float(chi_amplitude)
     if not math.isfinite(chi_amplitude):
         raise ConfigError(f"chi amplitude must be finite, got {chi_amplitude}")
+    if chi_amplitude == 0.0 or int(chi_mode) == 0:
+        # chi = 0 makes the twin the base, and the check would test nothing
+        raise ConfigError(f"chi amplitude and mode must be nonzero, got {chi_amplitude}:{chi_mode}")
     if not (math.isfinite(tolerance) and tolerance >= 0.0):
         raise ConfigError(f"tolerance must be finite and >= 0, got {tolerance}")
     space = sc.space
@@ -970,8 +971,6 @@ def classical_limit(
         raise ConfigError(f"walkers must be at least 1, got {walkers}")
 
     base_params = sc.params
-    masses = base_params.masses
-    ratio = float(base_params.osmotic_masses[0] / base_params.masses[0])
     dt_base = resolve_dt(sc)
 
     rows = []
@@ -981,13 +980,11 @@ def classical_limit(
         if eta_scales is not None:
             # phase increments go like V dt / eta: shrink dt with eta so the
             # step stays in the resolved regime across the sweep
-            eta_s, ratio_s, dt_s = base_params.eta * s, ratio, dt_base * s
+            params_s = replace(base_params, eta=base_params.eta * s)
+            dt_s = dt_base * s
         else:
-            eta_s, ratio_s, dt_s = base_params.eta, ratio * s, dt_base
-        params_s = PhysicalParams.from_masses(
-            masses=masses, eta=eta_s, osmotic_ratio=ratio_s, tau=base_params.tau,
-            beta=base_params.beta,
-        )
+            params_s = replace(base_params, osmotic_ratio=base_params.osmotic_ratio * s)
+            dt_s = dt_base
         space_s = replace(sc.space, sigma_sq=params_s.sigma_sq)
         residual, variance = _classical_residual_and_variance(
             sc, params_s, space_s, dt_s, walkers, sc.seed

@@ -287,8 +287,6 @@ def _kinetic_palindrome(psi, space, params, dt, A):
         return _cayley_axis_sweep(psi, axis, _axis_operators(space, params, axis, h, A))
 
     dim = space.dim
-    if dim == 1:
-        return sweep(psi, 0, dt)
     for a in range(dim - 1):
         psi = sweep(psi, a, 0.5 * dt)
     psi = sweep(psi, dim - 1, dt)
@@ -305,9 +303,7 @@ def _nonlinear_potential(psi, space, params):
     coupled solver's treatment of the same ratio: flat below the floor,
     bounded across unresolved jumps.
     """
-    coeffs = (params.eta**2 / (2.0 * params.masses)) * (
-        1.0 - params.osmotic_masses / params.masses
-    )
+    coeffs = (params.eta**2 / (2.0 * params.masses)) * (1.0 - params.osmotic_ratio)
     if np.all(coeffs == 0.0):
         return None
     raw = np.abs(psi)
@@ -398,9 +394,8 @@ def wavefunction_energy_breakdown(
             hop = np.exp(-1j * params.beta * links[a]) * np.roll(psi, -1, a)
         t_a = c * float((np.abs(hop - psi) ** 2).sum()) * vol
         f_a = c * float(((np.roll(amp, -1, a) - amp) ** 2).sum()) * vol
-        ratio = params.osmotic_masses[a] / params.masses[a]
         current += t_a - f_a
-        osmotic += ratio * f_a
+        osmotic += params.osmotic_ratio * f_a
     potential = float((V.values * amp**2).sum()) * vol
     return EnergyBreakdown(current, osmotic, potential)
 

@@ -19,7 +19,7 @@ from entrolab.fields import (
 
 
 def make_params(masses=(1.0,), eta=1.0, osmotic_ratio=1.0, tau=0.1, beta=0.0):
-    return PhysicalParams.from_masses(
+    return PhysicalParams(
         list(masses), eta=eta, osmotic_ratio=osmotic_ratio, tau=tau, beta=beta
     )
 

@@ -376,12 +376,14 @@ def test_coupled_step_rejects_unstable_dt():
 
 
 def test_coupled_step_builds_each_field_once(monkeypatch):
-    """One drift velocity per phase (the bound shares the first), one quantum
-    potential per phase step, and no call of the public bound."""
+    """One covariant gradient per phase plus one for the phi step's second
+    stage (the bound, the first rho half step and the first stage share the
+    first), one quantum potential per phase step, and no call of the public
+    bound."""
     calls = collections.Counter()
 
-    def counted(name):
-        inner = getattr(dyn, name)
+    def counted(module, name):
+        inner = getattr(module, name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
@@ -389,15 +391,20 @@ def test_coupled_step_builds_each_field_once(monkeypatch):
 
         return wrapper
 
-    for name in ("drift_velocity", "quantum_potential", "coupled_stability_limit"):
-        monkeypatch.setattr(dyn, name, counted(name))
+    for module, name in (
+        (dyn, "covariant_gradient"),
+        (fp, "covariant_gradient"),
+        (dyn, "quantum_potential"),
+        (dyn, "coupled_stability_limit"),
+    ):
+        monkeypatch.setattr(module, name, counted(module, name))
     p = make_params(masses=(1.0, 1.0))
     space = make_space(12.0, 32, p, dim=2)
     rho = gaussian_density(space, (0.5, -0.5), 0.8)
     phi = ScalarField(space, 0.4 * np.sin(2.0 * math.pi * space.meshes[0] / 12.0))
     st = dyn.ManifoldState(rho, phi, 0.0)
     dyn.coupled_step(st, p, harmonic(space), 1e-3)
-    assert calls == {"drift_velocity": 2, "quantum_potential": 1}
+    assert calls == {"covariant_gradient": 3, "quantum_potential": 1}
 
 
 def test_stability_limit_scales_with_grid():
@@ -565,6 +572,16 @@ def test_regraduate_commutes_with_flow():
     assert p_lin.eta == p_lin2.eta
     assert np.array_equal(a_reg.rho.values, b.rho.values)
     assert np.array_equal(a_reg.phi.values, b.phi.values)
+
+
+@pytest.mark.parametrize("k", [0.5, 0.3, 1.7, 3.0])
+def test_regraduate_by_k_then_by_its_inverse_returns_the_constants(k):
+    p = make_params(masses=(1.0, 2.5), eta=1.3, osmotic_ratio=4.0, tau=0.1, beta=0.6)
+    st = rest_state(make_space(12.0, 32, p, dim=2), 0.0, 1.0)
+    there, p_k = dyn.regraduate(st, p, kappa=k)
+    _, back = dyn.regraduate(there, p_k, kappa=1.0 / k)
+    for name in ("eta", "tau", "osmotic_ratio", "beta"):
+        assert getattr(back, name) == pytest.approx(getattr(p, name), rel=1e-15, abs=0.0)
 
 
 def test_regraduate_rejects_bad_kappa():

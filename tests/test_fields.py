@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from types import SimpleNamespace
 
@@ -90,12 +91,64 @@ def test_same_grid():
 def test_params_from_masses_identities():
     p = make_params(masses=(1.0, 4.0), eta=2.0, osmotic_ratio=3.0, tau=0.5)
     # A = eta tau / 2, sigma_a^2 = 2A/m_a = eta tau / m_a
-    assert p.a_coeff == pytest.approx(0.5)
+    assert p.sigma_sq == (2.0 * 0.5 / 1.0, 2.0 * 0.5 / 4.0)
     assert np.allclose(p.sigma_sq, [1.0, 0.25])
     assert np.allclose(p.masses, [1.0, 4.0])
     assert np.allclose(p.osmotic_masses, [3.0, 12.0])
     assert p.kappa == pytest.approx(math.sqrt(1.0 / 3.0))
     assert np.allclose(p.eta_over_m, [2.0, 0.5])
+
+
+def _eight_field_derivation(masses, eta, ratio, tau):
+    """sigma_sq, osmotic masses and kappa as the older eight-field params
+    built them from masses, eta, the ratio and tau."""
+    m = np.atleast_1d(np.asarray(masses, dtype=float))
+    a_coeff = 0.5 * eta * tau
+    sigma_sq = tuple(float(s) for s in (2.0 * a_coeff / mi for mi in m))
+    return sigma_sq, float(ratio) * m, math.sqrt(a_coeff / (a_coeff * ratio))
+
+
+def test_params_hold_only_the_five_set_numbers():
+    names = [f.name for f in dataclasses.fields(PhysicalParams)]
+    assert names == ["masses", "eta", "osmotic_ratio", "tau", "beta"]
+
+
+@pytest.mark.parametrize("masses", [(1.0,), (1.0, 4.0), (0.3, 2.0, 7.0)])
+@pytest.mark.parametrize(
+    "eta, tau, ratio",
+    [(1.0, 0.1, 1.0), (2.0, 0.5, 3.0), (0.37, 0.013, 0.25), (1.7, 2.3, 0.61), (1e-3, 40.0, 7.0)],
+)
+def test_params_derive_the_older_constants_bit_for_bit(masses, eta, tau, ratio):
+    p = PhysicalParams(masses, eta=eta, osmotic_ratio=ratio, tau=tau)
+    sigma_sq, osmotic_masses, kappa = _eight_field_derivation(masses, eta, ratio, tau)
+    assert p.sigma_sq == sigma_sq
+    assert np.array_equal(p.osmotic_masses, osmotic_masses)
+    assert p.kappa == pytest.approx(kappa, rel=1e-15, abs=0.0)
+    assert p.dim == len(masses)
+
+
+@pytest.mark.parametrize(
+    "value", [math.nan, math.inf, -math.inf, 0.0, -1.0],
+    ids=["nan", "inf", "-inf", "zero", "negative"],
+)
+@pytest.mark.parametrize("name", ["masses", "eta", "osmotic_ratio", "tau"])
+def test_params_refuse_a_bad_value_naming_its_field(name, value):
+    kwargs = {"masses": (1.0, value)} if name == "masses" else {"masses": (1.0,), name: value}
+    with pytest.raises(ConfigError, match=rf"^{name} must be"):
+        PhysicalParams(**kwargs)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_params_refuse_a_non_finite_charge(value):
+    with pytest.raises(ConfigError, match=r"^beta must be finite"):
+        PhysicalParams((1.0,), beta=value)
+
+
+def test_params_take_any_finite_charge_and_refuse_a_mass_table():
+    assert PhysicalParams((1.0,), beta=0.0).beta == 0.0
+    assert PhysicalParams((1.0,), beta=-0.7).beta == -0.7
+    with pytest.raises(ConfigError, match=r"^masses must be"):
+        PhysicalParams([[1.0, 2.0]])
 
 
 def test_params_matches_space():

@@ -514,6 +514,16 @@ def test_gauge_check_requires_charge():
         gauge_check(scenario_from_dict(base_cfg()), 0.8, 1, None)
 
 
+@pytest.mark.parametrize("chi", [(0.0, 1), (0.8, 0)], ids=["amplitude-0", "mode-0"])
+def test_gauge_check_refuses_a_zero_gauge_function(tmp_path, chi):
+    """chi = 0 makes the twin the base, so the check would test nothing."""
+    cfg = base_cfg(params={"beta": 0.7}, space={"points": 64},
+                   run={"engine": "coupled", "steps": 10})
+    with pytest.raises(ConfigError, match="chi amplitude and mode must be nonzero"):
+        gauge_check(scenario_from_dict(cfg), *chi, str(tmp_path / "g"))
+    assert not os.path.exists(tmp_path / "g")
+
+
 def test_failed_gauge_check_leaves_a_failed_summary(tmp_path):
     # dt far above the coupled engine's explicit bound: step 1 raises
     cfg = base_cfg(
@@ -652,6 +662,16 @@ def test_cli_gauge_check_refuses_non_finite_input(tmp_path, capsys, flag, value)
                      "--out", str(tmp_path / "g")])
     assert code == 2
     assert value.split(":")[0] in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "g")
+
+
+@pytest.mark.parametrize("chi", ["0:1", "0.8:0"], ids=["amplitude-0", "mode-0"])
+def test_cli_gauge_check_refuses_a_zero_gauge_function(tmp_path, capsys, chi):
+    cfg = write_cfg(tmp_path, name="gauge", params={"beta": 0.7},
+                    run={"engine": "schrodinger", "steps": 10, "snapshot_stride": 5})
+    code = cli.main(["gauge-check", cfg, "--chi", chi, "--out", str(tmp_path / "g")])
+    assert code == 2
+    assert "chi amplitude and mode must be nonzero" in capsys.readouterr().err
     assert not os.path.exists(tmp_path / "g")
 
 

@@ -13,6 +13,7 @@ import argparse
 import logging
 import os
 import sys
+from dataclasses import replace
 
 from . import scenarios
 from .errors import ConfigError, EntrolabError
@@ -31,11 +32,9 @@ def _outdir(args, dirname):
 def _load(args, force_engine=None):
     sc = scenarios.load_scenario(args.config)
     if getattr(args, "seed", None) is not None:
-        sc.seed = int(args.seed)
-        sc.echo["run"]["seed"] = sc.seed
+        sc = replace(sc, seed=args.seed)
     if force_engine is not None:
-        sc.engine = force_engine
-        sc.echo["run"]["engine"] = force_engine
+        sc = replace(sc, engine=force_engine)
     return sc
 
 

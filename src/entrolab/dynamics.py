@@ -304,21 +304,21 @@ def _require_periodic(space, what):
         raise ConfigError(f"{what} needs a periodic box")
 
 
-def _phase_rhs(q, g, params, V_values):
-    kinetic = np.zeros(V_values.shape)
+def _kinetic(g, params):
+    """sum_a eta^2 / (2 m_a) g_a^2 for a covariant gradient g of the phase."""
+    kinetic = np.zeros(g.shape[1:])
     for a in range(g.shape[0]):
         kinetic += (params.eta**2 / (2.0 * params.masses[a])) * g[a] ** 2
-    return (q - kinetic - V_values) / params.eta
+    return kinetic
 
 
-def _phi_step(rho_values, phi, g, params, V, A, dt):
+def _phi_step(rho_values, phi, kinetic, params, V, A, dt):
     """phi advanced by one explicit midpoint step with rho frozen, so both
-    stages share one quantum potential; g is phi's covariant gradient."""
+    stages share one quantum potential; kinetic is phi's _kinetic term."""
     q = quantum_potential(ScalarField(phi.space, rho_values), params).values
-    k1 = _phase_rhs(q, g, params, V.values)
-    mid = ScalarField(phi.space, phi.values + 0.5 * dt * k1)
-    k2 = _phase_rhs(q, covariant_gradient(mid, params, A), params, V.values)
-    return phi.values + dt * k2
+    mid = ScalarField(phi.space, phi.values + 0.5 * dt * ((q - kinetic - V.values) / params.eta))
+    kinetic_mid = _kinetic(covariant_gradient(mid, params, A), params)
+    return phi.values + dt * ((q - kinetic_mid - V.values) / params.eta)
 
 
 # faces with a density ratio above this are advected donor-cell instead of
@@ -401,13 +401,15 @@ def coupled_step(
     space = state.space
     g = covariant_gradient(state.phi, params, A)
     v = params.eta_over_m.reshape((-1,) + (1,) * space.dim) * g
+    kinetic = _kinetic(g, params)
+    del g  # not kept alive through the rho half step
     limit = _stability_limit(state.rho.values, v, space, params, safety=1.0)
     if dt > limit:
         raise StabilityError(f"dt={dt:g} exceeds the split-step bound {limit:g}", dt_max=limit)
 
     rho_half = _rho_halfstep(state.rho.values, v, space, 0.5 * dt)
     rho_half = np.maximum(rho_half, 0.0)
-    phi_new = ScalarField(space, _phi_step(rho_half, state.phi, g, params, V, A, dt))
+    phi_new = ScalarField(space, _phi_step(rho_half, state.phi, kinetic, params, V, A, dt))
     v_new = drift_velocity(phi_new, params, A).components
     rho_new = _rho_halfstep(rho_half, v_new, space, 0.5 * dt)
     rho_new = np.maximum(rho_new, 0.0)

@@ -79,12 +79,12 @@ class ConfigSpace:
         object.__setattr__(self, "sigma_sq", _as_tuple(sig, self.dim, float, "sigma_sq"))
         if self.boundary not in BOUNDARIES:
             raise ConfigError(f"boundary must be one of {BOUNDARIES}, got {self.boundary!r}")
-        if any(L <= 0 for L in self.extents):
-            raise ConfigError("extents must be positive")
+        if not all(math.isfinite(L) and L > 0 for L in self.extents):
+            raise ConfigError(f"extents must be finite and positive, got {self.extents}")
         if any(n < 4 for n in self.points):
             raise ConfigError("need at least 4 points per axis")
-        if any(s <= 0 for s in self.sigma_sq):
-            raise ConfigError("sigma_sq must be positive")
+        if not all(math.isfinite(s) and s > 0 for s in self.sigma_sq):
+            raise ConfigError(f"sigma_sq must be finite and positive, got {self.sigma_sq}")
 
     @cached_property
     def spacings(self):

@@ -25,6 +25,8 @@ its safety factor included (0.8 for the wave engines, 0.9 for fokker-planck
 and ensemble).  Every run writes row-major CSV snapshots, a moments series,
 an energy audit where energy is defined, and a summary.json echoing the fully
 resolved configuration, so a run is reproducible from its artifacts alone.
+A parsed `Scenario` is an immutable value that checks its own run settings;
+an override is a new value, `dataclasses.replace(sc, seed=...)`, checked again.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import glob
 import logging
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import yaml
@@ -86,7 +88,10 @@ _SCHEMA = {
     "params": {"eta", "tau", "masses", "osmotic_ratio", "beta"},
     "entropy": {"type", "slope", "amplitude", "mode"},
     "initial": {"type", "center", "width", "momentum", "mode", "rho_file", "phi_file"},
-    "potentials": {"V", "A"},
+    "potentials": {
+        "V": {"type", "omega", "center", "slope", "file", "time_scale"},
+        "A": {"type", "value", "chi_amplitude", "chi_mode", "file"},
+    },
     "run": {
         "engine",
         "dt",
@@ -97,22 +102,36 @@ _SCHEMA = {
         "energy_tolerance",
     },
 }
-_V_KEYS = {"type", "omega", "center", "slope", "file", "time_scale"}
-_A_KEYS = {"type", "value", "chi_amplitude", "chi_mode", "file"}
+# the type of a field section that names none
+_DEFAULT_TYPES = {
+    "entropy": "uniform",
+    "initial": "gaussian",
+    "potentials.V": "none",
+    "potentials.A": "none",
+}
 
 
-def _require_mapping(node, path):
-    if node is None:
-        return {}
+def _section(node, schema, path, base_dir):
+    """The mapping `node` (None reads as empty) with only the schema's keys:
+    each nested section read in turn, a type filled in, file paths resolved."""
+    node = {} if node is None else node
     if not isinstance(node, dict):
         raise ConfigError(f"{path} must be a mapping")
-    return node
-
-
-def _check_keys(node, allowed, path):
     for key in node:
-        if key not in allowed:
+        if key not in schema:
             raise ConfigError(f"unknown key '{path}.{key}'")
+    if isinstance(schema, dict):
+        return {
+            key: node.get(key) if keys is None else _section(
+                node.get(key), keys, key if path == "config" else f"{path}.{key}", base_dir
+            )
+            for key, keys in schema.items()
+        }
+    out = {"type": _DEFAULT_TYPES[path]} if path in _DEFAULT_TYPES else {}
+    for key, value in node.items():
+        is_path = key in ("rho_file", "phi_file", "file") and value is not None
+        out[key] = os.path.join(base_dir, value) if is_path else value
+    return out
 
 
 def _number(value, path, kind=float):
@@ -145,7 +164,7 @@ def _per_axis(value, dim, path):
     return (value,) * dim
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Scenario:
     name: str
     space: ConfigSpace
@@ -162,7 +181,19 @@ class Scenario:
     seed: int
     walkers: int
     energy_tolerance: float
-    echo: dict = field(default_factory=dict)
+    sources: dict  # entropy, initial, potentials as read; types, paths, time_scale resolved
+
+    def __post_init__(self):
+        if self.engine not in ENGINES:
+            rule = "is required" if self.engine is None else f"must be one of {ENGINES}"
+            raise ConfigError(f"run.engine {rule}")
+        if self.dt is not None and self.dt <= 0:
+            raise ConfigError("run.dt must be positive or 'auto'")
+        for key in ("steps", "snapshot_stride", "walkers"):
+            if getattr(self, key) <= 0:
+                raise ConfigError(f"run.{key} must be positive")
+        if self.seed < 0:
+            raise ConfigError(f"run.seed must be at least 0, got {self.seed}")
 
     def potential_at(self, t: float) -> ScalarField:
         a, b = self.time_scale
@@ -172,6 +203,36 @@ class Scenario:
     def static_potential(self) -> bool:
         return self.time_scale[1] == 0.0
 
+    @property
+    def echo(self) -> dict:
+        """The fully resolved configuration that summary.json records."""
+        return {
+            "name": self.name,
+            "space": {
+                "dim": self.space.dim,
+                "extent": list(self.space.extents),
+                "points": list(self.space.points),
+                "boundary": self.space.boundary,
+            },
+            "params": {
+                "eta": self.params.eta,
+                "tau": self.params.tau,
+                "masses": self.params.masses.tolist(),
+                "osmotic_ratio": self.params.osmotic_ratio,
+                "beta": self.params.beta,
+            },
+            **self.sources,
+            "run": {
+                "engine": self.engine,
+                "dt": "auto" if self.dt is None else self.dt,
+                "steps": self.steps,
+                "snapshot_stride": self.snapshot_stride,
+                "seed": self.seed,
+                "walkers": self.walkers,
+                "energy_tolerance": self.energy_tolerance,
+            },
+        }
+
 
 def _in_section(section, build, *args, **kwargs):
     """Build a dataclass; its ConfigError is re-raised naming the YAML section."""
@@ -179,18 +240,6 @@ def _in_section(section, build, *args, **kwargs):
         return build(*args, **kwargs)
     except ConfigError as exc:
         raise ConfigError(f"{section}: {exc}") from None
-
-
-def _build_space(cfg, dim, params):
-    return _in_section(
-        "space",
-        ConfigSpace,
-        dim=dim,
-        extents=_numbers(cfg.get("extent", 20.0), "space.extent"),
-        points=_numbers(cfg.get("points", 256), "space.points", int),
-        sigma_sq=params.sigma_sq,
-        boundary=cfg.get("boundary", PERIODIC),
-    )
 
 
 def _sine(space, amplitude, mode):
@@ -211,7 +260,7 @@ def _grid_file(cfg, key, section, space, load):
 
 
 def _build_entropy(cfg, space, initial):
-    kind = cfg.get("type", "uniform")
+    kind = cfg["type"]
     x = space.meshes
     if kind == "uniform":
         values = np.zeros(space.shape)
@@ -230,7 +279,7 @@ def _build_entropy(cfg, space, initial):
 
 
 def _build_initial(cfg, space, eta):
-    kind = cfg.get("type", "gaussian")
+    kind = cfg["type"]
     x = space.meshes
     if kind == "gaussian":
         center = _per_axis(cfg.get("center", 0.0), space.dim, "initial.center")
@@ -270,9 +319,7 @@ def _build_initial(cfg, space, eta):
 
 
 def _build_potential(cfg, space, masses):
-    cfg = _require_mapping(cfg, "potentials.V")
-    _check_keys(cfg, _V_KEYS, "potentials.V")
-    kind = cfg.get("type", "none")
+    kind = cfg["type"]
     x = space.meshes
     if kind == "none":
         values = np.zeros(space.shape)
@@ -309,9 +356,7 @@ def _time_scale(scale):
 
 
 def _build_vector_potential(cfg, space):
-    cfg = _require_mapping(cfg, "potentials.A")
-    _check_keys(cfg, _A_KEYS, "potentials.A")
-    kind = cfg.get("type", "none")
+    kind = cfg["type"]
     if kind == "none":
         return None
     if kind == "constant":
@@ -331,25 +376,19 @@ def _build_vector_potential(cfg, space):
 def load_scenario(path) -> Scenario:
     with open(path) as fh:
         raw = yaml.safe_load(fh)
-    return scenario_from_dict(_require_mapping(raw, "config"), base_dir=os.path.dirname(path))
+    return scenario_from_dict(raw, base_dir=os.path.dirname(path))
 
 
 def scenario_from_dict(raw: dict, base_dir: str = ".") -> Scenario:
-    _check_keys(raw, set(_SCHEMA), "config")
-    name = raw.get("name")
+    cfg = _section(raw, _SCHEMA, "config", base_dir)
+    name = cfg["name"]
     if not name or not isinstance(name, str):
         raise ConfigError("config.name is required")
+    p_cfg, s_cfg, r_cfg = cfg["params"], cfg["space"], cfg["run"]
 
-    for section, allowed in _SCHEMA.items():
-        if allowed is None or section not in raw:
-            continue
-        _check_keys(_require_mapping(raw[section], section), allowed, section)
-
-    p_cfg = _require_mapping(raw.get("params"), "params")
     eta = _number(p_cfg.get("eta", 1.0), "params.eta")
     tau = _number(p_cfg.get("tau", 0.1), "params.tau")
     beta = _number(p_cfg.get("beta", 0.0), "params.beta")
-    s_cfg = _require_mapping(raw.get("space"), "space")
     dim = _number(s_cfg.get("dim", 1), "space.dim", int)
     masses = _per_axis(p_cfg.get("masses", 1.0), dim, "params.masses")
     ratio = _numbers(p_cfg.get("osmotic_ratio", 1.0), "params.osmotic_ratio")
@@ -363,92 +402,29 @@ def scenario_from_dict(raw: dict, base_dir: str = ".") -> Scenario:
         PhysicalParams,
         masses=masses, eta=eta, osmotic_ratio=ratio, tau=tau, beta=beta,
     )
-    space = _build_space(s_cfg, dim, params)
-
-    def _resolve(cfg, keys):
-        out = dict(cfg)
-        for key in keys:
-            if key in out and out[key] is not None:
-                out[key] = os.path.join(base_dir, out[key]) if not os.path.isabs(out[key]) else out[key]
-        return out
-
-    i_cfg = _resolve(_require_mapping(raw.get("initial"), "initial"), ("rho_file", "phi_file"))
-    initial = _build_initial(i_cfg, space, eta)
-
-    e_cfg = _require_mapping(raw.get("entropy"), "entropy")
-    entropy = _build_entropy(e_cfg, space, initial)
-
-    pot_cfg = _require_mapping(raw.get("potentials"), "potentials")
-    v_cfg = _resolve(_require_mapping(pot_cfg.get("V"), "potentials.V"), ("file",))
-    potential, time_scale = _build_potential(v_cfg, space, masses)
-    a_cfg = _resolve(_require_mapping(pot_cfg.get("A"), "potentials.A"), ("file",))
-    vector_potential = _build_vector_potential(a_cfg, space)
-
-    r_cfg = _require_mapping(raw.get("run"), "run")
-    engine = r_cfg.get("engine")
-    if engine is None:
-        raise ConfigError("run.engine is required")
-    if engine not in ENGINES:
-        raise ConfigError(f"run.engine must be one of {ENGINES}")
-    dt_raw = r_cfg.get("dt", "auto")
-    if dt_raw == "auto" or dt_raw is None:
-        dt = None
-    else:
-        dt = _number(dt_raw, "run.dt")
-        if dt <= 0:
-            raise ConfigError("run.dt must be positive or 'auto'")
-    steps = _number(r_cfg.get("steps", 100), "run.steps", int)
-    if steps <= 0:
-        raise ConfigError("run.steps must be positive")
-    stride = _number(r_cfg.get("snapshot_stride", max(1, steps // 10)), "run.snapshot_stride", int)
-    if stride <= 0:
-        raise ConfigError("run.snapshot_stride must be positive")
-    seed = _number(r_cfg.get("seed", 0), "run.seed", int)
-    walkers = _number(r_cfg.get("walkers", 100_000), "run.walkers", int)
-    if walkers <= 0:
-        raise ConfigError("run.walkers must be positive")
-    energy_tol = _number(
-        r_cfg.get("energy_tolerance", METRICS["energy"][0]), "run.energy_tolerance"
+    space = _in_section(
+        "space",
+        ConfigSpace,
+        dim=dim,
+        extents=_numbers(s_cfg.get("extent", 20.0), "space.extent"),
+        points=_numbers(s_cfg.get("points", 256), "space.points", int),
+        sigma_sq=params.sigma_sq,
+        boundary=s_cfg.get("boundary", PERIODIC),
     )
+    initial = _build_initial(cfg["initial"], space, eta)
+    entropy = _build_entropy(cfg["entropy"], space, initial)
+    potentials = cfg["potentials"]
+    potential, time_scale = _build_potential(potentials["V"], space, masses)
+    vector_potential = _build_vector_potential(potentials["A"], space)
+    potentials["V"]["time_scale"] = list(time_scale)  # the resolved pair, for the echo
 
-    if engine == "coupled" and ratio != 1.0:
+    steps = _number(r_cfg.get("steps", 100), "run.steps", int)
+    if r_cfg.get("engine") == "coupled" and ratio != 1.0:
         logger.info(
             "scenario %s: coupled engine with osmotic_ratio != 1; "
             "the nonlinear reference solver is the matching oracle",
             name,
         )
-
-    echo = {
-        "name": name,
-        "space": {
-            "dim": space.dim,
-            "extent": list(space.extents),
-            "points": list(space.points),
-            "boundary": space.boundary,
-        },
-        "params": {
-            "eta": eta,
-            "tau": tau,
-            "masses": list(masses),
-            "osmotic_ratio": ratio,
-            "beta": beta,
-        },
-        "entropy": {"type": e_cfg.get("type", "uniform"), **{k: e_cfg[k] for k in e_cfg if k != "type"}},
-        "initial": {"type": i_cfg.get("type", "gaussian"), **{k: i_cfg[k] for k in i_cfg if k != "type"}},
-        "potentials": {
-            "V": {"type": v_cfg.get("type", "none"), **v_cfg, "time_scale": list(time_scale)},
-            "A": {"type": a_cfg.get("type", "none"), **a_cfg},
-        },
-        "run": {
-            "engine": engine,
-            "dt": "auto" if dt is None else dt,
-            "steps": steps,
-            "snapshot_stride": stride,
-            "seed": seed,
-            "walkers": walkers,
-            "energy_tolerance": energy_tol,
-        },
-    }
 
     return Scenario(
         name=name,
@@ -459,14 +435,18 @@ def scenario_from_dict(raw: dict, base_dir: str = ".") -> Scenario:
         potential=potential,
         time_scale=time_scale,
         vector_potential=vector_potential,
-        engine=engine,
-        dt=dt,
+        engine=r_cfg.get("engine"),
+        dt=None if r_cfg.get("dt") in (None, "auto") else _number(r_cfg["dt"], "run.dt"),
         steps=steps,
-        snapshot_stride=stride,
-        seed=seed,
-        walkers=walkers,
-        energy_tolerance=energy_tol,
-        echo=echo,
+        snapshot_stride=_number(
+            r_cfg.get("snapshot_stride", max(1, steps // 10)), "run.snapshot_stride", int
+        ),
+        seed=_number(r_cfg.get("seed", 0), "run.seed", int),
+        walkers=_number(r_cfg.get("walkers", 100_000), "run.walkers", int),
+        energy_tolerance=_number(
+            r_cfg.get("energy_tolerance", METRICS["energy"][0]), "run.energy_tolerance"
+        ),
+        sources={key: cfg[key] for key in ("entropy", "initial", "potentials")},
     )
 
 
@@ -533,6 +513,9 @@ def _engine(sc: Scenario, dt: float, A: VectorField | None):
             lambda cloud, step: ens.step_ensemble(cloud, sc.entropy, params, A),
             lambda cloud, step: (cloud.time, ens.estimate_density(cloud), None, None),
         )
+    if sc.space.boundary != PERIODIC:
+        # refused here, before a run or check creates its output directory
+        raise ConfigError(f"the {sc.engine} engine needs a periodic box")
     if sc.engine == "coupled":
         return (
             sc.initial,

@@ -58,6 +58,15 @@ def test_space_rejects_bad_config():
         ConfigSpace(dim=1, extents=-1.0, points=32, sigma_sq=p.sigma_sq)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("name", ["extents", "sigma_sq"])
+def test_space_refuses_a_bad_extent_or_metric_naming_the_values(name, value):
+    """NaN once passed the `<= 0` test, and a sidecar can spell Infinity."""
+    kwargs = {"dim": 2, "extents": 10.0, "points": 32, "sigma_sq": 0.1, name: (1.0, value)}
+    with pytest.raises(ConfigError, match=rf"^{name} must be finite and positive, got \(1.0, "):
+        ConfigSpace(**kwargs)
+
+
 def test_wrap_and_min_image():
     p = make_params()
     space = make_space(10.0, 64, p)
@@ -405,7 +414,7 @@ def test_interpolate_vector_refuses_points_past_the_padding(dim, boundary):
     ],
 )
 def test_matches_space_agrees_with_allclose(ours, grid):
-    space = ConfigSpace(dim=len(grid), extents=1.0, points=8, sigma_sq=grid)
+    space = SimpleNamespace(dim=len(grid), sigma_sq=grid)
     expect = len(ours) == len(grid) and bool(np.allclose(ours, grid, rtol=1e-12))
     params = SimpleNamespace(sigma_sq=ours)
     try:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -183,6 +184,91 @@ def test_initial_from_density_file(tmp_path):
     )
     sc = scenario_from_dict(cfg, base_dir=str(tmp_path))
     assert np.abs(sc.initial.rho.values - rho.values).max() < 1e-15
+
+
+def test_summary_config_echoes_every_section(tmp_path):
+    """summary.json's config is the fully resolved scenario: defaults and
+    types filled in, file paths joined to the scenario's directory, V's
+    scalar time_scale as its (a, b) pair, a one-entry ratio list as its value."""
+    sc = scenario_from_dict(base_cfg(space={"points": 32}, params={"masses": 2.0}))
+    (tmp_path / "data").mkdir()
+    io.save_scalar_field(tmp_path / "data" / "rho0.csv", sc.initial.rho)
+    a_path = str(tmp_path / "A.csv")
+    io.save_scalar_field(a_path, ScalarField(sc.space, np.full(sc.space.shape, 0.3)))
+    cfg = {
+        "name": "echo",
+        "space": {"dim": 1, "extent": 12.0, "points": 32},
+        "params": {"tau": 0.1, "masses": [2.0], "osmotic_ratio": [1.0], "beta": 0.5},
+        "entropy": {"amplitude": 0.2},
+        "initial": {"type": "file", "rho_file": "data/rho0.csv"},
+        "potentials": {"V": {"type": "harmonic", "omega": 1, "time_scale": 4},
+                       "A": {"type": "file", "file": "A.csv"}},
+        "run": {"engine": "schrodinger", "dt": 0.001, "steps": 4, "seed": 3},
+    }
+    (tmp_path / "sc.yaml").write_text(yaml.safe_dump(cfg))
+    run(load_scenario(str(tmp_path / "sc.yaml")), str(tmp_path / "out"))
+    assert io.load_summary(tmp_path / "out" / "summary.json")["config"] == {
+        "name": "echo",
+        "space": {"dim": 1, "extent": [12.0], "points": [32], "boundary": "periodic"},
+        "params": {"eta": 1.0, "tau": 0.1, "masses": [2.0], "osmotic_ratio": 1.0,
+                   "beta": 0.5},
+        "entropy": {"type": "uniform", "amplitude": 0.2},
+        "initial": {"type": "file", "rho_file": str(tmp_path / "data" / "rho0.csv")},
+        "potentials": {"V": {"type": "harmonic", "omega": 1, "time_scale": [1.0, 0.25]},
+                       "A": {"type": "file", "file": a_path}},
+        "run": {"engine": "schrodinger", "dt": 0.001, "steps": 4, "snapshot_stride": 1,
+                "seed": 3, "walkers": 100_000, "energy_tolerance": 1e-4},
+    }
+
+
+def test_scenario_is_a_frozen_value_that_checks_its_run_settings():
+    sc = scenario_from_dict(base_cfg())
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sc.seed = 4
+    for key in ("steps", "snapshot_stride", "walkers"):
+        with pytest.raises(ConfigError, match=rf"^run\.{key} must be positive$"):
+            dataclasses.replace(sc, **{key: 0})
+    with pytest.raises(ConfigError, match="^run.dt must be positive or 'auto'$"):
+        dataclasses.replace(sc, dt=-0.1)
+    with pytest.raises(ConfigError, match="^run.engine must be one of"):
+        dataclasses.replace(sc, engine="warp-drive")
+    with pytest.raises(ConfigError, match="^run.engine is required$"):
+        scenario_from_dict(base_cfg(run={"engine": None}))
+    assert dataclasses.replace(sc, seed=5).echo["run"]["seed"] == 5
+    assert sc.echo["run"]["seed"] == 0
+
+
+def test_negative_seed_is_a_config_error(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, name="walkers", potentials={},
+                    run={"engine": "ensemble", "dt": 0.002, "steps": 4, "walkers": 500,
+                         "seed": -1})
+    with pytest.raises(ConfigError, match=r"^run\.seed must be at least 0, got -1$"):
+        load_scenario(cfg)
+    assert cli.main(["evolve", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "run.seed must be at least 0, got -1" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "out")
+
+
+@pytest.mark.parametrize("command", ["ensemble", "maxent-audit"])
+def test_cli_negative_seed_override_exits_2(tmp_path, capsys, command):
+    cfg = write_cfg(tmp_path, name="seeded", **AUDIT_CFG)
+    code = cli.main([command, cfg, "--seed", "-5", "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "run.seed must be at least 0, got -5" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "out")
+
+
+@pytest.mark.parametrize("engine", ["coupled", "schrodinger", "nonlinear"])
+def test_wave_engines_refuse_a_reflecting_box_before_writing(tmp_path, capsys, engine):
+    """The refusal once came at step 1, after the first snapshot was written."""
+    cfg = write_cfg(tmp_path, name="walls", space={"boundary": "reflecting"},
+                    run={"engine": engine, "dt": 0.002, "steps": 4, "walkers": 2000})
+    assert cli.main(["evolve", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert f"the {engine} engine needs a periodic box" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "out")
+    # the walkers reflect off the walls: the same file runs as an ensemble
+    assert cli.main(["ensemble", cfg, "--out", str(tmp_path / "walkers")]) == 0
+    assert io.load_summary(tmp_path / "walkers" / "summary.json")["status"] == "completed"
 
 
 def test_resolve_dt_auto_uses_half_the_bound():
@@ -461,6 +547,19 @@ def test_compare_fails_on_a_nan_snapshot(tmp_path, capsys):
     capsys.readouterr()
     assert cli.main(["compare", dir_a, dir_b, "--metrics", "rho_l2"]) == 1
     assert "[FAIL]" in capsys.readouterr().out
+
+
+def test_compare_refuses_an_infinite_sidecar_extent(tmp_path, capsys):
+    """json reads Infinity: the grid once had an infinite cell volume, and
+    compare printed worst=nan [FAIL] and exited 1."""
+    dir_a, dir_b = run_pair(tmp_path)
+    meta = os.path.join(dir_b, "rho_000000.csv.meta.json")
+    with open(meta) as fh:
+        text = fh.read()
+    with open(meta, "w") as fh:
+        fh.write(text.replace("12.0", "Infinity", 1))
+    assert cli.main(["compare", dir_a, dir_b, "--metrics", "rho_l2"]) == 2
+    assert "extents must be finite and positive, got (inf,)" in capsys.readouterr().err
 
 
 def test_compare_psi_requires_wave_runs(tmp_path):

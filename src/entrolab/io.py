@@ -3,7 +3,10 @@
 Grid fields travel as CSV with header `axis0,axis1,...,<value columns>` in
 row-major order, plus a JSON sidecar (<path>.meta.json) holding what the CSV
 cannot: dim, extents, points, boundary, and the metric weights.  Loaders
-rebuild the grid from the sidecar and verify the row count.
+rebuild the grid from the sidecar and verify the row count.  A run's
+snapshots are density fields (`rho_*.csv`: fokker-planck, ensemble, coupled)
+or wave functions (`psi_*.csv`, real and imag columns: schrodinger,
+nonlinear), never both; a wave run's density is |psi|^2.
 
 Every CSV is written by one table writer: numbers as `%.17g`, which
 round-trips float64 exactly, with `\r\n` line ends, formatted a block of

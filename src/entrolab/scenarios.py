@@ -25,6 +25,11 @@ its safety factor included (0.8 for the wave engines, 0.9 for fokker-planck
 and ensemble).  Every run writes row-major CSV snapshots, a moments series,
 an energy audit where energy is defined, and a summary.json echoing the fully
 resolved configuration, so a run is reproducible from its artifacts alone.
+A snapshot is one file: the density `rho_<tag>.csv` for fokker-planck,
+ensemble and coupled, the wave function `psi_<tag>.csv` for schrodinger and
+nonlinear.  By the Born rule a wave function's density is rho = |psi|^2, so
+`compare` derives a wave run's rho from its psi, with the expression the wave
+engines use; psi round-trips exactly, so the derived rho keeps its bits.
 A parsed `Scenario` is an immutable value that checks its own run settings;
 an override is a new value, `dataclasses.replace(sc, seed=...)`, checked again.
 """
@@ -129,8 +134,11 @@ def _section(node, schema, path, base_dir):
         }
     out = {"type": _DEFAULT_TYPES[path]} if path in _DEFAULT_TYPES else {}
     for key, value in node.items():
-        is_path = key in ("rho_file", "phi_file", "file") and value is not None
-        out[key] = os.path.join(base_dir, value) if is_path else value
+        if key in ("rho_file", "phi_file", "file"):
+            if not isinstance(value, str):
+                raise ConfigError(f"{path}.{key} must be a file path, got {value!r}")
+            value = os.path.join(base_dir, value)
+        out[key] = value
     return out
 
 
@@ -575,9 +583,11 @@ def run(sc: Scenario, outdir) -> dict:
         moment_rows.append([t, rho.integral(), *var, *com])
         tag = f"{len(snap_times):06d}"
         snap_times.append(t)
-        rhos.append(rho)
-        io.save_scalar_field(os.path.join(outdir, f"rho_{tag}.csv"), rho)
-        if psi is not None:
+        if not sc.static_potential:  # only the driven-V energy audit reads them
+            rhos.append(rho)
+        if psi is None:
+            io.save_scalar_field(os.path.join(outdir, f"rho_{tag}.csv"), rho)
+        else:  # rho = |psi|^2 is derived where it is read
             io.save_complex_field(os.path.join(outdir, f"psi_{tag}.csv"), psi)
             norm_gaps.append(abs(psi.norm_sq() - 1.0))
         if breakdown is not None:
@@ -698,21 +708,37 @@ class ComparisonReport:
         }
 
 
-def _snapshot_gaps(dir_a, dir_b, prefix, load, distance):
-    """distance(a, b) for each snapshot `prefix_*.csv` the two runs share."""
-    names = [
-        {os.path.basename(p) for p in glob.glob(os.path.join(d, f"{prefix}_*.csv"))}
-        for d in (dir_a, dir_b)
-    ]
-    common = sorted(names[0] & names[1])
+def _born_density(path):
+    """rho = |psi|^2 from a psi snapshot, the expression the wave engines use."""
+    return schro.probability_density(schro.WaveFunction(io.load_complex_field(path)))
+
+
+def _snapshots(run_dir, kind):
+    """tag -> (path, load) for each `kind` ("rho" or "psi") snapshot of a run.
+    A density is the run's `rho_<tag>.csv`, or else |psi|^2 of `psi_<tag>.csv`."""
+    sources = (
+        [("psi", _born_density), ("rho", io.load_scalar_field)]  # a rho file wins
+        if kind == "rho" else [("psi", io.load_complex_field)]
+    )
+    return {
+        os.path.basename(path)[len(prefix) + 1 : -len(".csv")]: (path, load)
+        for prefix, load in sources
+        for path in glob.glob(os.path.join(run_dir, f"{prefix}_*.csv"))
+    }
+
+
+def _snapshot_gaps(dir_a, dir_b, kind, distance):
+    """distance(a, b) for each `kind` snapshot the two runs share."""
+    found_a, found_b = _snapshots(dir_a, kind), _snapshots(dir_b, kind)
+    common = sorted(found_a.keys() & found_b.keys())
     if not common:
-        raise ConfigError(f"no matching {prefix} snapshots between {dir_a} and {dir_b}")
+        raise ConfigError(f"no matching {kind} snapshots between {dir_a} and {dir_b}")
     gaps = []
-    for name in common:
-        a = load(os.path.join(dir_a, name))
-        b = load(os.path.join(dir_b, name))
+    for tag in common:
+        (path_a, load_a), (path_b, load_b) = found_a[tag], found_b[tag]
+        a, b = load_a(path_a), load_b(path_b)
         if not a.space.same_grid(b.space):
-            raise GridMismatchError(f"snapshot {name}: grids differ")
+            raise GridMismatchError(f"snapshot {tag}: grids differ")
         gaps.append(distance(a, b))
     return gaps
 
@@ -765,9 +791,9 @@ def compare(dir_a, dir_b, metrics, tolerances=None) -> ComparisonReport:
             raise ConfigError(f"unknown metric '{metric}'")
         if metric in ("rho_l2", "rho_l1"):
             distance = l2_distance if metric == "rho_l2" else l1_distance
-            values = _snapshot_gaps(dir_a, dir_b, "rho", io.load_scalar_field, distance)
+            values = _snapshot_gaps(dir_a, dir_b, "rho", distance)
         elif metric == "psi_l2":
-            values = _snapshot_gaps(dir_a, dir_b, "psi", io.load_complex_field, _psi_distance)
+            values = _snapshot_gaps(dir_a, dir_b, "psi", _psi_distance)
         elif metric in ("variance", "center_of_mass"):
             prefix = "variance" if metric == "variance" else "com"
             col_a = _series_columns(dir_a, prefix)
@@ -1062,7 +1088,8 @@ def maxent_audit(sc: Scenario, trials=1000, outdir=None, tolerance=1e-9) -> dict
 
 
 def _ks_metric(dir_a, dir_b):
-    """KS p-value of run-a final walker positions against run-b final density.
+    """KS p-value of run-a final walker positions against run-b final density
+    (its last rho snapshot, or |psi|^2 of a wave run's last psi snapshot).
 
     Multi-dimensional runs are projected on axis 0.  The density CDF is the
     cumulative cell mass, interpolated linearly across each cell.
@@ -1074,10 +1101,11 @@ def _ks_metric(dir_a, dir_b):
     if not os.path.exists(pos_path):
         raise ConfigError("ks metric needs an ensemble run with final_positions.csv")
     samples = io.load_series(pos_path)[1][:, 0]
-    rho_names = sorted(os.path.basename(p) for p in glob.glob(os.path.join(dir_b, "rho_*.csv")))
-    if not rho_names:
-        raise ConfigError(f"ks metric needs rho_*.csv snapshots in {dir_b}")
-    rho = io.load_scalar_field(os.path.join(dir_b, rho_names[-1]))
+    snapshots = _snapshots(dir_b, "rho")
+    if not snapshots:
+        raise ConfigError(f"ks metric needs rho_*.csv or psi_*.csv snapshots in {dir_b}")
+    path, load = snapshots[max(snapshots)]
+    rho = load(path)
     space = rho.space
     marginal = rho.values * space.cell_volume
     for axis in range(space.dim - 1, 0, -1):

@@ -10,7 +10,7 @@ import yaml
 
 from entrolab import cli, io
 from entrolab.errors import ConfigError, StabilityError
-from entrolab.fields import ScalarField
+from entrolab.fields import ScalarField, l1_distance, l2_distance
 from entrolab.scenarios import (
     classical_limit,
     compare,
@@ -184,6 +184,32 @@ def test_initial_from_density_file(tmp_path):
     )
     sc = scenario_from_dict(cfg, base_dir=str(tmp_path))
     assert np.abs(sc.initial.rho.values - rho.values).max() < 1e-15
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [("initial.rho_file", 3), ("initial.rho_file", None), ("initial.rho_file", ["rho0.csv"]),
+     ("initial.phi_file", 3), ("potentials.V.file", 3)],
+    ids=["int", "null", "list", "phi-int", "V-int"],
+)
+def test_non_string_file_path_names_its_key(tmp_path, capsys, path, value):
+    """A file key holding no string once crashed os.path.join (exit 1), and a
+    null one was read as the file `None`."""
+    cfg = base_cfg(initial={"type": "file", "rho_file": "rho0.csv"},
+                   potentials={"V": {"type": "file", "file": "V.csv"}})
+    *sections, key = path.split(".")
+    node = cfg
+    for section in sections:
+        node = node[section]
+    node[key] = value
+    message = f"{path} must be a file path, got {value!r}"
+    with pytest.raises(ConfigError, match=rf"^{re.escape(message)}$"):
+        scenario_from_dict(cfg)
+    cfg_path = tmp_path / "bad.yaml"
+    cfg_path.write_text(yaml.safe_dump(cfg))
+    assert cli.main(["evolve", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "out")
 
 
 def test_summary_config_echoes_every_section(tmp_path):
@@ -491,6 +517,66 @@ def run_pair(tmp_path, engine_a="coupled", engine_b="schrodinger", dt=0.002, ste
     return outs
 
 
+@pytest.mark.parametrize(
+    "engine, written, absent",
+    [("schrodinger", "psi", "rho"), ("nonlinear", "psi", "rho"), ("coupled", "rho", "psi"),
+     ("fokker-planck", "rho", "psi"), ("ensemble", "rho", "psi")],
+)
+def test_a_run_writes_each_snapshot_once(tmp_path, engine, written, absent):
+    """Wave engines write psi and no rho, since rho = |psi|^2; the rest write rho."""
+    cfg = base_cfg(run={"engine": engine, "dt": 0.002, "steps": 4, "snapshot_stride": 2,
+                        "walkers": 500})
+    summary = run(scenario_from_dict(cfg), str(tmp_path))
+    names = os.listdir(tmp_path)
+    snapshots = sorted(n for n in names if n.endswith(".csv") and n[:4] in ("rho_", "psi_"))
+    assert snapshots == [f"{written}_{i:06d}.csv" for i in range(len(summary["snapshot_times"]))]
+    assert not any(n.startswith(f"{absent}_") for n in names)
+
+
+def _density_of(run_dir, tag):
+    """A snapshot's density by hand: the rho file, or |psi|^2 of the psi file."""
+    rho_path = os.path.join(run_dir, f"rho_{tag}.csv")
+    if os.path.exists(rho_path):
+        return io.load_scalar_field(rho_path)
+    psi = io.load_complex_field(os.path.join(run_dir, f"psi_{tag}.csv"))
+    return ScalarField(psi.space, np.abs(psi.values) ** 2)
+
+
+def _assert_density_gaps_by_hand(dir_a, dir_b):
+    report = compare(dir_a, dir_b, ["rho_l2", "rho_l1"])
+    tags = [f"{i:06d}" for i in range(4)]  # t = 0 and steps 20, 40, 60
+    for metric, distance in zip(report.metrics, (l2_distance, l1_distance)):
+        expected = tuple(
+            distance(_density_of(dir_a, tag), _density_of(dir_b, tag)) for tag in tags
+        )
+        assert metric.values == expected
+    return report
+
+
+def test_compare_derives_a_wave_runs_density_from_psi(tmp_path):
+    """rho_l2 and rho_l1 read a wave run's rho as |psi|^2 of its psi file,
+    bit for bit."""
+    dir_a, dir_b = run_pair(tmp_path)
+    report = _assert_density_gaps_by_hand(dir_a, dir_b)
+    assert all(0.0 <= v < 1e-4 for m in report.metrics for v in m.values)
+
+
+def test_compare_reads_densities_of_two_wave_runs(tmp_path):
+    """Both sides psi: two Schroedinger runs whose packets move apart."""
+    dirs = []
+    for tag, momentum in (("a", 0.0), ("b", 1.0)):
+        cfg = base_cfg(initial={"type": "gaussian", "center": 0.0, "width": 1.0,
+                                "momentum": momentum},
+                       run={"engine": "schrodinger", "dt": 0.002, "steps": 60,
+                            "snapshot_stride": 20})
+        run(scenario_from_dict(cfg), str(tmp_path / tag))
+        dirs.append(str(tmp_path / tag))
+    report = _assert_density_gaps_by_hand(*dirs)
+    [l2, l1] = report.metrics
+    assert l2.values[0] < 1e-15 < l2.values[1] < l2.values[2] < l2.values[3]
+    assert not report.passed
+
+
 def test_compare_matched_runs(tmp_path):
     dir_a, dir_b = run_pair(tmp_path)
     report = compare(dir_a, dir_b, ["rho_l2", "variance", "center_of_mass"])
@@ -533,11 +619,13 @@ def test_compare_refuses_a_failed_run(tmp_path, capsys):
 
 
 def test_compare_fails_on_a_nan_snapshot(tmp_path, capsys):
-    """One NaN cell in a middle rho snapshot fails rho_l2; it is not skipped."""
+    """One NaN cell in a middle snapshot fails rho_l2; it is not skipped.
+    dir_b is a wave run, so its rho is read as |psi|^2 of its psi snapshot."""
     dir_a, dir_b = run_pair(tmp_path)
-    path = os.path.join(dir_b, "rho_000002.csv")
+    path = os.path.join(dir_b, "psi_000002.csv")
     lines = open(path).read().splitlines()
-    lines[10] = lines[10].rsplit(",", 1)[0] + ",nan"
+    axis, _, imag = lines[10].split(",")
+    lines[10] = f"{axis},nan,{imag}"
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
     report = compare(dir_a, dir_b, ["rho_l2"])
@@ -553,7 +641,7 @@ def test_compare_refuses_an_infinite_sidecar_extent(tmp_path, capsys):
     """json reads Infinity: the grid once had an infinite cell volume, and
     compare printed worst=nan [FAIL] and exited 1."""
     dir_a, dir_b = run_pair(tmp_path)
-    meta = os.path.join(dir_b, "rho_000000.csv.meta.json")
+    meta = os.path.join(dir_b, "psi_000000.csv.meta.json")
     with open(meta) as fh:
         text = fh.read()
     with open(meta, "w") as fh:
@@ -585,6 +673,21 @@ def test_compare_ks_against_ensemble(tmp_path):
     run(scenario_from_dict(cfg_f), str(tmp_path / "f"))
     report = compare(str(tmp_path / "e"), str(tmp_path / "f"), ["ks"])
     assert report.passed
+
+
+def test_compare_ks_against_a_wave_run(tmp_path):
+    """ks reads a Schroedinger run's last density as |psi|^2 of its last psi
+    snapshot, the same p-value as from that density written as rho."""
+    for tag, engine in (("e", "ensemble"), ("s", "schrodinger")):
+        cfg = base_cfg(run={"engine": engine, "steps": 50, "walkers": 20000, "seed": 5,
+                            "snapshot_stride": 25, "dt": 0.002})
+        run(scenario_from_dict(cfg), str(tmp_path / tag))
+    [metric] = compare(str(tmp_path / "e"), str(tmp_path / "s"), ["ks"]).metrics
+    assert len(metric.values) == 1 and 0.0 <= metric.values[0] <= 1.0
+    (tmp_path / "r").mkdir()
+    io.save_scalar_field(tmp_path / "r" / "rho_000002.csv", _density_of(tmp_path / "s", "000002"))
+    [by_rho] = compare(str(tmp_path / "e"), str(tmp_path / "r"), ["ks"]).metrics
+    assert metric.values == by_rho.values
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import os
 import sys
 from dataclasses import replace
 
-from . import scenarios
+from . import io, scenarios
 from .errors import ConfigError, EntrolabError
 
 EXIT_PASS = 0
@@ -84,8 +84,6 @@ def _cmd_compare(args):
         print(f"compare {m.name}: worst={m.worst:.6e} tolerance={m.tolerance:g} [{mark}]")
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        from . import io
-
         io.save_summary(os.path.join(args.out, "comparison.json"), report.to_dict())
     return EXIT_PASS if report.passed else EXIT_FAIL
 

@@ -250,8 +250,7 @@ class PhysicalParams:
                 raise ConfigError(f"{name} must be {rule}, got {value}")
             object.__setattr__(self, name, value)
 
-    # The constructor under its older name, which perfbench/micro.py and the
-    # verify checks still call; src and tests/conftest.py call the constructor.
+    # The constructor under its older name; perfbench/micro.py is its one caller.
     from_masses = classmethod(lambda cls, *args, **kwargs: cls(*args, **kwargs))
 
     @cached_property

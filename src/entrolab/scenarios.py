@@ -44,7 +44,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import yaml
-from scipy import stats
 
 from . import dynamics, ensemble as ens, fokker_planck as fp, io, schrodinger as schro
 from .errors import ConfigError, GridMismatchError
@@ -200,8 +199,9 @@ class Scenario:
         for key in ("steps", "snapshot_stride", "walkers"):
             if getattr(self, key) <= 0:
                 raise ConfigError(f"run.{key} must be positive")
-        if self.seed < 0:
-            raise ConfigError(f"run.seed must be at least 0, got {self.seed}")
+        for key in ("seed", "energy_tolerance"):
+            if not getattr(self, key) >= 0:
+                raise ConfigError(f"run.{key} must be at least 0, got {getattr(self, key)}")
 
     def potential_at(self, t: float) -> ScalarField:
         a, b = self.time_scale
@@ -778,6 +778,8 @@ def _check_time_alignment(dir_a, dir_b):
 
 def compare(dir_a, dir_b, metrics, tolerances=None) -> ComparisonReport:
     """Metric-by-metric comparison of two run directories."""
+    if not metrics:
+        raise ConfigError("compare needs at least one metric")
     tolerances = tolerances or {}
     for name, tol in tolerances.items():
         if name not in METRICS:
@@ -832,16 +834,15 @@ def gauge_check(sc: Scenario, chi_amplitude, chi_mode, outdir, tolerance=1e-8) -
     beta = sc.params.beta
     if beta == 0.0:
         raise ConfigError("gauge-check needs params.beta != 0")
-    chi_amplitude = float(chi_amplitude)
-    if not math.isfinite(chi_amplitude):
-        raise ConfigError(f"chi amplitude must be finite, got {chi_amplitude}")
-    if chi_amplitude == 0.0 or int(chi_mode) == 0:
+    chi_amplitude = _number(chi_amplitude, "chi amplitude")
+    chi_mode = _number(chi_mode, "chi_mode", int)
+    if chi_amplitude == 0.0 or chi_mode == 0:
         # chi = 0 makes the twin the base, and the check would test nothing
         raise ConfigError(f"chi amplitude and mode must be nonzero, got {chi_amplitude}:{chi_mode}")
     if not (math.isfinite(tolerance) and tolerance >= 0.0):
         raise ConfigError(f"tolerance must be finite and >= 0, got {tolerance}")
     space = sc.space
-    chi = _sine(space, chi_amplitude, int(chi_mode))
+    chi = _sine(space, chi_amplitude, chi_mode)
     dt = resolve_dt(sc)
     A = sc.vector_potential
 
@@ -903,7 +904,7 @@ def gauge_check(sc: Scenario, chi_amplitude, chi_mode, outdir, tolerance=1e-8) -
         "engine": sc.engine,
         "beta": beta,
         "chi_amplitude": chi_amplitude,
-        "chi_mode": int(chi_mode),
+        "chi_mode": chi_mode,
         "dt": dt,
         "times": [float(t) for t in times],
         "rho_gap_max": float(np.max(rho_gaps)),
@@ -975,7 +976,7 @@ def classical_limit(
         )
     if not all(math.isfinite(s) and s > 0 for s in scales):
         raise ConfigError(f"{key} must be finite and positive, got {scales}")
-    walkers = sc.walkers if walkers is None else int(walkers)
+    walkers = sc.walkers if walkers is None else _number(walkers, "walkers", int)
     if walkers < 1:
         raise ConfigError(f"walkers must be at least 1, got {walkers}")
 
@@ -1015,9 +1016,7 @@ def classical_limit(
         checks["residual_quadratic_in_eta"] = _check(res_errs, 0.10)
         checks["variance_linear_in_eta"] = _check(var_errs, 0.05)
     else:
-        shrink_ok = all(
-            residuals[i] <= residuals[i - 1] * 1.0 + 1e-30 for i in range(1, len(scales))
-        )
+        shrink_ok = all(b <= a + 1e-30 for a, b in zip(residuals, residuals[1:]))
         tail_ratio = residuals[-1] / res0 if res0 > 0 else 0.0
         var_errs = [np.abs(variances[i] / var0 - 1.0) for i in range(1, len(scales))]
         checks["residual_vanishes_with_mu"] = {
@@ -1051,11 +1050,11 @@ def classical_limit(
 def maxent_audit(sc: Scenario, trials=1000, outdir=None, tolerance=1e-9) -> dict:
     """Build the exact one-step kernel at the box center and certify it
     against constrained perturbations."""
-    from . import kernel as ker
+    from . import kernel as ker  # here, not at the top: kernel loads scipy.optimize
 
     if sc.space.dim > 2:
         raise ConfigError("maxent-audit runs on dim <= 2 scenarios")
-    trials = int(trials)
+    trials = _number(trials, "trials", int)
     if trials < 1:
         raise ConfigError(f"trials must be at least 1, got {trials}")
     dt = resolve_dt(sc)
@@ -1094,6 +1093,8 @@ def _ks_metric(dir_a, dir_b):
     Multi-dimensional runs are projected on axis 0.  The density CDF is the
     cumulative cell mass, interpolated linearly across each cell.
     """
+    from scipy import stats  # here, not at the top: scipy.stats is a heavy load
+
     pos_path = os.path.join(dir_a, "final_positions.csv")
     if not os.path.exists(pos_path):
         pos_path = os.path.join(dir_b, "final_positions.csv")
@@ -1112,7 +1113,6 @@ def _ks_metric(dir_a, dir_b):
         marginal = marginal.sum(axis=axis)
     marginal = np.maximum(marginal, 0.0)
     marginal /= marginal.sum()
-    dx = space.spacings[0]
     edges = np.linspace(-0.5 * space.extents[0], 0.5 * space.extents[0], space.points[0] + 1)
     cdf_at_edges = np.concatenate([[0.0], np.cumsum(marginal)])
 

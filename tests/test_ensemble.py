@@ -75,7 +75,7 @@ STEP_BITS = {
 @pytest.mark.parametrize("boundary", [PERIODIC, REFLECTING])
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_step_ensemble_bits_are_pinned(dim, boundary):
-    p = PhysicalParams.from_masses([1.0, 2.0, 0.5][:dim], eta=1.0, tau=0.1)
+    p = PhysicalParams([1.0, 2.0, 0.5][:dim], eta=1.0, tau=0.1)
     space = ConfigSpace(dim=dim, extents=(6.0, 5.0, 4.0)[:dim], points=(48, 20, 12)[:dim],
                         boundary=boundary, sigma_sq=p.sigma_sq)
     u = [m / L for m, L in zip(space.meshes, space.extents)]

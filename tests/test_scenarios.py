@@ -10,7 +10,7 @@ import yaml
 
 from entrolab import cli, io
 from entrolab.errors import ConfigError, StabilityError
-from entrolab.fields import ScalarField, l1_distance, l2_distance
+from entrolab.fields import ScalarField, entropy_field, l1_distance, l2_distance
 from entrolab.scenarios import (
     classical_limit,
     compare,
@@ -275,6 +275,17 @@ def test_negative_seed_is_a_config_error(tmp_path, capsys):
     assert not os.path.exists(tmp_path / "out")
 
 
+def test_negative_energy_tolerance_is_a_config_error(tmp_path, capsys):
+    """A negative tolerance fails every energy_drift check, whatever the run does."""
+    cfg = write_cfg(tmp_path, run={"energy_tolerance": -1})
+    message = "run.energy_tolerance must be at least 0, got -1.0"
+    with pytest.raises(ConfigError, match=rf"^{re.escape(message)}$"):
+        load_scenario(cfg)
+    assert cli.main(["evolve", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "out")
+
+
 @pytest.mark.parametrize("command", ["ensemble", "maxent-audit"])
 def test_cli_negative_seed_override_exits_2(tmp_path, capsys, command):
     cfg = write_cfg(tmp_path, name="seeded", **AUDIT_CFG)
@@ -295,6 +306,56 @@ def test_wave_engines_refuse_a_reflecting_box_before_writing(tmp_path, capsys, e
     # the walkers reflect off the walls: the same file runs as an ensemble
     assert cli.main(["ensemble", cfg, "--out", str(tmp_path / "walkers")]) == 0
     assert io.load_summary(tmp_path / "walkers" / "summary.json")["status"] == "completed"
+
+
+def _x(sc):
+    return sc.space.meshes[0]
+
+
+# (section, field config, engine, the field it builds as (scenario) -> (got, expected))
+FIELD_TYPES = {
+    "entropy-linear": (
+        "entropy", {"type": "linear", "slope": 0.3}, "fokker-planck",
+        lambda sc: (sc.entropy.values, 0.3 * _x(sc)),
+    ),
+    "entropy-from_initial": (
+        "entropy", {"type": "from_initial"}, "fokker-planck",
+        lambda sc: (sc.entropy.values, entropy_field(sc.initial.rho, sc.initial.phi).values),
+    ),
+    "initial-plane_wave": (
+        "initial", {"type": "plane_wave", "mode": 2}, "schrodinger",
+        lambda sc: (
+            np.stack([sc.initial.rho.values, sc.initial.phi.values]),
+            np.stack([np.full(128, 1.0 / 12.0), 2.0 * math.pi * 2 / 12.0 * _x(sc)]),
+        ),
+    ),
+    "V-linear": (
+        "potentials", {"V": {"type": "linear", "slope": -0.2}}, "schrodinger",
+        lambda sc: (sc.potential.values, -0.2 * _x(sc)),
+    ),
+    "A-pure_gauge": (
+        "potentials", {"A": {"type": "pure_gauge", "chi_amplitude": 0.5, "chi_mode": 3}},
+        "schrodinger",
+        lambda sc: (
+            sc.vector_potential.components[0],
+            0.5 * (2.0 * math.pi * 3 / 12.0) * np.cos(2.0 * math.pi * 3 * _x(sc) / 12.0),
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FIELD_TYPES))
+def test_each_field_type_builds_its_field_and_runs(tmp_path, case):
+    section, field_cfg, engine, built = FIELD_TYPES[case]
+    cfg = base_cfg(params={"beta": 0.7}, run={"engine": engine, "steps": 2},
+                   **{section: field_cfg})
+    sc = scenario_from_dict(cfg)
+    got, expected = built(sc)
+    np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-12)
+    summary = run(sc, str(tmp_path / case))
+    assert summary["status"] == "completed"
+    assert summary["steps"] == 2
+    assert summary["checks"]["mass_conservation"]["passed"]
 
 
 def test_resolve_dt_auto_uses_half_the_bound():
@@ -623,7 +684,8 @@ def test_compare_fails_on_a_nan_snapshot(tmp_path, capsys):
     dir_b is a wave run, so its rho is read as |psi|^2 of its psi snapshot."""
     dir_a, dir_b = run_pair(tmp_path)
     path = os.path.join(dir_b, "psi_000002.csv")
-    lines = open(path).read().splitlines()
+    with open(path) as fh:
+        lines = fh.read().splitlines()
     axis, _, imag = lines[10].split(",")
     lines[10] = f"{axis},nan,{imag}"
     with open(path, "w") as fh:
@@ -648,6 +710,11 @@ def test_compare_refuses_an_infinite_sidecar_extent(tmp_path, capsys):
         fh.write(text.replace("12.0", "Infinity", 1))
     assert cli.main(["compare", dir_a, dir_b, "--metrics", "rho_l2"]) == 2
     assert "extents must be finite and positive, got (inf,)" in capsys.readouterr().err
+
+
+def test_compare_refuses_an_empty_metric_list(tmp_path):
+    with pytest.raises(ConfigError, match="^compare needs at least one metric$"):
+        compare(str(tmp_path / "a"), str(tmp_path / "b"), [])
 
 
 def test_compare_psi_requires_wave_runs(tmp_path):
@@ -723,6 +790,15 @@ def test_gauge_check_refuses_a_zero_gauge_function(tmp_path, chi):
                    run={"engine": "coupled", "steps": 10})
     with pytest.raises(ConfigError, match="chi amplitude and mode must be nonzero"):
         gauge_check(scenario_from_dict(cfg), *chi, str(tmp_path / "g"))
+    assert not os.path.exists(tmp_path / "g")
+
+
+def test_gauge_check_refuses_a_fractional_chi_mode(tmp_path):
+    """A mode of 1.5 once ran as mode 1 and reported chi_mode: 1."""
+    cfg = base_cfg(params={"beta": 0.7}, space={"points": 64},
+                   run={"engine": "coupled", "steps": 10})
+    with pytest.raises(ConfigError, match=r"^chi_mode must be a whole number, got 1\.5$"):
+        gauge_check(scenario_from_dict(cfg), 0.8, 1.5, str(tmp_path / "g"))
     assert not os.path.exists(tmp_path / "g")
 
 
@@ -950,6 +1026,11 @@ def test_maxent_audit_refuses_fewer_than_one_trial(tmp_path, capsys, trials):
     assert "trials" in capsys.readouterr().err
 
 
+def test_maxent_audit_refuses_a_fractional_trial_count():
+    with pytest.raises(ConfigError, match=r"^trials must be a whole number, got 1\.5$"):
+        maxent_audit(scenario_from_dict(base_cfg(**AUDIT_CFG)), trials=1.5)
+
+
 @pytest.mark.parametrize("walkers", [0, -5])
 def test_classical_limit_refuses_fewer_than_one_walker(tmp_path, capsys, walkers):
     """An explicit walker count is used as given, never swapped for run.walkers."""
@@ -960,6 +1041,11 @@ def test_classical_limit_refuses_fewer_than_one_walker(tmp_path, capsys, walkers
                      "--walkers", str(walkers), "--out", str(tmp_path / "c")])
     assert code == 2
     assert "walkers" in capsys.readouterr().err
+
+
+def test_classical_limit_refuses_a_fractional_walker_count():
+    with pytest.raises(ConfigError, match=r"^walkers must be a whole number, got 2\.5$"):
+        classical_limit(scenario_from_dict(base_cfg()), eta_scales=(1.0, 0.5), walkers=2.5)
 
 
 @pytest.mark.parametrize(

@@ -33,7 +33,7 @@ GAPS = ((6.99e-4, 4.27e-3), (3.45e-4, 2.15e-3), (1.70e-4, 1.08e-3), (8.26e-5, 5.
 
 @pytest.fixture(scope="module")
 def gaps():
-    params = PhysicalParams.from_masses([1.0], eta=1.0, osmotic_ratio=1.0, tau=0.5)
+    params = PhysicalParams([1.0], eta=1.0, osmotic_ratio=1.0, tau=0.5)
     space = ConfigSpace(dim=1, extents=12.0, points=512, sigma_sq=params.sigma_sq)
     S = ScalarField(space, 0.4 * np.sin(2.0 * math.pi * space.meshes[0] / 12.0))
     source = (200,)

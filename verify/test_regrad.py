@@ -32,7 +32,7 @@ def l2(a, b, space):
 
 @pytest.fixture(scope="module")
 def setup():
-    params = PhysicalParams.from_masses([1.0], eta=1.0, osmotic_ratio=4.0, tau=0.1)
+    params = PhysicalParams([1.0], eta=1.0, osmotic_ratio=4.0, tau=0.1)
     space = ConfigSpace(dim=1, extents=30.0, points=512, sigma_sq=params.sigma_sq)
     x = space.meshes[0]
     rho = normalize_density(ScalarField(space, np.exp(-(x**2) / 2.0)))

@@ -34,7 +34,7 @@ def l2(a, b, space):
 
 
 def make(extent, points):
-    params = PhysicalParams.from_masses([1.0], eta=1.0, osmotic_ratio=1.0, tau=0.1)
+    params = PhysicalParams([1.0], eta=1.0, osmotic_ratio=1.0, tau=0.1)
     space = ConfigSpace(dim=1, extents=extent, points=points, sigma_sq=params.sigma_sq)
     return space, params
 

@@ -35,7 +35,7 @@ from entrolab.fields import (
 
 
 def setup(extent, points):
-    params = PhysicalParams.from_masses([1.0], eta=1.0, osmotic_ratio=1.0, tau=0.1)
+    params = PhysicalParams([1.0], eta=1.0, osmotic_ratio=1.0, tau=0.1)
     space = ConfigSpace(dim=1, extents=extent, points=points, sigma_sq=params.sigma_sq)
     return params, space, space.meshes[0]
 

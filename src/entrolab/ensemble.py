@@ -6,6 +6,11 @@ Gaussian noise of per-axis variance (eta/m_a) dt.  Histogramming the cloud
 recovers the density the deterministic solver evolves, and conditional step
 averages recover the forward and backward drift fields.
 
+One walker-cell rule serves both: a walker at x sits in cell
+floor((x_a + L_a/2) / dx_a) per axis, clipped to the grid
+(`ConfigSpace.cell_index`), and cells are counted with `np.bincount` over
+their row-major numbers.
+
 Positions are wrapped into the box once, by the Ensemble constructor, so
 every walker step wraps exactly once and interpolation always sees in-box
 points.  The constructor refuses non-finite coordinates, so a NaN or infinite
@@ -99,17 +104,18 @@ def step_ensemble(
     return Ensemble(e.space, new_pos, e.dt, e.rng, e.time + e.dt)
 
 
+def _flat_cells(space: ConfigSpace, positions: np.ndarray) -> np.ndarray:
+    """Row-major number of the cell each in-box walker sits in."""
+    return np.ravel_multi_index(tuple(space.cell_index(positions).T), space.shape)
+
+
 def estimate_density(e: Ensemble) -> ScalarField:
     """Cell-count histogram of the walkers, normalized to unit integral."""
     if e.walkers < 1:
         raise ConfigError("need at least one walker")
     space = e.space
-    edges = [
-        np.linspace(-0.5 * space.extents[a], 0.5 * space.extents[a], space.points[a] + 1)
-        for a in range(space.dim)
-    ]
-    counts, _ = np.histogramdd(e.positions, bins=edges)
-    return ScalarField(space, counts / (e.walkers * space.cell_volume))
+    counts = np.bincount(_flat_cells(space, e.positions), minlength=space.size)
+    return ScalarField(space, counts.reshape(space.shape) / (e.walkers * space.cell_volume))
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,9 +138,8 @@ def _conditional_drift(e_before: Ensemble, e_after: Ensemble, conditioning: np.n
     # Min-image displacement: the physical step, not the wrapped coordinate gap.
     velocity = space.min_image(e_after.positions - e_before.positions) / dt
 
-    cells = space.cell_index(conditioning)
-    flat = np.ravel_multi_index(tuple(cells.T), space.shape)
-    n_cells = int(np.prod(space.shape))
+    flat = _flat_cells(space, conditioning)
+    n_cells = space.size
 
     counts = np.bincount(flat, minlength=n_cells).astype(float)
     dim = space.dim

@@ -50,6 +50,18 @@ DENSITY_REL_FLOOR = 1e-12
 LOG_ABS_GUARD = 1e-300
 
 
+def _whole(value, name):
+    """A whole number (64, or 64.0 as YAML may give it) as an int; anything
+    else raises ConfigError naming `name`, where int() would truncate."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        number = math.nan
+    if not number.is_integer():
+        raise ConfigError(f"{name} must be a whole number, got {value!r}")
+    return int(number)
+
+
 def _as_tuple(value, dim, kind=float, name="value"):
     """Broadcast a scalar or sequence to a per-axis tuple of length dim."""
     if np.isscalar(value):
@@ -71,10 +83,12 @@ class ConfigSpace:
     sigma_sq: tuple = None
 
     def __post_init__(self):
+        object.__setattr__(self, "dim", _whole(self.dim, "dim"))
         if self.dim < 1 or self.dim > 3:
             raise ConfigError(f"dim must be 1, 2, or 3, got {self.dim}")
         object.__setattr__(self, "extents", _as_tuple(self.extents, self.dim, float, "extents"))
-        object.__setattr__(self, "points", _as_tuple(self.points, self.dim, int, "points"))
+        points = _as_tuple(self.points, self.dim, lambda n: _whole(n, "points"), "points")
+        object.__setattr__(self, "points", points)
         sig = self.sigma_sq if self.sigma_sq is not None else 1.0
         object.__setattr__(self, "sigma_sq", _as_tuple(sig, self.dim, float, "sigma_sq"))
         if self.boundary not in BOUNDARIES:

@@ -1,20 +1,21 @@
 """CSV and JSON artifact plumbing.
 
-Grid fields travel as CSV with header `axis0,axis1,...,<value columns>` in
-row-major order, plus a JSON sidecar (<path>.meta.json) holding what the CSV
-cannot: dim, extents, points, boundary, and the metric weights.  Loaders
-rebuild the grid from the sidecar and verify the row count.  A run's
-snapshots are density fields (`rho_*.csv`: fokker-planck, ensemble, coupled)
-or wave functions (`psi_*.csv`, real and imag columns: schrodinger,
-nonlinear), never both; a wave run's density is |psi|^2.
+A grid CSV is its value columns in row-major order: header `value` for a
+scalar field, `real,imag` for a wave function, one column per axis for a
+vector field.  A JSON sidecar (<path>.meta.json) states the grid: dim,
+extents, points, boundary, and the metric weights.  Loaders rebuild the grid
+from the sidecar and verify the row count; coordinates come from the grid,
+`io.load_*(path).space.meshes`, not from the file.  Readers also accept
+leading `axis0,...,axis<dim-1>` coordinate columns, as hand-written inputs
+and older runs carry them, and skip them.  A run's snapshots are density
+fields (`rho_*.csv`: fokker-planck, ensemble, coupled) or wave functions
+(`psi_*.csv`: schrodinger, nonlinear), never both; a wave run's density is
+|psi|^2.
 
-Every CSV is written by one table writer: numbers as `%.17g`, which
-round-trips float64 exactly, with `\r\n` line ends, formatted a block of
-rows per `%` call.  A grid's coordinate cells are the same in every file on
-that grid, so their text is formatted once per grid and cached inside the
-block formats; a write then formats only its value cells.  A save/load round
-trip is exact, and repeated runs of a seeded scenario produce bit-identical
-files.
+Every CSV, grid or series, is written by one table writer: numbers as
+`%.17g`, which round-trips float64 exactly, with `\r\n` line ends, formatted
+a block of rows per `%` call.  A save/load round trip is exact, and repeated
+runs of a seeded scenario produce bit-identical files.
 
 Every CSV is read by one table reader: the header by `csv`, the body by one
 `np.loadtxt` call over all of its columns, which parses in C.  The parsed
@@ -26,10 +27,8 @@ is scanned again, row by row with `csv`, to name its first bad line.
 from __future__ import annotations
 
 import csv
-import functools
 import io as pyio
 import json
-import math
 import os
 
 import numpy as np
@@ -39,10 +38,7 @@ from .fields import ComplexField, ConfigSpace, ScalarField, VectorField
 
 
 # Rows per `%` call: enough to amortise the call, few enough that a write's
-# temporary string and argument tuple stay O(block) rather than O(grid).  A
-# grid's block formats, coordinate text included, are built once per grid,
-# one block at a time, and cached (`_grid_block_formats`); the cache itself
-# is O(grid) text, about 26-32 bytes per cell at 2D and 32-90 in 3D.
+# temporary string and argument tuple stay O(block) rather than O(grid).
 _BLOCK_ROWS = 4096
 
 
@@ -74,7 +70,7 @@ def _read_meta(path):
 def space_from_meta(meta) -> ConfigSpace:
     try:
         return ConfigSpace(
-            dim=int(meta["dim"]),
+            dim=meta["dim"],
             extents=tuple(meta["extents"]),
             points=tuple(meta["points"]),
             sigma_sq=tuple(meta["sigma_sq"]),
@@ -84,67 +80,29 @@ def space_from_meta(meta) -> ConfigSpace:
         raise ConfigError(f"sidecar metadata missing key {exc}") from exc
 
 
-def _axis_header(dim):
-    return [f"axis{a}" for a in range(dim)]
-
-
-def _write_table(path, header, table, block_formats):
+def _write_table(path, header, table):
     """Write the header line, then the rows of `table`, one C-level `%`
-    format per block of rows.  `block_formats` yields one format per block,
-    with a `%.17g` slot for each of the block's cells of `table`."""
+    format of `%.17g` slots per block of rows."""
     table = np.asarray(table, dtype=float)
+    row_fmt = ",".join(["%.17g"] * len(header)) + "\r\n"
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(header)
-        starts = range(0, len(table), _BLOCK_ROWS)
-        for start, fmt in zip(starts, block_formats, strict=True):
-            fh.write(fmt % tuple(table[start : start + _BLOCK_ROWS].ravel().tolist()))
-
-
-def _table_block_formats(n_rows, n_columns):
-    """Block formats of a table with every cell a `%.17g` slot."""
-    row_fmt = ",".join(["%.17g"] * n_columns) + "\r\n"
-    for start in range(0, n_rows, _BLOCK_ROWS):
-        yield row_fmt * min(_BLOCK_ROWS, n_rows - start)
-
-
-@functools.lru_cache(maxsize=2)
-def _grid_block_formats(extents, points, n_values):
-    """Block formats of a grid CSV with `n_values` value columns: each row's
-    coordinate cells already formatted `%.17g`, its value cells left as
-    `%.17g` slots, e.g. `-9.921875,-9.921875,%.17g\r\n`.
-
-    Keyed on the grid's values, not on a ConfigSpace, since every loaded
-    scenario builds a new one; two entries hold one grid's density and wave
-    formats.  An entry keeps the grid's coordinate text for the life of the
-    process: dim coordinates of up to 24 characters plus 6 per value slot,
-    per cell.  At 3D-64^3 with 17-digit coordinates that raised a snapshot
-    run's peak RSS by about 15 MB; 128^3 would cost about 8 times that.
-    Coordinate text never contains `%`, so baking it into a format is safe.
-    """
-    space = ConfigSpace(dim=len(points), extents=extents, points=points)
-    axes = [space.axis_coords(a) for a in range(space.dim)]
-    coord_fmt = "%.17g," * space.dim + ",".join(["%%.17g"] * n_values) + "\r\n"
-    n_rows = math.prod(points)
-    blocks = []
-    for start in range(0, n_rows, _BLOCK_ROWS):
-        index = np.unravel_index(np.arange(start, min(start + _BLOCK_ROWS, n_rows)), points)
-        coords = np.stack([ax[i] for ax, i in zip(axes, index)], axis=1)
-        blocks.append(coord_fmt * len(coords) % tuple(coords.ravel().tolist()))
-    return tuple(blocks)
+        for start in range(0, len(table), _BLOCK_ROWS):
+            block = table[start : start + _BLOCK_ROWS]
+            fh.write(row_fmt * len(block) % tuple(block.ravel().tolist()))
 
 
 def _write_grid_csv(path, space, headers, values):
     """`values` has one row per cell, in row-major order, and one column per
     header."""
-    formats = _grid_block_formats(space.extents, space.points, len(headers))
-    _write_table(path, _axis_header(space.dim) + headers, values, formats)
+    _write_table(path, headers, values)
     _write_meta(path, space)
 
 
-def _read_csv(path, skip=0):
-    """Header and float body (columns `skip:`) of a CSV file.  An empty file,
-    a ragged row, a blank line or a cell that is not a bare number raises
-    ConfigError naming the file and the line."""
+def _read_csv(path):
+    """Header and float body of a CSV file.  An empty file, a ragged row, a
+    blank line or a cell that is not a bare number raises ConfigError naming
+    the file and the line."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if not raw:
@@ -153,7 +111,7 @@ def _read_csv(path, skip=0):
     header = next(csv.reader([raw[:start].decode()]))
     n_lines = raw.count(b"\n", start) + (start < len(raw) and not raw.endswith(b"\n"))
     if not n_lines:  # header only; loadtxt would warn about the missing data
-        return header, np.empty((0, len(header) - skip))
+        return header, np.empty((0, len(header)))
     body = pyio.BytesIO(raw)
     body.seek(start)
     try:
@@ -163,7 +121,7 @@ def _read_csv(path, skip=0):
     # loadtxt skips blank lines and accepts any one uniform width
     if data.shape != (n_lines, len(header)):
         _raise_bad_line(path, len(header), f"read {data.shape} cells for {n_lines} lines")
-    return header, np.ascontiguousarray(data[:, skip:])
+    return header, data
 
 
 def _raise_bad_line(path, n_cells, reason):
@@ -184,19 +142,21 @@ def _raise_bad_line(path, n_cells, reason):
 
 
 def _read_grid_csv(path, value_columns):
-    """value_columns may be an int or a callable of the grid dim."""
+    """The grid and the value columns of a grid CSV: the header cells after
+    any leading `axis0..axis<dim-1>` cells.  value_columns may be an int or a
+    callable of the grid dim."""
     space = space_from_meta(_read_meta(path))
     if callable(value_columns):
         value_columns = value_columns(space.dim)
-    expected = int(np.prod(space.points))
-    header, data = _read_csv(path, space.dim)
-    if len(data) != expected:
-        raise ConfigError(f"{path}: expected {expected} rows, found {len(data)}")
-    if len(header) != space.dim + value_columns:
+    header, data = _read_csv(path)
+    if len(data) != space.size:
+        raise ConfigError(f"{path}: expected {space.size} rows, found {len(data)}")
+    n_axes = space.dim if header[: space.dim] == [f"axis{a}" for a in range(space.dim)] else 0
+    if len(header) != n_axes + value_columns:
         raise ConfigError(
-            f"{path}: expected {space.dim + value_columns} columns, found {len(header)}"
+            f"{path}: expected {value_columns} value columns, found {len(header) - n_axes}"
         )
-    return space, data
+    return space, np.ascontiguousarray(data[:, n_axes:])
 
 
 def save_scalar_field(path, f: ScalarField):
@@ -227,7 +187,7 @@ def load_vector_field(path) -> VectorField:
 
 def save_series(path, header, rows):
     """Generic numeric table, e.g. (t, mass, variances, centers) rows."""
-    _write_table(path, header, rows, _table_block_formats(len(rows), len(header)))
+    _write_table(path, header, rows)
 
 
 def load_series(path):

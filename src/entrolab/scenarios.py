@@ -22,9 +22,13 @@ A scalar `time_scale: T` (T > 0) is the time over which V doubles, i.e.
 a number that is not finite: every config number must be finite.
 `dt: auto` (the default) picks half the engine's reported stability limit,
 its safety factor included (0.8 for the wave engines, 0.9 for fokker-planck
-and ensemble).  Every run writes row-major CSV snapshots, a moments series,
-an energy audit where energy is defined, and a summary.json echoing the fully
-resolved configuration, so a run is reproducible from its artifacts alone.
+and ensemble).  Every run writes CSV snapshots, a moments series, an energy
+audit where energy is defined, and a summary.json echoing the fully resolved
+configuration, so a run is reproducible from its artifacts alone.  A
+snapshot CSV is its value columns in row-major order, and its `.meta.json`
+sidecar states the grid; coordinates come from `io.load_*(path).space.meshes`.
+Readers also accept leading `axis<k>` coordinate columns, as older runs and
+hand-written inputs carry them.
 A snapshot is one file: the density `rho_<tag>.csv` for fokker-planck,
 ensemble and coupled, the wave function `psi_<tag>.csv` for schrodinger and
 nonlinear.  By the Born rule a wave function's density is rho = |psi|^2, so

@@ -98,6 +98,24 @@ def test_estimate_density_normalized():
     assert est.integral() == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "extents, points, boundary",
+    [((20.0,), (256,), PERIODIC), ((8.0, 5.0), (24, 10), PERIODIC),
+     ((8.0, 5.0), (24, 10), REFLECTING), ((3.0, 4.0, 5.0), (6, 8, 10), PERIODIC)],
+    ids=["1d", "2d", "2d-reflecting", "3d"],
+)
+def test_estimate_density_matches_the_edge_histogram(extents, points, boundary):
+    """The walker-cell rule (cell_index + bincount) counts as np.histogramdd
+    over the linspace cell edges does, bit for bit, on a non-square grid."""
+    space = ConfigSpace(dim=len(points), extents=extents, points=points, boundary=boundary)
+    rng = np.random.default_rng(4)
+    e = ens.Ensemble(space, rng.normal(0.0, 1.5, (50_000, space.dim)), 0.01, rng)
+    edges = [np.linspace(-L / 2, L / 2, n + 1) for L, n in zip(extents, points)]
+    counts, _ = np.histogramdd(e.positions, bins=edges)
+    expected = counts / (e.walkers * space.cell_volume)
+    assert np.array_equal(ens.estimate_density(e).values, expected)
+
+
 def test_pure_diffusion_variance_rate():
     """With flat entropy the cloud diffuses at variance rate eta/m per axis."""
     p = make_params(masses=(2.0,), eta=1.0, tau=0.1)

@@ -67,6 +67,30 @@ def test_space_refuses_a_bad_extent_or_metric_naming_the_values(name, value):
         ConfigSpace(**kwargs)
 
 
+@pytest.mark.parametrize(
+    "kwargs, name, shown",
+    [({"dim": 1, "points": 64.9}, "points", "64.9"),
+     ({"dim": 2, "points": (64, 32.5)}, "points", "32.5"),
+     ({"dim": 1, "points": math.nan}, "points", "nan"),
+     ({"dim": 2.5, "points": 64}, "dim", "2.5"),
+     ({"dim": "two", "points": 64}, "dim", "'two'")],
+    ids=["points", "points-per-axis", "points-nan", "dim", "dim-text"],
+)
+def test_space_refuses_a_grid_size_that_is_not_whole(kwargs, name, shown):
+    """int() used to truncate 64.9 to a 64-point grid; a float dim raised a
+    bare TypeError."""
+    with pytest.raises(ConfigError, match=rf"^{name} must be a whole number, got {shown}$"):
+        ConfigSpace(extents=10.0, **kwargs)
+
+
+def test_space_takes_whole_floats_as_ints():
+    """YAML may spell a grid size 128.0; it is the same grid as 128."""
+    space = ConfigSpace(dim=2.0, extents=10.0, points=(128.0, 64))
+    assert space.dim == 2 and type(space.dim) is int
+    assert space.points == (128, 64) and all(type(n) is int for n in space.points)
+    assert space.same_grid(ConfigSpace(dim=2, extents=10.0, points=(128, 64)))
+
+
 def test_wrap_and_min_image():
     p = make_params()
     space = make_space(10.0, 64, p)

@@ -118,14 +118,13 @@ def test_writer_matches_reference_bytes(tmp_path):
     x = space.meshes[0]
 
     io.save_scalar_field(tmp_path / "rho.csv", ScalarField(space, values))
-    _reference_csv(tmp_path / "rho_ref.csv", ["axis0", "value"], zip(x, values))
+    _reference_csv(tmp_path / "rho_ref.csv", ["value"], zip(values))
     assert (tmp_path / "rho.csv").read_bytes() == (tmp_path / "rho_ref.csv").read_bytes()
 
     psi = np.empty(values.size, dtype=complex)
     psi.real, psi.imag = values[::-1], values
     io.save_complex_field(tmp_path / "psi.csv", ComplexField(space, psi))
-    _reference_csv(tmp_path / "psi_ref.csv", ["axis0", "real", "imag"],
-                   zip(x, psi.real, psi.imag))
+    _reference_csv(tmp_path / "psi_ref.csv", ["real", "imag"], zip(psi.real, psi.imag))
     assert (tmp_path / "psi.csv").read_bytes() == (tmp_path / "psi_ref.csv").read_bytes()
 
     rows = [(t, v, 7) for t, v in zip(x, values)]
@@ -139,16 +138,14 @@ def _assert_grid_files_match_reference(tmp_path, space, seed):
     rng = np.random.default_rng(seed)
     values = rng.standard_normal(space.shape)
     psi = values + 1j * rng.standard_normal(space.shape)
-    coords = [m.ravel() for m in space.meshes]
-    axes = [f"axis{a}" for a in range(space.dim)]
 
     io.save_scalar_field(tmp_path / "rho.csv", ScalarField(space, values))
-    _reference_csv(tmp_path / "rho_ref.csv", axes + ["value"], zip(*coords, values.ravel()))
+    _reference_csv(tmp_path / "rho_ref.csv", ["value"], zip(values.ravel()))
     assert (tmp_path / "rho.csv").read_bytes() == (tmp_path / "rho_ref.csv").read_bytes()
 
     io.save_complex_field(tmp_path / "psi.csv", ComplexField(space, psi))
-    _reference_csv(tmp_path / "psi_ref.csv", axes + ["real", "imag"],
-                   zip(*coords, psi.real.ravel(), psi.imag.ravel()))
+    _reference_csv(tmp_path / "psi_ref.csv", ["real", "imag"],
+                   zip(psi.real.ravel(), psi.imag.ravel()))
     assert (tmp_path / "psi.csv").read_bytes() == (tmp_path / "psi_ref.csv").read_bytes()
 
 
@@ -158,19 +155,11 @@ def _assert_grid_files_match_reference(tmp_path, space, seed):
     ids=["2d-partial-last-block", "3d"],
 )
 def test_grid_writer_matches_reference_bytes(tmp_path, extents, points):
-    """Grids whose row count is not a multiple of the block size: the cached
-    coordinate text must line up with the value rows in every block."""
+    """Grids whose row count is not a multiple of the block size: every block,
+    the partial last one included, is formatted in row-major order."""
     assert math.prod(points) % io._BLOCK_ROWS != 0 and math.prod(points) > io._BLOCK_ROWS
     space = ConfigSpace(dim=len(points), extents=extents, points=points)
     _assert_grid_files_match_reference(tmp_path, space, seed=7)
-
-
-def test_grids_with_equal_points_and_other_extents_keep_their_coordinates(tmp_path):
-    """The cached coordinate text belongs to the grid's values, all of them."""
-    a = ConfigSpace(dim=2, extents=(8.0, 4.0), points=(16, 8))
-    b = ConfigSpace(dim=2, extents=(5.0, 4.0), points=(16, 8))
-    for seed, space in enumerate((a, b, a, b)):
-        _assert_grid_files_match_reference(tmp_path, space, seed)
 
 
 def test_grid_roundtrip_across_row_blocks(tmp_path):
@@ -183,6 +172,95 @@ def test_grid_roundtrip_across_row_blocks(tmp_path):
     back = io.load_scalar_field(path)
     assert np.array_equal(back.values, values)
     assert np.array_equal(back.space.meshes[0], space.meshes[0])
+
+
+# ---------------------------------------------------------------------------
+# grid layouts: value columns only, or leading axis<k> coordinate columns
+
+
+def _grid_files(tmp_path, space, value_header, values):
+    """One field written twice by hand: its value columns only, and with the
+    grid's coordinates as leading axis<k> columns.  Both share one sidecar."""
+    axes = [f"axis{a}" for a in range(space.dim)]
+    coords = [m.ravel() for m in space.meshes]
+    paths = tmp_path / "values.csv", tmp_path / "coords.csv"
+    _reference_csv(paths[0], value_header, zip(*values))
+    _reference_csv(paths[1], axes + value_header, zip(*coords, *values))
+    for path in paths:
+        io._write_meta(path, space)
+    return paths
+
+
+LAYOUT_CASES = {
+    "scalar": (["value"], io.load_scalar_field, lambda f: f.values),
+    "complex": (["real", "imag"], io.load_complex_field, lambda f: f.values),
+    "vector": (["component0", "component1"], io.load_vector_field, lambda f: f.components),
+}
+
+
+@pytest.mark.parametrize("kind", LAYOUT_CASES)
+def test_both_grid_layouts_load_bit_equal(tmp_path, kind):
+    header, load, array_of = LAYOUT_CASES[kind]
+    space = ConfigSpace(dim=2, extents=(8.0, 4.0), points=(16, 8))
+    rng = np.random.default_rng(11)
+    columns = rng.standard_normal((len(header), space.size)) * 10.0 ** rng.integers(-300, 300)
+    columns[0, : len(SPECIAL)] = SPECIAL
+    with_values, with_coords = (load(p) for p in _grid_files(tmp_path, space, header, columns))
+    assert with_values.space.same_grid(space) and with_coords.space.same_grid(space)
+    bits = [array_of(f).view(np.int64) for f in (with_values, with_coords)]
+    assert np.array_equal(*bits)
+    assert np.array_equal(np.real(array_of(with_values)).ravel()[:2], columns[0, :2])  # ±inf
+
+
+def test_saved_grids_carry_only_their_value_columns(tmp_path):
+    space = ConfigSpace(dim=2, extents=(8.0, 4.0), points=(16, 8))
+    io.save_scalar_field(tmp_path / "rho.csv", ScalarField(space, np.ones(space.shape)))
+    io.save_complex_field(tmp_path / "psi.csv", ComplexField(space, np.ones(space.shape) + 0j))
+    assert (tmp_path / "rho.csv").read_text().splitlines()[:2] == ["value", "1"]
+    assert (tmp_path / "psi.csv").read_text().splitlines()[:2] == ["real,imag", "1,0"]
+
+
+@pytest.mark.parametrize(
+    "header",
+    ["value,extra", "axis0,axis1,value,extra", "axis0,value", "axis0,value,extra",
+     "axis1,axis0,value", "axis0,axis1"],
+    ids=["values-too-wide", "coords-too-wide", "partial-axes", "partial-axes-3-wide",
+         "axes-out-of-order", "no-values"],
+)
+def test_grid_file_with_a_wrong_column_count_is_refused_naming_the_file(tmp_path, header):
+    space = ConfigSpace(dim=2, extents=(8.0, 4.0), points=(4, 4))
+    path = tmp_path / "rho.csv"
+    width = header.count(",") + 1
+    io.save_series(path, header.split(","), np.zeros((space.size, width)))
+    io._write_meta(path, space)
+    with pytest.raises(ConfigError, match=r"rho\.csv: expected 1 value columns, found "):
+        io.load_scalar_field(path)
+
+
+def test_a_series_keeps_its_axis_columns(tmp_path):
+    """The grid rule is for grid files: a series headed axis0 (an ensemble's
+    final_positions.csv) reads every column."""
+    path = tmp_path / "final_positions.csv"
+    io.save_series(path, ["axis0"], [[0.5], [-1.25]])
+    header, rows = io.load_series(path)
+    assert header == ["axis0"] and rows.tolist() == [[0.5], [-1.25]]
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [("dim", 1.5, "dim must be a whole number, got 1.5"),
+     ("points", [64.5], "points must be a whole number, got 64.5")],
+)
+def test_sidecar_with_a_grid_size_that_is_not_whole_is_refused(tmp_path, key, value, message):
+    """int() used to truncate a hand-edited sidecar's dim: 1.5 to 1."""
+    space = make_space(10.0, 64, make_params())
+    path = tmp_path / "rho.csv"
+    io.save_scalar_field(path, gaussian_density(space, 0.0, 1.0))
+    meta = json.loads((tmp_path / "rho.csv.meta.json").read_text())
+    meta[key] = value
+    (tmp_path / "rho.csv.meta.json").write_text(json.dumps(meta))
+    with pytest.raises(ConfigError, match=rf"^{message}$"):
+        io.load_scalar_field(path)
 
 
 def test_series_with_no_rows_writes_only_the_header(tmp_path):

@@ -1,8 +1,10 @@
 import dataclasses
+import glob
 import json
 import math
 import os
 import re
+import shutil
 
 import numpy as np
 import pytest
@@ -10,7 +12,13 @@ import yaml
 
 from entrolab import cli, io
 from entrolab.errors import ConfigError, StabilityError
-from entrolab.fields import ScalarField, entropy_field, l1_distance, l2_distance
+from entrolab.fields import (
+    ScalarField,
+    entropy_field,
+    l1_distance,
+    l2_distance,
+    normalize_density,
+)
 from entrolab.scenarios import (
     classical_limit,
     compare,
@@ -638,6 +646,49 @@ def test_compare_reads_densities_of_two_wave_runs(tmp_path):
     assert not report.passed
 
 
+def _with_coordinate_columns(run_dir, dest):
+    """A copy of a run directory with every snapshot rewritten by hand in the
+    older grid layout: leading axis<k> coordinate columns, then the values."""
+    shutil.copytree(run_dir, dest)
+    for path in glob.glob(os.path.join(dest, "*_0*.csv")):
+        space = io.space_from_meta(io._read_meta(path))
+        header, rows = io.load_series(path)
+        coords = np.stack([m.ravel() for m in space.meshes], axis=1)
+        io.save_series(path, [f"axis{a}" for a in range(space.dim)] + header,
+                       np.hstack([coords, rows]))
+        assert io.load_series(path)[0][0] == "axis0"
+    return str(dest)
+
+
+def test_compare_reads_runs_written_in_the_coordinate_layout(tmp_path):
+    """Run directories from before grid CSVs dropped their coordinate columns
+    compare exactly as the value-only runs they hold the numbers of."""
+    dir_a, dir_b = run_pair(tmp_path)
+    old_a = _with_coordinate_columns(dir_a, tmp_path / "old_a")
+    old_b = _with_coordinate_columns(dir_b, tmp_path / "old_b")
+    metrics = ["rho_l2", "rho_l1"]
+    expected = [m.values for m in compare(dir_a, dir_b, metrics).metrics]
+    for pair in ((old_a, dir_b), (dir_a, old_b), (old_a, old_b)):
+        assert [m.values for m in compare(*pair, metrics).metrics] == expected
+
+
+def test_a_runs_density_snapshot_is_another_runs_initial_file(tmp_path):
+    """A run's own rho_*.csv is a valid `initial.rho_file`: the grid comes
+    from its sidecar, and the second run starts from its numbers."""
+    run(scenario_from_dict(base_cfg(run={"engine": "coupled", "dt": 0.002, "steps": 40,
+                                         "snapshot_stride": 20})), str(tmp_path / "a"))
+    path = str(tmp_path / "a" / "rho_000002.csv")
+    cfg = base_cfg(initial={"type": "file", "rho_file": path},
+                   run={"engine": "fokker-planck", "dt": 0.002, "steps": 2,
+                        "snapshot_stride": 2})
+    sc = scenario_from_dict(cfg)
+    snapshot = io.load_scalar_field(path)
+    assert np.array_equal(sc.initial.rho.values, normalize_density(snapshot).values)
+    run(sc, str(tmp_path / "b"))
+    first = io.load_scalar_field(str(tmp_path / "b" / "rho_000000.csv"))
+    assert np.array_equal(first.values, sc.initial.rho.values)
+
+
 def test_compare_matched_runs(tmp_path):
     dir_a, dir_b = run_pair(tmp_path)
     report = compare(dir_a, dir_b, ["rho_l2", "variance", "center_of_mass"])
@@ -686,8 +737,8 @@ def test_compare_fails_on_a_nan_snapshot(tmp_path, capsys):
     path = os.path.join(dir_b, "psi_000002.csv")
     with open(path) as fh:
         lines = fh.read().splitlines()
-    axis, _, imag = lines[10].split(",")
-    lines[10] = f"{axis},nan,{imag}"
+    _, imag = lines[10].split(",")
+    lines[10] = f"nan,{imag}"
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
     report = compare(dir_a, dir_b, ["rho_l2"])

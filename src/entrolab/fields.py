@@ -63,10 +63,12 @@ def _whole(value, name):
 
 
 def _as_tuple(value, dim, kind=float, name="value"):
-    """Broadcast a scalar or sequence to a per-axis tuple of length dim."""
-    if np.isscalar(value):
-        return tuple(kind(value) for _ in range(dim))
-    seq = tuple(kind(v) for v in value)
+    """Broadcast a scalar or sequence to a per-axis tuple of length dim; an
+    entry that is not a number raises ConfigError naming `name`."""
+    try:
+        seq = tuple(kind(v) for v in ([value] * dim if np.isscalar(value) else value))
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name} must be a number or a list of numbers, got {value!r}") from None
     if len(seq) != dim:
         raise ConfigError(f"{name} needs 1 or {dim} entries, got {len(seq)}")
     return seq

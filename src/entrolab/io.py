@@ -42,20 +42,17 @@ from .fields import ComplexField, ConfigSpace, ScalarField, VectorField
 _BLOCK_ROWS = 4096
 
 
+# The sidecar's entries: the ConfigSpace fields, in the order they are written.
+_META_KEYS = ("dim", "extents", "points", "boundary", "sigma_sq")
+
+
 def _meta_path(path) -> str:
     return str(path) + ".meta.json"
 
 
 def _write_meta(path, space: ConfigSpace):
-    meta = {
-        "dim": space.dim,
-        "extents": list(space.extents),
-        "points": list(space.points),
-        "boundary": space.boundary,
-        "sigma_sq": list(space.sigma_sq),
-    }
     with open(_meta_path(path), "w") as fh:
-        json.dump(meta, fh, indent=2)
+        json.dump({key: getattr(space, key) for key in _META_KEYS}, fh, indent=2)
         fh.write("\n")
 
 
@@ -68,14 +65,9 @@ def _read_meta(path):
 
 
 def space_from_meta(meta) -> ConfigSpace:
+    """The grid a sidecar states; ConfigSpace checks each entry, naming it."""
     try:
-        return ConfigSpace(
-            dim=meta["dim"],
-            extents=tuple(meta["extents"]),
-            points=tuple(meta["points"]),
-            sigma_sq=tuple(meta["sigma_sq"]),
-            boundary=str(meta["boundary"]),
-        )
+        return ConfigSpace(**{key: meta[key] for key in _META_KEYS})
     except KeyError as exc:
         raise ConfigError(f"sidecar metadata missing key {exc}") from exc
 
@@ -176,7 +168,8 @@ def save_complex_field(path, f: ComplexField):
 
 def load_complex_field(path) -> ComplexField:
     space, data = _read_grid_csv(path, 2)
-    return ComplexField(space, (data[:, 0] + 1j * data[:, 1]).reshape(space.shape))
+    # the (real, imag) table read as complex128 keeps every bit of both parts
+    return ComplexField(space, data.view(complex).reshape(space.shape))
 
 
 def load_vector_field(path) -> VectorField:

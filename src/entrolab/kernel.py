@@ -30,7 +30,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import AlphaSolveError, KernelNotLocalizedError
-from .fields import ConfigSpace, PhysicalParams, ScalarField, VectorField
+from .fields import PERIODIC, ConfigSpace, PhysicalParams, ScalarField, VectorField
 from .fokker_planck import drift_velocity
 
 # Destinations whose exponent sits this many log-units below the row maximum
@@ -70,36 +70,15 @@ class TransitionKernel:
     vector_potential: VectorField | None = None
 
 
-def _axis_displacements(space: ConfigSpace, source: tuple):
-    """Per-axis displacement arrays destination - source (min image)."""
-    disps = []
-    for a in range(space.dim):
-        coords = space.axis_coords(a)
-        d = coords - coords[source[a]]
-        if space.boundary == "periodic":
-            L = space.extents[a]
-            d = d - L * np.round(d / L)
-        disps.append(d)
-    return disps
-
-
 def _row_geometry(space: ConfigSpace, source: tuple, A: VectorField | None):
-    """Displacement components, metric step length, and EM linear term."""
-    disps = _axis_displacements(space, source)
-    shape = [1] * space.dim
-    dl2 = np.zeros(space.shape)
-    comps = []
-    for a in range(space.dim):
-        s = list(shape)
-        s[a] = space.points[a]
-        d = disps[a].reshape(s)
-        comps.append(np.broadcast_to(d, space.shape))
-        dl2 = dl2 + d**2 / space.sigma_sq[a]
-    em_lin = np.zeros(space.shape)
-    if A is not None:
-        for a in range(space.dim):
-            em_lin = em_lin + comps[a] * A.components[a][source]
-    return comps, dl2, em_lin
+    """Displacement components destination - source (minimum image on a
+    periodic box), metric step length, and EM linear term."""
+    disp = space.min_image(np.stack([x - x[source] for x in space.meshes], axis=-1))
+    comps = np.moveaxis(disp, -1, 0)
+    dl2 = sum(d**2 / s for d, s in zip(comps, space.sigma_sq))
+    if A is None:
+        return comps, dl2, np.zeros(space.shape)
+    return comps, dl2, sum(d * A.components[a][source] for a, d in enumerate(comps))
 
 
 def _row_probs(entropy_values, dl2, em_lin, alpha, beta):
@@ -145,7 +124,7 @@ def build_exact_kernel(
     # Localization: the Gaussian envelope alone must decay by a few e-folds
     # across the largest representable displacement on every axis.
     for a in range(space.dim):
-        reach = 0.5 * space.extents[a] if space.boundary == "periodic" else space.extents[a]
+        reach = 0.5 * space.extents[a] if space.boundary == PERIODIC else space.extents[a]
         decay = 0.5 * alpha * reach**2 / space.sigma_sq[a]
         if decay < LOCALIZATION_MIN_DECAY:
             raise KernelNotLocalizedError(

@@ -18,8 +18,11 @@ A scenario is a YAML file with five sections.  Everything is optional except
                dt, steps, snapshot_stride, seed, walkers, energy_tolerance}
 
 A scalar `time_scale: T` (T > 0) is the time over which V doubles, i.e.
-`[1, 1/T]`.  Unknown keys are rejected, naming the offending path, and so is
-a number that is not finite: every config number must be finite.
+`[1, 1/T]`; it applies to every V type.  Unknown keys are rejected, naming
+the offending path, and so is a number that is not finite: every config
+number must be finite.  A field section takes only the keys its type reads
+(the first type listed is the default); a key that another type reads is
+refused too: `entropy.amplitude does not apply to entropy.type 'uniform'`.
 `dt: auto` (the default) picks half the engine's reported stability limit,
 its safety factor included (0.8 for the wave engines, 0.9 for fokker-planck
 and ensemble).  Every run writes CSV snapshots, a moments series, an energy
@@ -90,16 +93,25 @@ METRICS = {
 # ---------------------------------------------------------------------------
 # strict-key config parsing
 
+# Each field section's types, the first being the default, and the keys each
+# type reads; time_scale drives every V, V(x, t) = V(x) (a + b t).
+_FIELD_TYPES = {
+    "entropy": {"uniform": (), "linear": ("slope",), "sine": ("amplitude", "mode"),
+                "from_initial": ()},
+    "initial": {"gaussian": ("center", "width", "momentum"), "plane_wave": ("mode",),
+                "uniform": (), "file": ("rho_file", "phi_file")},
+    "potentials.V": {"none": ("time_scale",), "harmonic": ("omega", "center", "time_scale"),
+                     "linear": ("slope", "time_scale"), "file": ("file", "time_scale")},
+    "potentials.A": {"none": (), "constant": ("value",),
+                     "pure_gauge": ("chi_amplitude", "chi_mode"), "file": ("file",)},
+}
 _SCHEMA = {
     "name": None,
     "space": {"dim", "extent", "points", "boundary"},
     "params": {"eta", "tau", "masses", "osmotic_ratio", "beta"},
-    "entropy": {"type", "slope", "amplitude", "mode"},
-    "initial": {"type", "center", "width", "momentum", "mode", "rho_file", "phi_file"},
-    "potentials": {
-        "V": {"type", "omega", "center", "slope", "file", "time_scale"},
-        "A": {"type", "value", "chi_amplitude", "chi_mode", "file"},
-    },
+    "entropy": _FIELD_TYPES["entropy"],
+    "initial": _FIELD_TYPES["initial"],
+    "potentials": {"V": _FIELD_TYPES["potentials.V"], "A": _FIELD_TYPES["potentials.A"]},
     "run": {
         "engine",
         "dt",
@@ -110,21 +122,16 @@ _SCHEMA = {
         "energy_tolerance",
     },
 }
-# the type of a field section that names none
-_DEFAULT_TYPES = {
-    "entropy": "uniform",
-    "initial": "gaussian",
-    "potentials.V": "none",
-    "potentials.A": "none",
-}
 
 
 def _section(node, schema, path, base_dir):
     """The mapping `node` (None reads as empty) with only the schema's keys:
-    each nested section read in turn, a type filled in, file paths resolved."""
+    each nested section read in turn, a field section by its type."""
     node = {} if node is None else node
     if not isinstance(node, dict):
         raise ConfigError(f"{path} must be a mapping")
+    if path in _FIELD_TYPES:
+        return _field_section(node, schema, path, base_dir)
     for key in node:
         if key not in schema:
             raise ConfigError(f"unknown key '{path}.{key}'")
@@ -135,8 +142,23 @@ def _section(node, schema, path, base_dir):
             )
             for key, keys in schema.items()
         }
-    out = {"type": _DEFAULT_TYPES[path]} if path in _DEFAULT_TYPES else {}
+    return dict(node)
+
+
+def _field_section(node, types, path, base_dir):
+    """A field section: its type (the table's first if none is named), only
+    the keys that type reads, file paths joined to base_dir."""
+    kind = node.get("type", next(iter(types)))
+    if not isinstance(kind, str) or kind not in types:
+        raise ConfigError(f"{path}.type '{kind}' not recognized")
+    out = {"type": kind}
     for key, value in node.items():
+        if key == "type":
+            continue
+        if not any(key in keys for keys in types.values()):
+            raise ConfigError(f"unknown key '{path}.{key}'")
+        if key not in types[kind]:
+            raise ConfigError(f"{path}.{key} does not apply to {path}.type '{kind}'")
         if key in ("rho_file", "phi_file", "file"):
             if not isinstance(value, str):
                 raise ConfigError(f"{path}.{key} must be a file path, got {value!r}")
@@ -283,10 +305,8 @@ def _build_entropy(cfg, space, initial):
         amp = _number(cfg.get("amplitude", 0.1), "entropy.amplitude")
         mode = _number(cfg.get("mode", 1), "entropy.mode", int)
         return _sine(space, amp, mode)
-    elif kind == "from_initial":
+    else:  # from_initial
         return entropy_field(initial.rho, initial.phi)
-    else:
-        raise ConfigError(f"entropy.type '{kind}' not recognized")
     return ScalarField(space, np.asarray(values, dtype=float))
 
 
@@ -317,7 +337,7 @@ def _build_initial(cfg, space, eta):
         volume = float(np.prod(space.extents))
         rho = ScalarField(space, np.full(space.shape, 1.0 / volume))
         phi = ScalarField(space, np.zeros(space.shape))
-    elif kind == "file":
+    else:  # file
         rho = _grid_file(cfg, "rho_file", "initial", space, io.load_scalar_field)
         rho = normalize_density(ScalarField(space, rho.values))
         if "phi_file" in cfg:
@@ -325,8 +345,6 @@ def _build_initial(cfg, space, eta):
             phi = ScalarField(space, phi.values)
         else:
             phi = ScalarField(space, np.zeros(space.shape))
-    else:
-        raise ConfigError(f"initial.type '{kind}' not recognized")
     return dynamics.ManifoldState(rho=rho, phi=phi, time=0.0)
 
 
@@ -345,10 +363,8 @@ def _build_potential(cfg, space, masses):
     elif kind == "linear":
         slope = _per_axis(cfg.get("slope", 0.0), space.dim, "potentials.V.slope")
         values = sum(k * x[a] for a, k in enumerate(slope))
-    elif kind == "file":
+    else:  # file
         values = _grid_file(cfg, "file", "potentials.V", space, io.load_scalar_field).values
-    else:
-        raise ConfigError(f"potentials.V.type '{kind}' not recognized")
     values = np.asarray(values, dtype=float) + np.zeros(space.shape)
     return ScalarField(space, values), _time_scale(cfg.get("time_scale", [1.0, 0.0]))
 
@@ -379,10 +395,8 @@ def _build_vector_potential(cfg, space):
         amp = _number(cfg.get("chi_amplitude", 1.0), "potentials.A.chi_amplitude")
         mode = _number(cfg.get("chi_mode", 1), "potentials.A.chi_mode", int)
         return schro.spectral_gradient(_sine(space, amp, mode))
-    if kind == "file":
-        loaded = _grid_file(cfg, "file", "potentials.A", space, io.load_vector_field)
-        return VectorField(space, loaded.components)
-    raise ConfigError(f"potentials.A.type '{kind}' not recognized")
+    loaded = _grid_file(cfg, "file", "potentials.A", space, io.load_vector_field)  # type file
+    return VectorField(space, loaded.components)
 
 
 def load_scenario(path) -> Scenario:
@@ -529,6 +543,11 @@ def _engine(sc: Scenario, dt: float, A: VectorField | None):
         # refused here, before a run or check creates its output directory
         raise ConfigError(f"the {sc.engine} engine needs a periodic box")
     if sc.engine == "coupled":
+        # phi = k x winds 2 pi mode around the box, and the engine, which
+        # differences phi itself, would read the seam as a jump
+        if sc.sources["initial"]["type"] == "plane_wave" and sc.initial.phi.values.any():
+            raise ConfigError("the coupled engine needs a phase that does not wind around the"
+                              " box, as a plane_wave of nonzero mode does")
         return (
             sc.initial,
             lambda st, step: dynamics.coupled_step(st, params, v_mid(step), dt, A),
@@ -580,15 +599,13 @@ def run(sc: Scenario, outdir) -> dict:
     moment_rows = []
     energy_rows = []
     norm_gaps = []
-    rhos = []
+    powers = []  # the imposed power b int rho V0 of a driven V, per energy row
 
     def record(t, rho, breakdown, psi):
         com, var = density_moments(rho)
         moment_rows.append([t, rho.integral(), *var, *com])
         tag = f"{len(snap_times):06d}"
         snap_times.append(t)
-        if not sc.static_potential:  # only the driven-V energy audit reads them
-            rhos.append(rho)
         if psi is None:
             io.save_scalar_field(os.path.join(outdir, f"rho_{tag}.csv"), rho)
         else:  # rho = |psi|^2 is derived where it is read
@@ -599,6 +616,9 @@ def run(sc: Scenario, outdir) -> dict:
                 [t, breakdown.current_term, breakdown.osmotic_term,
                  breakdown.potential_term, breakdown.total]
             )
+            if not sc.static_potential:  # V = V0 (a + b t), so dV/dt = b V0
+                v0 = float((rho.values * sc.potential.values).sum()) * sc.space.cell_volume
+                powers.append(sc.time_scale[1] * v0)
 
     last_step = 0  # the last step the engine completed
     try:
@@ -636,9 +656,7 @@ def run(sc: Scenario, outdir) -> dict:
         scale = max(abs(totals[0]), 1e-30)
         checks["energy_drift"] = _check(np.abs(totals - totals[0]) / scale, sc.energy_tolerance)
     if len(energy_rows) >= 3 and not sc.static_potential:
-        mismatch = dynamics.energy_rate_audit(
-            snap_times, totals, rhos, [sc.potential_at(t) for t in snap_times]
-        )
+        mismatch = dynamics.energy_rate_audit(snap_times, totals, powers)
         checks["energy_rate_audit"] = _check(mismatch, 0.05)
 
     summary = {

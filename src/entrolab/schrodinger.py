@@ -21,14 +21,15 @@ roundoff rather than to scheme order.  Each axis solve is one batched FFT: a
 gauge by the cumulative link phase gives every hop on a periodic line the
 same twist, the line's holonomy over its cell count, so the line's hopping
 operator is circulant and the Cayley factor is diagonal in Fourier space.
-A is static over a run, so the links, the gauge phases and the Cayley
-factors are built once per A object and reused on every step.  V is static
-over a run too (a driven potential is a new ScalarField each step), so its
-half-kick phase factor is built once per V object.  Both memos are keyed on
-the object, which is sound because fields are immutable values (the
-fields.py contract): code that needs another A or V builds a new field.
-Without A the sweep's Cayley factor depends only on scalars and is cached on
-them.
+
+A and V are static over a run (a driven potential is a new ScalarField each
+step), so what is built from them lives in one weak memo keyed on the field:
+V's half-kick phase, A's face links and each axis's sweep operators.  That is
+sound because fields are immutable values (the fields.py contract): code that
+needs another A or V builds a new field, and an entry dies with its field.
+Each slot keeps only the value built for its last scalars, so a caller that
+varies dt rebuilds instead of growing the memo.  Without A the sweep's Cayley
+factor has no field to key on; it is cached on its scalars.
 
 The nonlinear (mu != m) term is a bounded real potential on clamped data; it
 is applied inside the symmetric splitting from the pre- and post-step moduli,
@@ -224,54 +225,23 @@ def _sweep_operators(space, params, axis, h, link):
     return gauge, np.conj(gauge), _cayley_factor(n, axis, space.dim, h, c, twist)
 
 
-def _last_built(slots, slot, key, build):
-    """slots[slot] as built for key; on a miss, build() replaces it.
+# field (V or A) -> {slot: (key, value)}; fields hash by identity
+_BUILT = weakref.WeakKeyDictionary()
 
-    A slot keeps only its last key, so a caller that varies dt rebuilds the
-    value instead of growing the memo.
-    """
+
+def _built(field, slot, key, build):
+    """The value of `field`'s slot as built for key; on a miss, build()
+    replaces the slot's last value."""
+    slots = _BUILT.setdefault(field, {})
     cached = slots.get(slot)
     if cached is None or cached[0] != key:
         cached = slots[slot] = (key, build())
     return cached[1]
 
 
-# Per vector potential: its face links and, per axis, the operators of its
-# last sweep with the scalars they were built from.  Per potential: the
-# half-kick phase factor of its last (dt, eta).  Fields hash by identity and
-# are immutable values, so an entry never goes stale; it dies with its field.
-_GAUGE_OPERATORS = weakref.WeakKeyDictionary()
-_KICK_PHASES = weakref.WeakKeyDictionary()
-
-
-def _gauge_operators(A: VectorField):
-    """A's memo entry: (face links, {axis: (key, sweep operators)})."""
-    entry = _GAUGE_OPERATORS.get(A)
-    if entry is None:
-        entry = _GAUGE_OPERATORS[A] = (_face_links(A.space, A), {})
-    return entry
-
-
-def _axis_operators(space, params, axis, h, A):
-    """Operators of one axis sweep; with A, built once per A and per key."""
-    if A is None:
-        return _sweep_operators(space, params, axis, h, None)
-    links, sweeps = _gauge_operators(A)
-    # every scalar _sweep_operators reads; the grid's shape is A's
-    key = (h, params.beta, params.eta, params.masses[axis], space.spacings[axis])
-    return _last_built(
-        sweeps, axis, key, lambda: _sweep_operators(space, params, axis, h, links[axis])
-    )
-
-
 def _half_kick(values, dt, eta):
     """exp(-i dt V / 2 eta), the phase of half a step of the potential."""
     return np.exp(-0.5j * dt * values / eta)
-
-
-def _kick_phase(V: ScalarField, dt, eta):
-    """V's half-kick phase, built once per V and per (dt, eta)."""
-    return _last_built(_KICK_PHASES, V, (dt, eta), lambda: _half_kick(V.values, dt, eta))
 
 
 def _cayley_axis_sweep(psi, axis, operators):
@@ -284,7 +254,15 @@ def _cayley_axis_sweep(psi, axis, operators):
 
 def _kinetic_palindrome(psi, space, params, dt, A):
     def sweep(psi, axis, h):
-        return _cayley_axis_sweep(psi, axis, _axis_operators(space, params, axis, h, A))
+        if A is None:
+            return _cayley_axis_sweep(psi, axis, _sweep_operators(space, params, axis, h, None))
+        links = _built(A, "links", None, lambda: _face_links(space, A))
+        # every scalar _sweep_operators reads; the grid's shape is A's
+        key = (h, params.beta, params.eta, params.masses[axis], space.spacings[axis])
+        operators = _built(
+            A, ("sweep", axis), key, lambda: _sweep_operators(space, params, axis, h, links[axis])
+        )
+        return _cayley_axis_sweep(psi, axis, operators)
 
     dim = space.dim
     for a in range(dim - 1):
@@ -325,7 +303,9 @@ def _split_step(w, params, V, dt, A, nonlinear):
         """
         extra = _nonlinear_potential(psi, space, params) if nonlinear else None
         if extra is None:
-            factor = _kick_phase(V, dt, params.eta)
+            factor = _built(
+                V, "kick", (dt, params.eta), lambda: _half_kick(V.values, dt, params.eta)
+            )
         else:
             factor = _half_kick(V.values + extra, dt, params.eta)
         return factor * psi
@@ -381,7 +361,7 @@ def wavefunction_energy_breakdown(
     space = w.space
     psi = w.psi.values
     vol = space.cell_volume
-    links = _gauge_operators(A)[0] if A is not None else None
+    links = None if A is None else _built(A, "links", None, lambda: _face_links(space, A))
     amp = np.abs(psi)
     current = 0.0
     osmotic = 0.0

@@ -317,3 +317,14 @@ def test_nan_and_infinite_cells_round_trip(tmp_path):
     io.save_series(tmp_path / "series.csv", ["t", "a", "b"], rows)
     _, back = io.load_series(tmp_path / "series.csv")
     assert np.array_equal(back.view(np.int64), np.array(rows).view(np.int64))
+
+
+@pytest.mark.filterwarnings("error")
+def test_complex_field_round_trips_signed_zeros_and_infinities(tmp_path):
+    """Built as real + 1j * imag, 1+inf*j loaded as nan+inf*j with a warning
+    and a -0.0 real part beside a positive imaginary part loaded as +0.0."""
+    space = make_space(4.0, 4, make_params())
+    psi = np.array([complex(-0.0, 1.0), complex(1.0, np.inf), 2.0 - 1.0j, complex(-0.0, -1.0)])
+    io.save_complex_field(tmp_path / "psi.csv", ComplexField(space, psi))
+    back = io.load_complex_field(tmp_path / "psi.csv").values
+    assert np.array_equal(back.view(np.int64), psi.view(np.int64))

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import yaml
 
-from entrolab import cli, io
+from entrolab import cli, io, schrodinger as schro
 from entrolab.errors import ConfigError, StabilityError
 from entrolab.fields import (
     ScalarField,
@@ -20,6 +20,7 @@ from entrolab.fields import (
     normalize_density,
 )
 from entrolab.scenarios import (
+    METRICS,
     classical_limit,
     compare,
     gauge_check,
@@ -72,6 +73,45 @@ def test_unknown_engine_rejected():
 def test_bad_initial_type_rejected():
     with pytest.raises(ConfigError):
         scenario_from_dict(base_cfg(initial={"type": "delta"}))
+
+
+@pytest.mark.parametrize(
+    "section, field_cfg, message",
+    [
+        ("entropy", {"type": "uniform", "amplitude": 0.2},
+         "entropy.amplitude does not apply to entropy.type 'uniform'"),
+        ("entropy", {"amplitude": 0.2},
+         "entropy.amplitude does not apply to entropy.type 'uniform'"),
+        ("initial", {"type": "plane_wave", "width": 2.0},
+         "initial.width does not apply to initial.type 'plane_wave'"),
+        ("initial", {"type": "gaussian", "phi_file": "phi.csv"},
+         "initial.phi_file does not apply to initial.type 'gaussian'"),
+        ("potentials", {"V": {"type": "harmonic", "slope": 0.3}},
+         "potentials.V.slope does not apply to potentials.V.type 'harmonic'"),
+        ("potentials", {"A": {"type": "constant", "chi_mode": 2}},
+         "potentials.A.chi_mode does not apply to potentials.A.type 'constant'"),
+    ],
+    ids=["entropy", "entropy-default-type", "initial", "initial-file-key", "V", "A"],
+)
+def test_a_key_its_type_does_not_read_is_refused(tmp_path, capsys, section, field_cfg, message):
+    """Such a key was once accepted and echoed into summary.json as if it acted."""
+    with pytest.raises(ConfigError, match=rf"^{re.escape(message)}$"):
+        scenario_from_dict(base_cfg(**{section: field_cfg}))
+    cfg = write_cfg(tmp_path, name="inert", **{section: field_cfg})
+    assert cli.main(["evolve", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "out")
+
+
+@pytest.mark.parametrize("V", [{"type": "none"}, {"type": "harmonic"},
+                               {"type": "linear", "slope": 0.2}, {"type": "file"}])
+def test_time_scale_applies_to_every_potential_type(tmp_path, V):
+    space = scenario_from_dict(base_cfg()).space
+    io.save_scalar_field(tmp_path / "V.csv", ScalarField(space, np.full(space.shape, 0.5)))
+    if V["type"] == "file":
+        V = {**V, "file": "V.csv"}
+    cfg = base_cfg(potentials={"V": {**V, "time_scale": [1.0, 0.5]}})
+    assert scenario_from_dict(cfg, base_dir=str(tmp_path)).time_scale == (1.0, 0.5)
 
 
 @pytest.mark.parametrize(
@@ -194,6 +234,26 @@ def test_initial_from_density_file(tmp_path):
     assert np.abs(sc.initial.rho.values - rho.values).max() < 1e-15
 
 
+def test_initial_phase_from_file(tmp_path):
+    from conftest import gaussian_density, make_params, make_space
+
+    space = make_space(12.0, 64, make_params(tau=0.1))
+    io.save_scalar_field(tmp_path / "rho0.csv", gaussian_density(space, 0.5, 0.7))
+    phi = ScalarField(space, 0.4 * np.sin(2.0 * math.pi * space.meshes[0] / 12.0))
+    io.save_scalar_field(tmp_path / "phi0.csv", phi)
+    cfg = base_cfg(
+        space={"points": 64},
+        initial={"type": "file", "rho_file": "rho0.csv", "phi_file": "phi0.csv"},
+        run={"engine": "schrodinger", "dt": 0.002, "steps": 2, "snapshot_stride": 2},
+    )
+    sc = scenario_from_dict(cfg, base_dir=str(tmp_path))
+    assert np.array_equal(sc.initial.phi.values, phi.values)
+    run(sc, str(tmp_path / "out"))
+    psi0 = io.load_complex_field(tmp_path / "out" / "psi_000000.csv")
+    # |phi| <= 0.4, so the angle of psi is phi itself
+    assert np.abs(np.angle(psi0.values) - phi.values).max() < 1e-15
+
+
 @pytest.mark.parametrize(
     "path, value",
     [("initial.rho_file", 3), ("initial.rho_file", None), ("initial.rho_file", ["rho0.csv"]),
@@ -233,7 +293,7 @@ def test_summary_config_echoes_every_section(tmp_path):
         "name": "echo",
         "space": {"dim": 1, "extent": 12.0, "points": 32},
         "params": {"tau": 0.1, "masses": [2.0], "osmotic_ratio": [1.0], "beta": 0.5},
-        "entropy": {"amplitude": 0.2},
+        "entropy": {"type": "sine", "amplitude": 0.2},
         "initial": {"type": "file", "rho_file": "data/rho0.csv"},
         "potentials": {"V": {"type": "harmonic", "omega": 1, "time_scale": 4},
                        "A": {"type": "file", "file": "A.csv"}},
@@ -246,7 +306,7 @@ def test_summary_config_echoes_every_section(tmp_path):
         "space": {"dim": 1, "extent": [12.0], "points": [32], "boundary": "periodic"},
         "params": {"eta": 1.0, "tau": 0.1, "masses": [2.0], "osmotic_ratio": 1.0,
                    "beta": 0.5},
-        "entropy": {"type": "uniform", "amplitude": 0.2},
+        "entropy": {"type": "sine", "amplitude": 0.2},
         "initial": {"type": "file", "rho_file": str(tmp_path / "data" / "rho0.csv")},
         "potentials": {"V": {"type": "harmonic", "omega": 1, "time_scale": [1.0, 0.25]},
                        "A": {"type": "file", "file": a_path}},
@@ -314,6 +374,23 @@ def test_wave_engines_refuse_a_reflecting_box_before_writing(tmp_path, capsys, e
     # the walkers reflect off the walls: the same file runs as an ensemble
     assert cli.main(["ensemble", cfg, "--out", str(tmp_path / "walkers")]) == 0
     assert io.load_summary(tmp_path / "walkers" / "summary.json")["status"] == "completed"
+
+
+def test_coupled_engine_refuses_a_winding_phase_before_writing(tmp_path, capsys):
+    """phi = 2 pi x / L winds once around the box.  The coupled engine
+    differences phi itself and read the seam as a jump: on this box 20 steps
+    once read energy 12.1 against 6.14 for schrodinger, and energy_drift 0.17."""
+    winding = {"type": "plane_wave", "mode": 1}
+    cfg = write_cfg(tmp_path, name="winding", initial=winding, run={"steps": 20})
+    assert cli.main(["evolve", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "the coupled engine needs a phase that does not wind" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "out")
+    for engine in ("schrodinger", "nonlinear"):
+        sc = scenario_from_dict(base_cfg(initial=winding, run={"engine": engine, "steps": 20}))
+        assert run(sc, str(tmp_path / engine))["checks"]["energy_drift"]["value"] < 1e-9
+    flat = scenario_from_dict(base_cfg(initial={"type": "plane_wave", "mode": 0},
+                                       run={"steps": 20}))
+    assert run(flat, str(tmp_path / "flat"))["checks"]["energy_drift"]["value"] < 1e-4
 
 
 def _x(sc):
@@ -560,6 +637,32 @@ def test_energy_rate_audit_counts_the_vector_potential(engine, tmp_path):
     assert summary["checks"]["energy_rate_audit"]["value"] < 2e-5
 
 
+@pytest.mark.parametrize("engine", ["coupled", "schrodinger", "nonlinear"])
+def test_driven_audit_equals_the_rebuild_from_snapshot_fields(engine, tmp_path):
+    """The run records b int rho V0 per snapshot; rebuilding int rho dV/dt
+    from each written density and V at the neighbouring snapshot times, as
+    the audit once did, gives the same mismatch up to roundoff."""
+    cfg = base_cfg(params={"osmotic_ratio": 0.8 if engine == "nonlinear" else 1.0},
+                   initial={"type": "gaussian", "center": -1.0, "width": 1.0, "momentum": 0.5},
+                   potentials={"V": {"type": "harmonic", "omega": 1.0, "time_scale": [0.5, -0.3]}},
+                   run={"engine": engine, "steps": 60, "snapshot_stride": 5})
+    sc = scenario_from_dict(cfg)
+    summary = run(sc, str(tmp_path))
+    t = np.array(summary["snapshot_times"])
+    totals = io.load_series(tmp_path / "energy.csv")[1][:, 4]
+    gaps, powers = [], []
+    for k in range(1, t.size - 1):
+        v_dot = (sc.potential_at(t[k + 1]).values - sc.potential_at(t[k - 1]).values)
+        v_dot /= t[k + 1] - t[k - 1]
+        rho = _density_of(tmp_path, f"{k:06d}")
+        powers.append(float((rho.values * v_dot).sum()) * sc.space.cell_volume)
+        gaps.append((totals[k + 1] - totals[k - 1]) / (t[k + 1] - t[k - 1]) - powers[-1])
+    scale = max(np.abs(powers).max(), abs(totals[0]) / (t[-1] - t[0]))
+    rebuilt = np.abs(gaps).max() / scale
+    assert summary["checks"]["energy_rate_audit"]["value"] == pytest.approx(rebuilt, rel=1e-9)
+    assert 1e-8 < rebuilt < 1e-3
+
+
 def test_time_scale_scalar_is_a_positive_time():
     sc = scenario_from_dict(base_cfg(potentials={"V": {"type": "harmonic", "time_scale": 4}}))
     assert sc.time_scale == (1.0, 0.25)
@@ -774,6 +877,64 @@ def test_compare_psi_requires_wave_runs(tmp_path):
         compare(dir_a, dir_b, ["psi_l2"])
 
 
+def test_compare_psi_l2_and_energy_by_hand(tmp_path):
+    """psi_l2 is the phase-aligned distance of each psi pair; energy is each
+    total's gap over the largest |total| of the first run."""
+    dirs = []
+    for tag, engine, ratio in (("a", "schrodinger", 1.0), ("b", "nonlinear", 0.8)):
+        cfg = base_cfg(params={"osmotic_ratio": ratio},
+                       run={"engine": engine, "dt": 0.002, "steps": 60, "snapshot_stride": 20})
+        run(scenario_from_dict(cfg), str(tmp_path / tag))
+        dirs.append(str(tmp_path / tag))
+    psi_l2, energy = compare(*dirs, ["psi_l2", "energy"]).metrics
+    psis = [[io.load_complex_field(os.path.join(d, f"psi_{i:06d}.csv")) for i in range(4)]
+            for d in dirs]
+    assert psi_l2.values == tuple(
+        schro.phase_aligned_distance(schro.WaveFunction(a), schro.WaveFunction(b))
+        for a, b in zip(*psis)
+    )
+    assert psi_l2.values[0] == 0.0 < psi_l2.values[1] < psi_l2.values[3]
+    totals_a, totals_b = (io.load_series(os.path.join(d, "energy.csv"))[1][:, 4] for d in dirs)
+    expected = np.abs(totals_a - totals_b) / np.abs(totals_a).max()
+    assert energy.values == tuple(expected.tolist())
+    assert energy.values[3] > 1e-6
+
+
+def test_compare_ks_reads_the_walkers_from_either_run(tmp_path):
+    """With the walker run given second, ks reads its positions against the
+    first run's density: the same p-value as the other order."""
+    for tag, engine in (("e", "ensemble"), ("f", "fokker-planck")):
+        cfg = base_cfg(entropy={"type": "sine", "amplitude": 0.2, "mode": 1}, potentials={},
+                       run={"engine": engine, "steps": 20, "walkers": 5000, "seed": 5,
+                            "snapshot_stride": 10, "dt": 0.002})
+        run(scenario_from_dict(cfg), str(tmp_path / tag))
+    [forward] = compare(str(tmp_path / "e"), str(tmp_path / "f"), ["ks"]).metrics
+    [backward] = compare(str(tmp_path / "f"), str(tmp_path / "e"), ["ks"]).metrics
+    assert backward.values == forward.values
+    assert forward.passed
+
+
+def test_compare_ks_projects_a_2d_density_on_axis_0(tmp_path):
+    """A 2D run's density is read as its axis-0 marginal: the p-value equals
+    the one against that marginal written as a 1D density."""
+    for tag, engine in (("e", "ensemble"), ("f", "fokker-planck")):
+        cfg = base_cfg(space={"dim": 2, "points": [48, 16]},
+                       entropy={"type": "sine", "amplitude": 0.2, "mode": 1}, potentials={},
+                       run={"engine": engine, "steps": 20, "walkers": 5000, "seed": 5,
+                            "snapshot_stride": 10, "dt": 0.002})
+        run(scenario_from_dict(cfg), str(tmp_path / tag))
+    rho = io.load_scalar_field(tmp_path / "f" / "rho_000002.csv")
+    line = dataclasses.replace(rho.space, dim=1, extents=rho.space.extents[0],
+                               points=rho.space.points[0], sigma_sq=rho.space.sigma_sq[0])
+    (tmp_path / "m").mkdir()
+    marginal = rho.values.sum(axis=1) * rho.space.spacings[1]
+    io.save_scalar_field(tmp_path / "m" / "rho_000002.csv", ScalarField(line, marginal))
+    [plane] = compare(str(tmp_path / "e"), str(tmp_path / "f"), ["ks"]).metrics
+    [by_line] = compare(str(tmp_path / "e"), str(tmp_path / "m"), ["ks"]).metrics
+    assert plane.values[0] == pytest.approx(by_line.values[0], rel=1e-9)
+    assert plane.passed
+
+
 def test_compare_ks_against_ensemble(tmp_path):
     cfg_e = base_cfg(
         entropy={"type": "sine", "amplitude": 0.2, "mode": 1},
@@ -945,6 +1106,17 @@ def test_cli_compare_exit_codes(tmp_path, capsys):
     assert "[FAIL]" in out
 
 
+def test_cli_compare_out_writes_the_report(tmp_path, capsys):
+    dir_a, dir_b = run_pair(tmp_path)
+    metrics = ["rho_l2", "variance"]
+    code = cli.main(["compare", dir_a, dir_b, "--metrics", *metrics,
+                     "--out", str(tmp_path / "cmp")])
+    assert code == 0
+    written = io.load_summary(tmp_path / "cmp" / "comparison.json")
+    assert written == compare(dir_a, dir_b, metrics).to_dict()
+    assert written["metrics"]["rho_l2"]["note"] == METRICS["rho_l2"][1]
+
+
 @pytest.mark.parametrize(
     "override",
     ["rho_l2=abc", "rho_l3=1e-3", "rho_l2=nan", "rho_l2=inf", "rho_l2=-1e-3"],
@@ -975,6 +1147,42 @@ def test_cli_gauge_check_requires_beta(tmp_path, capsys):
     code = cli.main(["gauge-check", cfg, "--chi", "0.8:1",
                      "--out", str(tmp_path / "g")])
     assert code == 2
+
+
+def test_cli_gauge_check_prints_its_result_and_exit_code(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, name="gauge", params={"beta": 0.7},
+                    potentials={"V": {"type": "harmonic"},
+                                "A": {"type": "constant", "value": 0.4}},
+                    run={"engine": "coupled", "steps": 20, "snapshot_stride": 10})
+    for tolerance, code, mark in (("1e-08", 0, "pass"), ("0", 1, "FAIL")):
+        out = tmp_path / f"g{code}"
+        assert cli.main(["gauge-check", cfg, "--chi", "0.8:1", "--tolerance", tolerance,
+                         "--out", str(out)]) == code
+        report = io.load_summary(out / "summary.json")
+        assert 0.0 < report["rho_gap_max"] < 1e-12 and report["phase_gap_max"] < 1e-12
+        assert capsys.readouterr().out.splitlines() == [
+            f"gauge-check gauge: rho_gap={report['rho_gap_max']:.3e} "
+            f"phase_gap={report['phase_gap_max']:.3e} tolerance={tolerance} [{mark}]"
+        ]
+
+
+def test_cli_classical_limit_prints_its_result_and_exit_code(tmp_path, capsys):
+    """The residual is linear in the osmotic coupling: it halves with mu and
+    doubles when mu doubles, which fails residual_vanishes_with_mu."""
+    cfg = write_cfg(tmp_path, name="classical")
+    for sweep, code, lines in (
+        ("1,0.5", 0, ["classical-limit classical (mu sweep): "
+                      "residuals 2.163e-01 1.082e-01 [pass]",
+                      "classical-limit classical: residual_vanishes_with_mu=5.000e-01[pass] "
+                      "variance_persists=0.000e+00[pass]"]),
+        ("1,2", 1, ["classical-limit classical (mu sweep): "
+                    "residuals 2.163e-01 4.326e-01 [FAIL]",
+                    "classical-limit classical: residual_vanishes_with_mu=2.000e+00[FAIL] "
+                    "variance_persists=0.000e+00[pass]"]),
+    ):
+        assert cli.main(["classical-limit", cfg, "--mu-sweep", sweep, "--walkers", "500",
+                         "--out", str(tmp_path / f"c{code}")]) == code
+        assert capsys.readouterr().out.splitlines() == lines
 
 
 @pytest.mark.parametrize(
@@ -1082,6 +1290,16 @@ def test_maxent_audit_refuses_a_fractional_trial_count():
         maxent_audit(scenario_from_dict(base_cfg(**AUDIT_CFG)), trials=1.5)
 
 
+def test_cli_maxent_audit_refuses_a_kernel_that_is_not_localized(tmp_path, capsys):
+    """dt = 10 makes alpha = tau / dt = 0.01, below the localization bound."""
+    cfg = write_cfg(tmp_path, name="audit",
+                    **{**AUDIT_CFG, "run": {**AUDIT_CFG["run"], "dt": 10.0}})
+    code = cli.main(["maxent-audit", cfg, "--trials", "10", "--out", str(tmp_path / "m")])
+    assert code == 2
+    assert "kernel not localized: alpha=0.01 " in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "m")
+
+
 @pytest.mark.parametrize("walkers", [0, -5])
 def test_classical_limit_refuses_fewer_than_one_walker(tmp_path, capsys, walkers):
     """An explicit walker count is used as given, never swapped for run.walkers."""
@@ -1123,6 +1341,33 @@ def test_cli_evolve_malformed_field_file_exits_2(tmp_path, capsys, corrupt):
     assert code == 2
     err = capsys.readouterr().err
     assert "rho0.csv" in err and "line 6" in err
+
+
+@pytest.mark.parametrize(
+    "extents, code, message",
+    [(12.0, 0, ""),
+     ("twelve", 2, "extents must be a number or a list of numbers, got 'twelve'")],
+    ids=["scalar", "string"],
+)
+def test_cli_evolve_reads_a_sidecar_of_scalars(tmp_path, capsys, extents, code, message):
+    """A scalar sidecar entry once raised a bare TypeError, and the CLI exited 1."""
+    from conftest import gaussian_density, make_params, make_space
+
+    space = make_space(12.0, 64, make_params(tau=0.1))
+    path = tmp_path / "rho0.csv"
+    rho = gaussian_density(space, 0.5, 0.7)
+    io.save_scalar_field(path, rho)
+    meta = json.loads((tmp_path / "rho0.csv.meta.json").read_text())
+    meta.update(extents=extents, points=64, sigma_sq=space.sigma_sq[0])
+    (tmp_path / "rho0.csv.meta.json").write_text(json.dumps(meta))
+    cfg = write_cfg(tmp_path, name="sidecar", space={"points": 64},
+                    initial={"type": "file", "rho_file": str(path)},
+                    run={"steps": 2, "snapshot_stride": 2})
+    assert cli.main(["evolve", cfg, "--out", str(tmp_path / "out")]) == code
+    assert message in capsys.readouterr().err
+    if code == 0:
+        first = io.load_scalar_field(tmp_path / "out" / "rho_000000.csv")
+        assert np.array_equal(first.values, normalize_density(rho).values)
 
 
 def test_cli_compare_ks_without_density_snapshots_exits_2(tmp_path, capsys):

@@ -214,6 +214,22 @@ def test_gauge_transform_is_exactly_unitary_dynamics():
     assert schro.phase_aligned_distance(w_mapped, w_twin) < 1e-12
 
 
+def test_gauge_transform_without_a_vector_potential():
+    """With no A the twin's A is the spectral gradient of chi itself."""
+    p = make_params(beta=0.7)
+    space = make_space(20.0, 64, p)
+    chi = ScalarField(space, 0.8 * np.sin(2.0 * math.pi * space.meshes[0] / 20.0))
+    phi = ScalarField(space, 0.3 * space.meshes[0])
+    w = schro.to_wavefunction(dyn.ManifoldState(gaussian_density(space, -2.0, 1.0), phi))
+    w_twin, A_twin = schro.gauge_transform(w, None, chi, p.beta)
+    assert np.array_equal(A_twin.components, schro.spectral_gradient(chi).components)
+    # d(chi)/dx = 0.8 (2 pi / 20) cos(2 pi x / 20), band-limited, so exact to roundoff
+    k = 2.0 * math.pi / 20.0
+    assert np.abs(A_twin.components[0] - 0.8 * k * np.cos(k * space.meshes[0])).max() < 1e-13
+    assert np.array_equal(w_twin.psi.values, w.psi.values * np.exp(1j * p.beta * chi.values))
+    assert w_twin.time == w.time
+
+
 def _dense_hopping(space, p, axis, link):
     """The periodic hopping matrix of one axis on the flattened grid, with
     hop i -> i+1 weighted by exp(-i beta link_i) (link None: no phases)."""
@@ -351,21 +367,19 @@ def test_gauge_memo_is_keyed_on_the_vector_potential_and_the_step():
 def test_gauge_memo_entry_dies_with_its_vector_potential():
     p, space, w0, V, A = _curl_case()
     schro.unitary_step(w0, p, V, 0.01, A)
-    entry = schro._GAUGE_OPERATORS[A]
+    entry = schro._BUILT[A]
     alive = weakref.ref(A)
     del A
     gc.collect()
     assert alive() is None
-    assert not any(held is entry for held in schro._GAUGE_OPERATORS.values())
+    assert not any(held is entry for held in schro._BUILT.values())
 
 
 def test_energy_breakdown_with_memo_equals_uncached(monkeypatch):
     p, space, w0, V, A = _curl_case()
     w = schro.unitary_step(w0, p, V, 0.01, A)  # the memo now holds A's links
     cached = schro.wavefunction_energy_breakdown(w, p, V, A)
-    monkeypatch.setattr(
-        schro, "_gauge_operators", lambda A: (_uncached_face_links(A.space, A), {})
-    )
+    monkeypatch.setattr(schro, "_built", lambda field, slot, key, build: build())
     uncached = schro.wavefunction_energy_breakdown(w, p, V, A)
     assert cached == uncached
 
@@ -437,12 +451,12 @@ def test_kick_memo_is_keyed_on_the_potential_and_the_step():
 def test_kick_memo_entry_dies_with_its_potential():
     p, space, w0, V = _free_case(2)
     schro.unitary_step(w0, p, V, 0.01)
-    entry = schro._KICK_PHASES[V]
+    entry = schro._BUILT[V]
     alive = weakref.ref(V)
     del V
     gc.collect()
     assert alive() is None
-    assert not any(held is entry for held in schro._KICK_PHASES.values())
+    assert not any(held is entry for held in schro._BUILT.values())
 
 
 def _wave_scenario(time_scale):

@@ -340,10 +340,14 @@ def _rho_halfstep(rho_values, v, space, half_dt):
         for a in range(space.dim):
             cell_flux = rho * v[a]
             rho_plus = shift(rho, a, 1, PERIODIC)
-            central = 0.5 * (cell_flux + shift(cell_flux, a, 1, PERIODIC))
-            donor = np.where(v_face[a] > 0.0, rho, rho_plus) * v_face[a]
-            steep = (rho > FACE_RATIO_LIMIT * rho_plus) | (rho_plus > FACE_RATIO_LIMIT * rho)
-            face = np.where(steep, donor, central)  # face[i]: between cells i, i+1
+            face = cell_flux + shift(cell_flux, a, 1, PERIODIC)  # face[i]: between i, i+1
+            face *= 0.5
+            steep = np.flatnonzero(
+                (rho > FACE_RATIO_LIMIT * rho_plus) | (rho_plus > FACE_RATIO_LIMIT * rho)
+            )
+            vf = v_face[a].ravel()[steep]
+            donor = np.where(vf > 0.0, rho.ravel()[steep], rho_plus.ravel()[steep])
+            face.ravel()[steep] = donor * vf
             out -= (face - shift(face, a, -1, PERIODIC)) / space.spacings[a]
         return out
 

@@ -13,9 +13,15 @@ fields (`rho_*.csv`: fokker-planck, ensemble, coupled) or wave functions
 |psi|^2.
 
 Every CSV, grid or series, is written by one table writer: numbers as
-`%.17g`, which round-trips float64 exactly, with `\r\n` line ends, formatted
-a block of rows per `%` call.  A save/load round trip is exact, and repeated
-runs of a seeded scenario produce bit-identical files.
+`%.17g`, byte for byte as `format(x, ".17g")`, which round-trips float64
+exactly, with `\r\n` line ends.  The text is built in numpy a block of rows
+at a time: a cell's 17 digits are its 53-bit mantissa times a double-double
+power of ten, exact by Dekker's product to within 2^-45 of a unit in the 17th
+digit, rounded to nearest, and laid out by %g's rules.  Python's formatter
+writes the cells this cannot certify: nan, inf, subnormals, digits within
+TOL = 2^-30 of a rounding tie, and digits that carry into the next power of
+ten.  A save/load round trip is exact, and repeated runs of a seeded
+scenario produce bit-identical files.
 
 Every CSV is read by one table reader: the header by `csv`, the body by one
 `np.loadtxt` call over all of its columns, which parses in C.  The parsed
@@ -27,6 +33,7 @@ is scanned again, row by row with `csv`, to name its first bad line.
 from __future__ import annotations
 
 import csv
+import functools
 import io as pyio
 import json
 import os
@@ -35,11 +42,6 @@ import numpy as np
 
 from .errors import ConfigError
 from .fields import ComplexField, ConfigSpace, ScalarField, VectorField
-
-
-# Rows per `%` call: enough to amortise the call, few enough that a write's
-# temporary string and argument tuple stay O(block) rather than O(grid).
-_BLOCK_ROWS = 4096
 
 
 # The sidecar's entries: the ConfigSpace fields, in the order they are written.
@@ -73,15 +75,139 @@ def space_from_meta(meta) -> ConfigSpace:
 
 
 def _write_table(path, header, table):
-    """Write the header line, then the rows of `table`, one C-level `%`
-    format of `%.17g` slots per block of rows."""
+    """Write the header line, then the rows of `table`: each block of
+    _BLOCK_ROWS rows is laid out in byte slots by `_cell_slots`, and one
+    translate drops the empty slots."""
     table = np.asarray(table, dtype=float)
-    row_fmt = ",".join(["%.17g"] * len(header)) + "\r\n"
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(header)
+        fh.flush()  # the rows go to the byte stream underneath
         for start in range(0, len(table), _BLOCK_ROWS):
-            block = table[start : start + _BLOCK_ROWS]
-            fh.write(row_fmt * len(block) % tuple(block.ravel().tolist()))
+            slots = _cell_slots(table[start : start + _BLOCK_ROWS].ravel(), len(header))
+            fh.buffer.write(slots.tobytes().translate(None, b"\0"))
+
+
+# Rows per block: a cell takes about 220 bytes of numpy temporaries and slots,
+# so a write holds O(block) memory (under 1 MB at two columns), not O(table).
+_BLOCK_ROWS = 2048
+
+# Cells within TOL of a rounding tie, in units of the 17th digit, go to
+# Python's formatter; the double-double product errs by less than 2^-45.
+TOL = 2.0**-30
+
+
+def _ratio(p, e):
+    """10^p 2^e as an integer pair (numerator, denominator)."""
+    num, den = (10**p, 1) if p >= 0 else (1, 10**-p)
+    return (num << e, den) if e >= 0 else (num, den << -e)
+
+
+@functools.cache
+def _digit_tables():
+    """For x = m 2^(b-1075), m in [2^52, 2^53), per biased exponent b:
+    x0 = floor(log10 2^(b-1023)); bump, the least m with x >= 10^(x0+1), so
+    X = x0 + (m >= bump); and at row 2b + (m >= bump), 10^(16-X) 2^(b-1075)
+    as a double-double (hi, lo, and hi's Veltkamp halves).  b = 0, 2047: 0."""
+    b = np.arange(1, 2047)
+    x0 = np.zeros(2048, dtype=np.intp)
+    x0[b] = ((b - 1023) * 78913) >> 18  # floor(E log10 2), exact for |E| < 1650
+    bump = np.full(2048, 2.0**53)
+    for k in b.tolist():
+        num, den = _ratio(int(x0[k]) + 1, 1075 - k)
+        bump[k] = min(-(-num // den), 2**53)
+    fives = []  # 10^q 2^e = 5^q 2^(q+e): a double-double of 5^q per q = 16 - X
+    for q in range(-293, 325):
+        num, den = _ratio(q, -q)
+        hi = num / den  # int / int rounds correctly
+        a, s = hi.as_integer_ratio()
+        fives.append((hi, (num * s - a * den) / (den * s)))
+    q = 16 - (x0[b, None] + np.arange(2))
+    dd = np.zeros((2048, 2, 4))
+    dd[b, :, :2] = np.ldexp(np.array(fives)[q + 293], (q + b[:, None] - 1075)[..., None])
+    c = dd[..., 0] * 134217729.0  # 2^27 + 1
+    dd[..., 2] = c - (c - dd[..., 0])
+    dd[..., 3] = dd[..., 0] - dd[..., 2]
+    return x0, bump, dd.reshape(4096, 4)
+
+
+def _digits(x):
+    """For float64 cells x: D, the 17 significant digits of |x| as an integer
+    in [1e16, 1e17) (0 for a zero); X, the decimal exponent; and `bad`, where
+    D is not certified: nan, inf, subnormal, within TOL of a tie, or carried."""
+    x0, bump, dd = _digit_tables()
+    bits = x.view(np.uint64)
+    b = (bits >> 52).astype(np.intp) & 0x7FF
+    m = ((bits & (2**52 - 1)) | 2**52).astype(float)
+    up = m >= bump[b]
+    X = x0[b] + up
+    hi, lo, hi_h, hi_l = dd[2 * b + up].T
+    # Dekker: m hi = P + err exactly, from halves of at most 27 bits
+    c = m * 134217729.0
+    m_h = c - (c - m)
+    m_l = m - m_h
+    P = m * hi
+    r = ((m_h * hi_h - P) + m_h * hi_l + m_l * hi_h) + m_l * hi_l + m * lo
+    whole = np.floor(r)
+    frac = r - whole
+    D = P.astype(np.int64) + whole.astype(np.int64) + (frac > 0.5)
+    bad = (np.abs(frac - 0.5) < TOL) | ((D < 10**16) | (D >= 10**17)) & (bits << 1 != 0)
+    return D, X, bad
+
+
+@functools.cache
+def _text_tables():
+    """Words of ASCII, little-endian: quad[v], 4-digit group v at even bytes;
+    last[g, v], digits shown through group g's last nonzero digit; keep[n],
+    the digit bytes of groups 0..3 when n digits show; head[sign, c], `-` and,
+    for X = -c, `0.` and c - 1 zeros; expo[X + 350], `e+XX` (0 in fixed
+    notation); ends, `,` and `\r\n`."""
+    word = lambda text: int.from_bytes(text, "little")
+    v = np.arange(10000, dtype=np.int16)
+    quad = np.zeros((10000, 8), dtype=np.uint8)
+    last = np.ones((4, 10000), dtype=np.int8)
+    for j in range(4):
+        digit = v // 10 ** (3 - j) % 10
+        quad[:, 2 * j] = digit + 48
+        last[:, digit > 0] = 4 * np.arange(4)[:, None] + j + 2
+    kept = np.clip(np.arange(18)[:, None] - 1 - 4 * np.arange(4), 0, 4).tolist()
+    keep = [[word(b"\xff\0" * n) for n in row] for row in kept]
+    head = [[word(s + lead) for lead in (b"", b"0.", b"0.0", b"0.00", b"0.000")]
+            for s in (b"\0", b"-")]
+    expo = [word(b"e%+03d" % X) if X < -4 or X >= 17 else 0 for X in range(-350, 350)]
+    ends = [word(b",") << 40, word(b"\r\n") << 40]
+    words = (np.array(t, np.uint64) for t in (keep, head, expo, ends))
+    return quad.view("<u8").ravel(), last, *words
+
+
+def _cell_slots(cells, n_cols):
+    """Six words of byte slots per cell of `cells` (row-major, n_cols to a
+    row), NUL where unused: sign, `0.000`, digits 0..16 each followed by a
+    point slot, `e+XXX`, separator.  Uncertified cells hold Python's text."""
+    quad, last, keep, head, expo, ends = _text_tables()
+    D, X, bad = _digits(cells)
+    top = D // 10**8
+    low = D - top * 10**8
+    d0 = top // 10**8
+    mid = top - d0 * 10**8
+    g0, g2 = mid // 10**4, low // 10**4
+    groups = (g0, mid - g0 * 10**4, g2, low - g2 * 10**4)
+    shown = np.maximum.reduce([last[g, v] for g, v in enumerate(groups)])
+    at = np.where((X < -4) | (X >= 17), 0, X)  # the digit the point follows
+    n_digits = np.maximum(shown, at + 1)  # fixed notation shows its integer part
+    words = np.empty((cells.size, 6), dtype="<u8")
+    lead = head[np.signbit(cells).view(np.int8), np.maximum(-at, 0)]
+    np.bitwise_or(lead, ((d0 + 48) << 48).astype(np.uint64), out=words[:, 0])
+    np.bitwise_and(quad[np.column_stack(groups)], keep[n_digits], out=words[:, 1:5])
+    sep = ends[[0] * (n_cols - 1) + [1]]
+    np.bitwise_or(expo[X + 350].reshape(-1, n_cols), sep, out=words.reshape(-1, n_cols, 6)[..., 5])
+    point = np.flatnonzero((at >= 0) & (shown > at + 1))
+    text = words.view(np.uint8)
+    text.reshape(-1)[48 * point + 2 * at[point] + 7] = ord(".")
+    for i in np.flatnonzero(bad).tolist():
+        cell = format(float(cells[i]), ".17g").encode()
+        text[i, :45] = 0
+        text[i, : len(cell)] = np.frombuffer(cell, np.uint8)
+    return words
 
 
 def _write_grid_csv(path, space, headers, values):

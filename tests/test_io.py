@@ -1,6 +1,8 @@
 import csv
 import json
 import math
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -172,6 +174,63 @@ def test_grid_roundtrip_across_row_blocks(tmp_path):
     back = io.load_scalar_field(path)
     assert np.array_equal(back.values, values)
     assert np.array_equal(back.space.meshes[0], space.meshes[0])
+
+
+def _hard_cells():
+    """Floats whose `%.17g` text is easy to get wrong, then 10^5 random bit
+    patterns (every exponent, nan payloads and subnormals included)."""
+    rng = np.random.default_rng(23)
+    powers = np.array([float(f"1e{k}") for k in range(-307, 309)])
+    # exact ties: 18 significant digits, the last a 5
+    ties = np.concatenate([rng.integers(10**15, 2**51, 40) + 0.25,
+                           rng.integers(10**15, 2**51, 40) + 0.75,
+                           rng.integers(10**14, 2**50, 40) + 0.125,
+                           rng.integers(10**13, 2**49, 40) + 0.0625])
+    special = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324,
+               np.nextafter(2.2250738585072014e-308, 0), 2.2250738585072014e-308,
+               1000000000000000.25, 1e23, 1e-305, 1e16, 1e17, 0.0001, 0.001, 1e-5]
+    integers = [2.0**53 + d for d in range(-3, 4)] + [1e17 + d for d in (-32, -16, 16, 32)]
+    bits = rng.integers(0, 2**64 - 1, 100_000, dtype=np.uint64, endpoint=True)
+    return np.concatenate([special, integers, powers, np.nextafter(powers, 0),
+                           np.nextafter(powers, np.inf), ties, -ties, bits.view(float)])
+
+
+def _assert_table_matches_reference(tmp_path, rows):
+    header = [f"c{j}" for j in range(rows.shape[1])]
+    io.save_series(tmp_path / "t.csv", header, rows)
+    _reference_csv(tmp_path / "t_ref.csv", header, rows)
+    got, ref = ((tmp_path / name).read_bytes().split(b"\r\n") for name in ("t.csv", "t_ref.csv"))
+    assert len(got) == len(ref)
+    assert [(g, r) for g, r in zip(got, ref) if g != r][:5] == []
+
+
+def test_writer_matches_reference_bytes_on_hard_cells(tmp_path):
+    """The numpy digits are certified or left to Python, cell by cell; 1e-305
+    is a double below 10^-305 whose 17 digits carry into it."""
+    assert Fraction(1e-305) < Fraction(1, 10**305) and format(1e-305, ".17g") == "1e-305"
+    cells = _hard_cells()
+    _assert_table_matches_reference(tmp_path, cells[: cells.size // 3 * 3].reshape(-1, 3))
+
+
+@pytest.mark.parametrize("n_cols", [1, 2, 3])
+@pytest.mark.parametrize("n_rows", [0, 1, io._BLOCK_ROWS - 1, io._BLOCK_ROWS, io._BLOCK_ROWS + 1])
+def test_writer_matches_reference_bytes_at_block_edges(tmp_path, n_rows, n_cols):
+    cells = np.resize(_hard_cells()[:4000], n_rows * n_cols)
+    _assert_table_matches_reference(tmp_path, cells.reshape(n_rows, n_cols))
+
+
+def test_a_long_series_is_formatted_a_block_at_a_time(tmp_path):
+    """Formatting 2^18 rows at once would hold about 220 bytes a cell of
+    temporaries, ~60 MB; one block at a time it holds well under 4 MB."""
+    rows = np.random.default_rng(2).standard_normal((2**18, 1))
+    io.save_series(tmp_path / "warm.csv", ["x"], rows[:1])  # the digit tables are built once
+    tracemalloc.start()
+    try:
+        io.save_series(tmp_path / "long.csv", ["x"], rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 # ---------------------------------------------------------------------------

@@ -234,12 +234,10 @@ AMP_RATIO_LIMIT = 8.0
 
 def clipped_amplitude_curvature(amp, space, coeffs):
     """sum_a coeffs[a] (second difference of amp along axis a) / amp, the
-    neighbor amplitude ratios clipped at AMP_RATIO_LIMIT and axes with a zero
-    coefficient skipped; amp must be clamped positive by the caller."""
+    neighbor amplitude ratios clipped at AMP_RATIO_LIMIT; amp must be clamped
+    positive by the caller."""
     out = np.zeros(space.shape)
     for a in range(space.dim):
-        if coeffs[a] == 0.0:
-            continue
         curvature = (
             np.minimum(shift(amp, a, 1, space.boundary) / amp, AMP_RATIO_LIMIT)
             + np.minimum(shift(amp, a, -1, space.boundary) / amp, AMP_RATIO_LIMIT)

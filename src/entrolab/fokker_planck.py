@@ -8,7 +8,8 @@ The density obeys
 with drift b_a = (eta/m_a)(dS/dx_a - beta A_a) and diffusion coefficient
 D_a = eta / (2 m_a) per axis.  Equivalently it is a continuity equation with
 the current velocity v_a = b_a + u_a, where u_a = -(eta/2 m_a) d(log rho)/dx_a
-is the osmotic velocity; both forms are implemented and cross-checked.
+is the osmotic velocity.  The stepper integrates the first form; the tests
+step the second as an independent cross-check.
 
 The stepper is flux-form finite volume: upwinded advection plus centered
 diffusion, advanced with Heun's two-stage scheme.  Flux differencing makes
@@ -151,33 +152,4 @@ def fp_step(
     k1 = _drift_diffusion_rhs(rho.values, b, D, space)
     mid = rho.values + dt * k1
     k2 = _drift_diffusion_rhs(mid, b, D, space)
-    return _finish_step(space, rho.values + 0.5 * dt * (k1 + k2))
-
-
-def fp_step_continuity(
-    rho: ScalarField,
-    S: ScalarField,
-    params: PhysicalParams,
-    dt: float,
-    A: VectorField | None = None,
-) -> ScalarField:
-    """One Heun step of the continuity form, advecting with v = b + u.
-
-    The osmotic velocity is rebuilt from the stage density, so the two forms
-    agree to the scheme's order on smooth data.
-    """
-    params.matches_space(rho.space)
-    limit = fp_stability_limit(S, params, A, rho=rho, safety=1.0)
-    if dt > limit:
-        raise StabilityError(f"dt={dt:g} exceeds the explicit bound {limit:g}", dt_max=limit)
-    space = rho.space
-
-    def rhs(values):
-        u = osmotic_velocity(ScalarField(space, values), params).components
-        v = drift_velocity(S, params, A).components + u
-        return _drift_diffusion_rhs(values, v, np.zeros(space.dim), space)
-
-    k1 = rhs(rho.values)
-    mid = np.maximum(rho.values + dt * k1, 0.0)
-    k2 = rhs(mid)
     return _finish_step(space, rho.values + 0.5 * dt * (k1 + k2))

@@ -10,7 +10,8 @@ leading `axis0,...,axis<dim-1>` coordinate columns, as hand-written inputs
 and older runs carry them, and skip them.  A run's snapshots are density
 fields (`rho_*.csv`: fokker-planck, ensemble, coupled) or wave functions
 (`psi_*.csv`: schrodinger, nonlinear), never both; a wave run's density is
-|psi|^2.
+|psi|^2.  A nonlinear run's psi is in regraduated units, sqrt(rho)
+exp(i kappa phi) with the kappa its summary.json states.
 
 Every CSV, grid or series, is written by one table writer: numbers as
 `%.17g`, byte for byte as `format(x, ".17g")`, which round-trips float64

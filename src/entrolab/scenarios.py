@@ -34,7 +34,11 @@ Readers also accept leading `axis<k>` coordinate columns, as older runs and
 hand-written inputs carry them.
 A snapshot is one file: the density `rho_<tag>.csv` for fokker-planck,
 ensemble and coupled, the wave function `psi_<tag>.csv` for schrodinger and
-nonlinear.  By the Born rule a wave function's density is rho = |psi|^2, so
+nonlinear.  The nonlinear engine (osmotic_ratio != 1) is the linear one in
+regraduated units (`dynamics.regraduate`), so its psi is sqrt(rho)
+exp(i kappa phi), kappa = 1/sqrt(osmotic_ratio), and its summary.json states
+kappa; a plane_wave start must then wind kappa * mode whole turns around the
+box.  By the Born rule a wave function's density is rho = |psi|^2, so
 `compare` derives a wave run's rho from its psi, with the expression the wave
 engines use; psi round-trips exactly, so the derived rho keeps its bits.
 A parsed `Scenario` is an immutable value that checks its own run settings;
@@ -447,8 +451,8 @@ def scenario_from_dict(raw: dict, base_dir: str = ".") -> Scenario:
     steps = _number(r_cfg.get("steps", 100), "run.steps", int)
     if r_cfg.get("engine") == "coupled" and ratio != 1.0:
         logger.info(
-            "scenario %s: coupled engine with osmotic_ratio != 1; "
-            "the nonlinear reference solver is the matching oracle",
+            "scenario %s: coupled engine with osmotic_ratio != 1; the nonlinear engine,"
+            " the linear wave solver in regraduated units, is the matching oracle",
             name,
         )
 
@@ -556,17 +560,26 @@ def _engine(sc: Scenario, dt: float, A: VectorField | None):
                 dynamics.energy(st, params, v_at(st.time), A), None,
             ),
         )
-    if sc.engine == "nonlinear" and A is not None:
-        raise ConfigError("the nonlinear engine does not take a vector potential")
+    initial, wave_params = sc.initial, params
+    if sc.engine == "nonlinear":
+        # the mu != m flow is the linear one in regraduated units, stepped and
+        # audited as Psi' = sqrt(rho) exp(i kappa phi): rho = |Psi'|^2 and the
+        # energy keep their values, but Psi' is periodic only if kappa phi
+        # winds whole turns around the box, and a plane wave's phi winds `mode`
+        if sc.sources["initial"]["type"] == "plane_wave":
+            turns = params.kappa * sc.sources["initial"].get("mode", 1)
+            if abs(turns - round(turns)) > 1e-9 * max(1.0, abs(turns)):
+                raise ConfigError("the nonlinear engine needs a plane_wave whose regraduated phase"
+                                  f" winds whole turns around the box; kappa * mode = {turns:g}")
+        initial, wave_params = dynamics.regraduate(initial, params)
     return (
-        schro.to_wavefunction(sc.initial),
+        schro.to_wavefunction(initial),
         lambda w, step: (
-            schro.nonlinear_step(w, params, v_mid(step), dt) if sc.engine == "nonlinear"
-            else schro.unitary_step(w, params, v_mid(step), dt, A)
-        ),
+            schro.nonlinear_step if sc.engine == "nonlinear" else schro.unitary_step
+        )(w, wave_params, v_mid(step), dt, A),
         lambda w, step: (
             w.time, schro.probability_density(w),
-            schro.wavefunction_energy_breakdown(w, params, v_at(w.time), A), w.psi,
+            schro.wavefunction_energy_breakdown(w, wave_params, v_at(w.time), A), w.psi,
         ),
     )
 
@@ -673,6 +686,8 @@ def run(sc: Scenario, outdir) -> dict:
     }
     if energy_rows:
         summary["final_energy"] = float(energy_rows[-1][4])
+    if sc.engine == "nonlinear":  # its psi snapshots hold sqrt(rho) exp(i kappa phi)
+        summary["kappa"] = sc.params.kappa
     io.save_summary(os.path.join(outdir, "summary.json"), summary)
     return summary
 

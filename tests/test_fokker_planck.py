@@ -75,6 +75,23 @@ def test_pure_diffusion_variance_growth_is_exact():
     assert growth == pytest.approx(p.eta_over_m[0], abs=1e-10)
 
 
+def fp_step_continuity(rho, S, p, dt, A=None):
+    """One Heun step of the continuity form, advecting with v = b + u and no
+    diffusion term: the independent discretization fp_step is held to.  The
+    osmotic velocity is rebuilt from the stage density, so the two forms
+    agree to the scheme's order on smooth data."""
+    space = rho.space
+
+    def rhs(values):
+        u = fp.osmotic_velocity(ScalarField(space, values), p).components
+        v = fp.drift_velocity(S, p, A).components + u
+        return fp._drift_diffusion_rhs(values, v, np.zeros(space.dim), space)
+
+    k1 = rhs(rho.values)
+    k2 = rhs(np.maximum(rho.values + dt * k1, 0.0))
+    return fp._finish_step(space, rho.values + 0.5 * dt * (k1 + k2))
+
+
 def test_two_fp_forms_agree_on_smooth_data():
     """Drift-diffusion and continuity forms are independent discretizations
     of the same flow; they must agree to scheme order, and the agreement is
@@ -87,7 +104,7 @@ def test_two_fp_forms_agree_on_smooth_data():
     dt = 0.2 * fp.fp_stability_limit(S, p, rho=a)
     for _ in range(50):
         a = fp.fp_step(a, S, p, dt)
-        b = fp.fp_step_continuity(b, S, p, dt)
+        b = fp_step_continuity(b, S, p, dt)
     assert l2_distance(a, b) < 2e-3
 
 
@@ -245,7 +262,7 @@ def test_reflecting_box_matches_padded_stencils(dim):
     b, ref_b = rho, rho0
     for _ in range(20):
         a, ref_a = fp.fp_step(a, S, p, dt, A), _padded_fp_step(ref_a, S, p, A, dt)
-        b, ref_b = fp.fp_step_continuity(b, S, p, dt, A), _padded_fp_step_continuity(ref_b, S, p, A, dt)
+        b, ref_b = fp_step_continuity(b, S, p, dt, A), _padded_fp_step_continuity(ref_b, S, p, A, dt)
         assert np.array_equal(a.values, ref_a)
         assert np.array_equal(b.values, ref_b)
     assert not np.array_equal(a.values, rho0)  # the flow moved mass

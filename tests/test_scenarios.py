@@ -189,18 +189,29 @@ def test_whole_float_count_is_accepted():
     assert sc.steps == 40 and sc.space.points == (128,)
 
 
-def test_nonlinear_engine_refuses_vector_potential(tmp_path):
-    cfg = base_cfg(
-        params={"beta": 0.5},
-        potentials={
-            "V": {"type": "harmonic", "omega": 1.0},
-            "A": {"type": "constant", "value": 0.2},
-        },
-        run={"engine": "nonlinear", "steps": 5},
-    )
-    sc = scenario_from_dict(cfg)
-    with pytest.raises(ConfigError, match="vector potential"):
-        run(sc, str(tmp_path))
+def test_nonlinear_engine_runs_with_a_vector_potential(tmp_path):
+    """The nonlinear engine steps the linear flow in regraduated units, where
+    beta' = kappa beta carries A.  Its density follows the coupled engine's
+    at the same osmotic ratio and A: the gap read 2.24e-5 when written, and
+    dropping A moves the density much farther than that."""
+    dirs = {}
+    for engine, A in (("coupled", 0.2), ("nonlinear", 0.2), ("nonlinear", 0.0)):
+        cfg = base_cfg(
+            params={"beta": 0.5, "osmotic_ratio": 0.5},
+            potentials={
+                "V": {"type": "harmonic", "omega": 1.0},
+                "A": {"type": "constant", "value": A},
+            },
+            run={"engine": engine, "dt": 0.004, "steps": 50, "snapshot_stride": 10},
+        )
+        out = dirs[engine, A] = str(tmp_path / f"{engine}-{A}")
+        summary = run(scenario_from_dict(cfg), out)
+        assert summary["status"] == "completed" and summary["passed"]
+    assert summary["kappa"] == math.sqrt(2.0)
+    gap = compare(dirs["coupled", 0.2], dirs["nonlinear", 0.2], ["rho_l2"]).metrics[0]
+    assert gap.worst <= 2 * 2.24e-5
+    without_a = compare(dirs["nonlinear", 0.0], dirs["nonlinear", 0.2], ["rho_l2"]).metrics[0]
+    assert without_a.worst > 100 * gap.worst
 
 
 def test_yaml_roundtrip(tmp_path):
@@ -391,6 +402,25 @@ def test_coupled_engine_refuses_a_winding_phase_before_writing(tmp_path, capsys)
     flat = scenario_from_dict(base_cfg(initial={"type": "plane_wave", "mode": 0},
                                        run={"steps": 20}))
     assert run(flat, str(tmp_path / "flat"))["checks"]["energy_drift"]["value"] < 1e-4
+
+
+def test_nonlinear_engine_refuses_a_fractional_winding_before_writing(tmp_path, capsys):
+    """The engine steps Psi' = sqrt(rho) exp(i kappa phi), which is periodic
+    only if kappa * mode is whole.  Without the refusal, ratio 0.8 (kappa =
+    1.118) runs silently wrong: E0 read 6.2968 against the 6.1367 of a
+    stepper with an explicit osmotic potential, and max rho after 200 steps
+    0.117 against 0.088.  Ratio 0.25 (kappa = 2) winds twice and runs."""
+    winding = {"type": "plane_wave", "mode": 1}
+    cfg = write_cfg(tmp_path, name="winding", initial=winding, params={"osmotic_ratio": 0.8},
+                    run={"engine": "nonlinear", "steps": 20})
+    assert cli.main(["evolve", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "kappa * mode = 1.11803" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "out")
+    whole = scenario_from_dict(base_cfg(initial=winding, params={"osmotic_ratio": 0.25},
+                                        run={"engine": "nonlinear", "steps": 20}))
+    summary = run(whole, str(tmp_path / "whole"))
+    assert summary["kappa"] == 2.0
+    assert summary["checks"]["energy_drift"]["value"] < 1e-9
 
 
 def _x(sc):

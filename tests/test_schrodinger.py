@@ -1,5 +1,6 @@
 import gc
 import math
+import os
 import weakref
 
 import numpy as np
@@ -495,46 +496,50 @@ def test_a_static_potential_builds_its_kick_phase_once_per_run(monkeypatch, tmp_
     assert len(calls) == (1 if sc.static_potential else sc.steps)
 
 
-def test_nonlinear_step_at_equal_masses_takes_the_memo_path(monkeypatch):
-    p, space, w0, V = _free_case(2)
-    calls = []
-    half_kick = schro._half_kick
-    monkeypatch.setattr(schro, "_half_kick", lambda *args: calls.append(1) or half_kick(*args))
-    w_lin, w_nl = w0, w0
-    for _ in range(5):
-        w_lin = schro.unitary_step(w_lin, p, V, 0.01)
-        w_nl = schro.nonlinear_step(w_nl, p, V, 0.01)
-    assert np.array_equal(w_lin.psi.values, w_nl.psi.values)
-    assert len(calls) == 1
+def test_nonlinear_engine_at_equal_masses_writes_the_schrodinger_bytes(tmp_path):
+    """At osmotic_ratio 1 the regraduation has kappa = 1 and maps every value
+    exactly, so the nonlinear engine's snapshots and series are the
+    schrodinger engine's, byte for byte, vector potential included."""
+    cfg = {
+        "name": "equal-masses",
+        "space": {"dim": 2, "extent": [8.0, 6.0], "points": [32, 24]},
+        "params": {"eta": 1.0, "tau": 0.1, "masses": [1.0, 1.5], "beta": 0.7},
+        "initial": {"type": "gaussian", "center": [0.5, -0.3], "width": 0.8,
+                    "momentum": [0.4, -0.2]},
+        "potentials": {"V": {"type": "harmonic", "omega": 1.0},
+                       "A": {"type": "constant", "value": [0.3, -0.2]}},
+        "run": {"engine": "schrodinger", "dt": 0.01, "steps": 30, "snapshot_stride": 10},
+    }
+    for engine in ("schrodinger", "nonlinear"):
+        cfg["run"]["engine"] = engine
+        assert scenarios.run(scenarios.scenario_from_dict(cfg), str(tmp_path / engine))["passed"]
+    names = sorted(os.listdir(tmp_path / "schrodinger"))
+    assert names == sorted(os.listdir(tmp_path / "nonlinear"))
+    written = [n for n in names if n.endswith(".csv")]
+    assert {"series.csv", "energy.csv", "psi_000003.csv"} <= set(written)
+    for name in written:
+        assert (tmp_path / "schrodinger" / name).read_bytes() == (
+            tmp_path / "nonlinear" / name
+        ).read_bytes(), name
 
 
-def test_nonlinear_step_reduces_to_unitary_at_equal_masses():
-    p = make_params(osmotic_ratio=1.0)
-    space = make_space(12.0, 256, p)
-    V = harmonic(space)
-    w_lin = schro.to_wavefunction(coherent_state(space))
-    w_nl = schro.to_wavefunction(coherent_state(space))
-    for _ in range(100):
-        w_lin = schro.unitary_step(w_lin, p, V, 0.01)
-        w_nl = schro.nonlinear_step(w_nl, p, V, 0.01)
-    assert schro.phase_aligned_distance(w_lin, w_nl) < 1e-6
-
-
-def test_nonlinear_step_conserves_its_energy():
-    """The explicit osmotic correction puts a dx^2-scale bound on dt, the
-    same one the coupled engine reports."""
+def test_regraduated_step_conserves_the_nonlinear_energy():
+    """A mu != m state steps as the linear flow in regraduated units, where
+    its energy functional is plain <H> and unitary_step conserves it."""
     p = make_params(osmotic_ratio=4.0)
     space = make_space(12.0, 256, p)
     V = harmonic(space)
     st = coherent_state(space)
     dt = 0.3 * dyn.coupled_stability_limit(st, p)
-    w = schro.to_wavefunction(st)
-    e0 = schro.wavefunction_energy_breakdown(w, p, V).total
+    st_reg, p_reg = dyn.regraduate(st, p)
+    assert p_reg.eta == 2.0 and p_reg.osmotic_ratio == 1.0
+    w = schro.to_wavefunction(st_reg)
+    e0 = schro.wavefunction_energy_breakdown(w, p_reg, V).total
     n0 = w.psi.norm_sq()
     for _ in range(400):
-        w = schro.nonlinear_step(w, p, V, dt)
+        w = schro.unitary_step(w, p_reg, V, dt)
     assert w.psi.norm_sq() == pytest.approx(n0, rel=1e-12)
-    assert schro.wavefunction_energy_breakdown(w, p, V).total == pytest.approx(e0, rel=1e-7)
+    assert schro.wavefunction_energy_breakdown(w, p_reg, V).total == pytest.approx(e0, rel=1e-7)
 
 
 def test_spectral_gradient_exact_on_modes():

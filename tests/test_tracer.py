@@ -1,8 +1,33 @@
 """The benchmark's tracer wraps entrolab functions by name; each must exist."""
 
+import ast
+import importlib
 import os
 
+import numpy as np
+
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+
+
+def test_every_name_the_benchmark_looks_up_exists():
+    """`--trace 1` wraps each (module, function) of perfbench/tracer.py's
+    TARGETS, and perfbench/micro.py builds params with
+    PhysicalParams.from_masses.  The targets are read from the file's text,
+    so deleting a name the benchmark needs fails here, not only in CI."""
+    with open(os.path.join(PERFBENCH, "tracer.py")) as fh:
+        tree = ast.parse(fh.read())
+    (node,) = [n for n in tree.body if isinstance(n, ast.Assign)
+               and any(getattr(t, "id", None) == "TARGETS" for t in n.targets)]
+    targets = [(row.elts[0].value, row.elts[1].value) for row in node.value.elts]
+    assert ("schrodinger", "nonlinear_step") in targets
+    for module, name in targets:
+        owner = importlib.import_module(module if module == "numpy" else f"entrolab.{module}")
+        assert callable(getattr(owner, name, None)), f"{module}.{name}"
+
+    from entrolab.fields import PhysicalParams
+
+    built = PhysicalParams.from_masses(masses=(1.0, 2.0), eta=0.5, tau=0.2, beta=0.7)
+    assert np.array_equal(built.masses, [1.0, 2.0]) and built.sigma_sq == (0.1, 0.05)
 
 
 def test_tracer_installs_and_uninstalls(monkeypatch):

@@ -1,4 +1,4 @@
-"""Regraduation: the mu != m coupled flow against the linear Cayley flow.
+"""Regraduation: the mu != m flows against the linear flow.
 
 Run with the other slow checks as
 
@@ -10,20 +10,34 @@ then regraduating must give the same state, bit for bit, as regraduating
 first and stepping after; the map sends mu to m and eta to 2 eta.  (b) The
 coupled nonlinear run to t = 2, regraduated, is compared with 4000 linear
 Cayley steps of the regraduated initial state, densities and phases on the
-support.  (c) 4000 nonlinear Cayley steps are compared with the same linear
-run.  Each gap is bounded by 2 * the value this code gave when the check was
-written.  Wall times are not asserted.
+support.  (c) The nonlinear engine, which steps the linear Cayley flow in
+regraduated units, runs the same scenario through `scenarios.run` in 4000
+steps; its psi snapshot, sqrt(rho) exp(i kappa phi), is compared with the
+exact spectral propagation of the regraduated initial state, in density and
+in psi modulo the global phase.  Each gap is bounded by 2 * the value this
+code gave when the check was written.  Wall times are not asserted.
 """
 
 import numpy as np
 import pytest
 
 from entrolab.dynamics import ManifoldState, coupled_stability_limit, coupled_step, regraduate
-from entrolab.fields import ConfigSpace, PhysicalParams, ScalarField, normalize_density
-from entrolab.schrodinger import nonlinear_step, to_wavefunction, unitary_step
+from entrolab.fields import (
+    ComplexField,
+    ConfigSpace,
+    PhysicalParams,
+    ScalarField,
+    normalize_density,
+)
+from entrolab.io import load_complex_field
+from entrolab.scenarios import run, scenario_from_dict
+from entrolab.schrodinger import WaveFunction, phase_aligned_distance, to_wavefunction, unitary_step
 
 T = 2.0
 CAYLEY_STEPS = 4000
+# (c)'s gaps to the spectral truth when written: the Cayley symbol's error
+RHO_GAP = 6.252003e-5
+PSI_GAP = 3.503676e-4
 
 
 def l2(a, b, space):
@@ -86,10 +100,30 @@ def test_coupled_nonlinear_run_matches_the_linear_run(setup, linear_run):
     assert gap.max() <= 2 * 6.152665e-2
 
 
-def test_nonlinear_cayley_run_matches_the_linear_run(setup, linear_run):
+def test_nonlinear_engine_matches_the_spectral_truth(setup, tmp_path):
     params, space, state0, V, _ = setup
-    w = to_wavefunction(state0)
-    for _ in range(CAYLEY_STEPS):
-        w = nonlinear_step(w, params, V, T / CAYLEY_STEPS)
-    rho_lin = np.abs(linear_run.psi.values) ** 2
-    assert l2(np.abs(w.psi.values) ** 2, rho_lin, space) <= 2 * 6.290880e-5
+    sc = scenario_from_dict({
+        "name": "regrad",
+        "space": {"dim": 1, "extent": 30.0, "points": 512},
+        "params": {"eta": 1.0, "tau": 0.1, "masses": 1.0, "osmotic_ratio": 4.0},
+        "initial": {"type": "gaussian", "center": 0.0, "width": 1.0},
+        "run": {"engine": "nonlinear", "dt": T / CAYLEY_STEPS, "steps": CAYLEY_STEPS,
+                "snapshot_stride": CAYLEY_STEPS},
+    })
+    assert np.array_equal(sc.initial.rho.values, state0.rho.values)
+    summary = run(sc, str(tmp_path))
+    assert summary["kappa"] == 0.5 and summary["snapshot_times"][-1] == pytest.approx(T)
+    psi = load_complex_field(tmp_path / "psi_000001.csv").values
+
+    # free flow in regraduated units: i eta' dPsi'/dt = -(eta'^2 / 2m) Psi'',
+    # exact on every Fourier mode of the initial Psi' = sqrt(rho)
+    lin_state, lin_params = regraduate(state0, params)
+    k = 2.0 * np.pi * np.fft.fftfreq(space.points[0], d=space.spacings[0])
+    rate = lin_params.eta * k**2 / (2.0 * lin_params.masses[0])
+    truth = np.fft.ifft(np.exp(-1j * rate * T) * np.fft.fft(to_wavefunction(lin_state).psi.values))
+
+    assert l2(np.abs(psi) ** 2, np.abs(truth) ** 2, space) <= 2 * RHO_GAP
+    gap = phase_aligned_distance(
+        WaveFunction(ComplexField(space, psi)), WaveFunction(ComplexField(space, truth))
+    )
+    assert gap <= 2 * PSI_GAP

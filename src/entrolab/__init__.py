@@ -5,7 +5,7 @@ scenario, compares runs and checks them, and `cli` drives it.  The engines
 are `dynamics` (coupled rho, phi flow), `schrodinger` (wave references),
 `fokker_planck`, `ensemble` (walkers) and `kernel` (the exact maximum-entropy
 step).  `fields` holds grids and fields, `io` their files.  scipy loads only
-in `compare ks` and `maxent-audit`.
+in `maxent-audit`.
 """
 
 __version__ = "0.1.0"

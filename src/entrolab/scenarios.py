@@ -34,7 +34,8 @@ Readers also accept leading `axis<k>` coordinate columns, as older runs and
 hand-written inputs carry them.
 A snapshot is one file: the density `rho_<tag>.csv` for fokker-planck,
 ensemble and coupled, the wave function `psi_<tag>.csv` for schrodinger and
-nonlinear.  The nonlinear engine (osmotic_ratio != 1) is the linear one in
+nonlinear.  The schrodinger engine steps osmotic_ratio 1 and refuses any
+other; the nonlinear engine (any ratio) is the linear one in
 regraduated units (`dynamics.regraduate`), so its psi is sqrt(rho)
 exp(i kappa phi), kappa = 1/sqrt(osmotic_ratio), and its summary.json states
 kappa; a plane_wave start must then wind kappa * mode whole turns around the
@@ -57,6 +58,7 @@ import numpy as np
 import yaml
 
 from . import dynamics, ensemble as ens, fokker_planck as fp, io, schrodinger as schro
+from ._pelz_good import pelz_good_cdf
 from .errors import ConfigError, GridMismatchError
 from .fields import (
     PERIODIC,
@@ -90,7 +92,9 @@ METRICS = {
     "variance": (1e-2, "second-moment trajectory agreement"),
     "center_of_mass": (1e-2, "first-moment trajectory agreement"),
     "energy": (1e-4, "relative energy trajectory agreement"),
-    "ks": (1e-2, "KS p-value floor for walker samples against a density"),
+    # scipy's D and the Pelz-Good p; _ks_pvalue states their gaps to scipy's p
+    "ks": (1e-2, "KS p-value floor for walker samples against a density"
+                 " (scipy's D, Pelz-Good p)"),
 }
 
 
@@ -224,6 +228,13 @@ class Scenario:
         if self.engine not in ENGINES:
             rule = "is required" if self.engine is None else f"must be one of {ENGINES}"
             raise ConfigError(f"run.engine {rule}")
+        if self.engine == "schrodinger" and self.params.osmotic_ratio != 1.0:
+            # unitary_step steps the ratio-1 flow; the ratio-weighted energy
+            # would be audited against the wrong physics
+            raise ConfigError(
+                "the schrodinger engine needs params.osmotic_ratio 1, got "
+                f"{self.params.osmotic_ratio:g}; run.engine 'nonlinear' runs any ratio"
+            )
         if self.dt is not None and self.dt <= 0:
             raise ConfigError("run.dt must be positive or 'auto'")
         for key in ("steps", "snapshot_stride", "walkers"):
@@ -1128,17 +1139,23 @@ def _ks_metric(dir_a, dir_b):
     (its last rho snapshot, or |psi|^2 of a wave run's last psi snapshot).
 
     Multi-dimensional runs are projected on axis 0.  The density CDF is the
-    cumulative cell mass, interpolated linearly across each cell.
+    cumulative cell mass, interpolated linearly across each cell.  The
+    p-value is `_ks_pvalue`'s: scipy's D and the Pelz-Good sf, whose gaps to
+    scipy's p that docstring states.  A positions file with no rows, or with
+    a coordinate that is not finite, is refused: it has no p-value.
     """
-    from scipy import stats  # here, not at the top: scipy.stats is a heavy load
-
     pos_path = os.path.join(dir_a, "final_positions.csv")
     if not os.path.exists(pos_path):
         pos_path = os.path.join(dir_b, "final_positions.csv")
         dir_b = dir_a
     if not os.path.exists(pos_path):
         raise ConfigError("ks metric needs an ensemble run with final_positions.csv")
-    samples = io.load_series(pos_path)[1][:, 0]
+    positions = io.load_series(pos_path)[1]
+    if not positions.size:
+        raise ConfigError(f"{pos_path} holds no walker positions")
+    if not np.isfinite(positions).all():
+        raise ConfigError(f"{pos_path} holds a coordinate that is not finite")
+    samples = positions[:, 0]
     snapshots = _snapshots(dir_b, "rho")
     if not snapshots:
         raise ConfigError(f"ks metric needs rho_*.csv or psi_*.csv snapshots in {dir_b}")
@@ -1152,8 +1169,30 @@ def _ks_metric(dir_a, dir_b):
     marginal /= marginal.sum()
     edges = np.linspace(-0.5 * space.extents[0], 0.5 * space.extents[0], space.points[0] + 1)
     cdf_at_edges = np.concatenate([[0.0], np.cumsum(marginal)])
+    return [_ks_pvalue(samples, lambda x: np.interp(x, edges, cdf_at_edges))]
 
-    def cdf(x):
-        return np.interp(x, edges, cdf_at_edges)
 
-    return [stats.ks_1samp(samples, cdf).pvalue]
+def _ks_pvalue(samples, cdf):
+    """Two-sided one-sample KS p-value of `samples` against `cdf`.
+
+    D is computed as scipy.stats.ks_1samp computes it, and p is one minus
+    the Pelz-Good expansion of P(D_n <= D) (`_pelz_good`), clipped to
+    [0, 1].  scipy's kstwo.sf takes that expansion for n > 140 and
+    n D^2 < 2.2 (for n <= 1e5 also n D^1.5 > 1.4), and there p is scipy's
+    bit for bit.  Elsewhere scipy uses 2 smirnov(n, D), or exact methods for
+    n <= 140.  The largest gaps to scipy's p read on 2001 z = sqrt(n) D in
+    [0.2, 2.6], against the 1e-2 floor:
+
+        n        10      30      100     141     500     1000 to 1e5
+        |dp|     1.5e-3  8.7e-5  6.1e-6  3.1e-6  1.2e-7  4.4e-8
+
+    and, where p >= 1e-5, 3.9e-5 relative at n = 1000 and 1.8e-6 for n =
+    5000 to 1e5.  Past z = 3 both read p below 4e-8.
+    """
+    x = np.sort(samples)
+    cdfvals = cdf(x)
+    n = x.size
+    d_plus = np.max(np.arange(1.0, n + 1) / n - cdfvals)
+    d_minus = np.max(cdfvals - np.arange(0.0, n) / n)
+    D = d_plus if d_plus > d_minus else d_minus
+    return float(np.clip(1.0 - pelz_good_cdf(n, D), 0.0, 1.0))

@@ -423,6 +423,30 @@ def test_nonlinear_engine_refuses_a_fractional_winding_before_writing(tmp_path, 
     assert summary["checks"]["energy_drift"]["value"] < 1e-9
 
 
+def test_schrodinger_engine_refuses_an_osmotic_ratio_other_than_one(tmp_path, capsys):
+    """unitary_step steps the ratio-1 flow, while the energy audit weights
+    the osmotic term by the ratio: at ratio 0.5 such a run failed
+    energy_drift at 1.47e-3 and its summary.json echoed the wrong physics.
+    The scenario itself refuses it, so run, gauge_check and an engine
+    override all do, before any output directory exists."""
+    message = "the schrodinger engine needs params.osmotic_ratio 1, got 0.5"
+    cfg = base_cfg(params={"osmotic_ratio": 0.5, "beta": 0.5}, run={"engine": "schrodinger"})
+    with pytest.raises(ConfigError, match=message) as exc:
+        scenario_from_dict(cfg)
+    assert "'nonlinear'" in str(exc.value)
+    coupled = scenario_from_dict({**cfg, "run": {**cfg["run"], "engine": "coupled"}})
+    with pytest.raises(ConfigError, match=message):
+        dataclasses.replace(coupled, engine="schrodinger")
+    path = write_cfg(tmp_path, name="ratio", params={"osmotic_ratio": 0.5, "beta": 0.5},
+                     run={"engine": "schrodinger"})
+    capsys.readouterr()
+    for command in (["evolve", path], ["gauge-check", path, "--chi", "0.8:1"]):
+        out = tmp_path / command[0]
+        assert cli.main([*command, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+
 def _x(sc):
     return sc.space.meshes[0]
 
@@ -1411,6 +1435,46 @@ def test_cli_compare_ks_without_density_snapshots_exits_2(tmp_path, capsys):
                      "--metrics", "ks"])
     assert code == 2
     assert "rho_" in capsys.readouterr().err
+
+
+def _ensemble_with_positions(tmp_path, text):
+    """An ensemble run in tmp_path / "a" whose final_positions.csv is `text`."""
+    cfg = write_cfg(tmp_path, name="ens", potentials={},
+                    run={"engine": "ensemble", "steps": 5, "snapshot_stride": 5,
+                         "walkers": 500, "seed": 1})
+    assert cli.main(["ensemble", cfg, "--out", str(tmp_path / "a")]) == 0
+    path = tmp_path / "a" / "final_positions.csv"
+    path.write_text(text(path.read_text().splitlines()))
+    return str(tmp_path / "a"), str(path)
+
+
+def test_compare_ks_refuses_a_positions_file_with_no_rows(tmp_path, capsys):
+    """A header-only positions file has no p-value (scipy's read NaN with a
+    SmallSampleWarning): compare refuses it, naming the file, and the CLI
+    exits 2."""
+    run_dir, path = _ensemble_with_positions(tmp_path, lambda lines: lines[0] + "\n")
+    with pytest.raises(ConfigError, match=f"^{re.escape(path)} holds no walker positions$"):
+        compare(run_dir, run_dir, ["ks"])
+    capsys.readouterr()
+    assert cli.main(["compare", run_dir, run_dir, "--metrics", "ks"]) == 2
+    assert f"{path} holds no walker positions" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_compare_ks_refuses_a_position_that_is_not_finite(tmp_path, capsys, cell):
+    """A non-finite coordinate would give a NaN p-value: compare refuses the
+    file, naming it, and the CLI exits 2."""
+    def corrupt(lines):
+        lines[7] = cell
+        return "\n".join(lines) + "\n"
+
+    run_dir, path = _ensemble_with_positions(tmp_path, corrupt)
+    message = f"{path} holds a coordinate that is not finite"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        compare(run_dir, run_dir, ["ks"])
+    capsys.readouterr()
+    assert cli.main(["compare", run_dir, run_dir, "--metrics", "ks"]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_cli_compare_ks_with_malformed_positions_exits_2(tmp_path, capsys):

@@ -50,11 +50,19 @@ DENSITY_REL_FLOOR = 1e-12
 LOG_ABS_GUARD = 1e-300
 
 
+def _real(value):
+    """float(value), refusing a boolean, which float() would read as 0 or 1."""
+    if isinstance(value, (bool, np.bool_)):
+        raise TypeError(f"{value!r} is not a number")
+    return float(value)
+
+
 def _whole(value, name):
     """A whole number (64, or 64.0 as YAML may give it) as an int; anything
-    else raises ConfigError naming `name`, where int() would truncate."""
+    else, a boolean included, raises ConfigError naming `name`, where int()
+    would truncate."""
     try:
-        number = float(value)
+        number = _real(value)
     except (TypeError, ValueError):
         number = math.nan
     if not number.is_integer():
@@ -62,9 +70,10 @@ def _whole(value, name):
     return int(number)
 
 
-def _as_tuple(value, dim, kind=float, name="value"):
+def _as_tuple(value, dim, kind=_real, name="value"):
     """Broadcast a scalar or sequence to a per-axis tuple of length dim; an
-    entry that is not a number raises ConfigError naming `name`."""
+    entry that is not a number, a boolean included, raises ConfigError
+    naming `name`."""
     try:
         seq = tuple(kind(v) for v in ([value] * dim if np.isscalar(value) else value))
     except (TypeError, ValueError):
@@ -88,11 +97,11 @@ class ConfigSpace:
         object.__setattr__(self, "dim", _whole(self.dim, "dim"))
         if self.dim < 1 or self.dim > 3:
             raise ConfigError(f"dim must be 1, 2, or 3, got {self.dim}")
-        object.__setattr__(self, "extents", _as_tuple(self.extents, self.dim, float, "extents"))
+        object.__setattr__(self, "extents", _as_tuple(self.extents, self.dim, _real, "extents"))
         points = _as_tuple(self.points, self.dim, lambda n: _whole(n, "points"), "points")
         object.__setattr__(self, "points", points)
         sig = self.sigma_sq if self.sigma_sq is not None else 1.0
-        object.__setattr__(self, "sigma_sq", _as_tuple(sig, self.dim, float, "sigma_sq"))
+        object.__setattr__(self, "sigma_sq", _as_tuple(sig, self.dim, _real, "sigma_sq"))
         if self.boundary not in BOUNDARIES:
             raise ConfigError(f"boundary must be one of {BOUNDARIES}, got {self.boundary!r}")
         if not all(math.isfinite(L) and L > 0 for L in self.extents):

@@ -109,11 +109,14 @@ def fp_stability_limit(
     If rho is given, the continuity-form current velocity is also included,
     which matters when osmotic speeds exceed the bare drift.
     """
-    space = S.space
-    b = drift_velocity(S, params, A)
-    comps = b.components
+    comps = drift_velocity(S, params, A).components
     if rho is not None:
         comps = comps + osmotic_velocity(rho, params).components
+    return _stability_limit(comps, S.space, params, safety)
+
+
+def _stability_limit(comps, space, params, safety):
+    """fp_stability_limit for the velocity comps (components)."""
     rate = 0.0
     for a in range(space.dim):
         D = 0.5 * params.eta_over_m[a]
@@ -141,13 +144,16 @@ def fp_step(
     dt: float,
     A: VectorField | None = None,
 ) -> ScalarField:
-    """One Heun step of the drift-diffusion form."""
+    """One Heun step of the drift-diffusion form; its drift also gives the
+    explicit bound it checks dt against."""
     params.matches_space(rho.space)
-    limit = fp_stability_limit(S, params, A, safety=1.0)
+    space = rho.space
+    if not space.same_grid(S.space):
+        raise GridMismatchError("entropy field lives on a different grid")
+    b = drift_velocity(S, params, A).components
+    limit = _stability_limit(b, space, params, safety=1.0)
     if dt > limit:
         raise StabilityError(f"dt={dt:g} exceeds the explicit bound {limit:g}", dt_max=limit)
-    space = rho.space
-    b = drift_velocity(S, params, A).components
     D = 0.5 * params.eta_over_m
     k1 = _drift_diffusion_rhs(rho.values, b, D, space)
     mid = rho.values + dt * k1

@@ -15,6 +15,11 @@ Gaussian large-alpha limit has mean displacement
 (sigma_a^2/alpha)(dS/dx_a - beta A_a) and per-axis variance sigma_a^2/alpha,
 which is what the walker and density solvers use.
 
+One bisection, `_bisect`, finds both roots of a decreasing moment here:
+solve_alpha's log(alpha), to ALPHA_REL_TOL of the target, and the exponent
+of the certificate's exponential tilts (the same maximum-entropy form), to
+a bracket 1e-14 wide.  The module imports only numpy.
+
 Everything here works with dense kernel rows: one source cell, probabilities
 over every destination cell.  That is deliberate; exact rows are the oracle
 the cheap Gaussian moments are audited against, so they are kept transparent
@@ -27,7 +32,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import AlphaSolveError, KernelNotLocalizedError
 from .fields import PERIODIC, ConfigSpace, PhysicalParams, ScalarField, VectorField
@@ -149,6 +153,20 @@ def kernel_step_sq(kernel: TransitionKernel) -> float:
     return float((kernel.probs * dl2).sum())
 
 
+def _bisect(gap, lo, hi, ftol=0.0, xtol=0.0):
+    """Zero of a decreasing gap, gap(lo) >= 0 >= gap(hi): the midpoint once
+    |gap| <= ftol there or [lo, hi] is at most xtol wide; 200 halvings at most."""
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if hi - lo <= xtol:
+            return mid
+        g = gap(mid)
+        if abs(g) <= ftol:
+            return mid
+        lo, hi = (mid, hi) if g > 0.0 else (lo, mid)
+    return 0.5 * (lo + hi)
+
+
 def _step_sq_at_alpha(entropy_values, dl2, alpha):
     probs = _row_probs(entropy_values, dl2, np.zeros_like(dl2), alpha, 0.0)
     return float((probs * dl2).sum())
@@ -185,16 +203,10 @@ def solve_alpha(S: ScalarField, source, target_step_sq: float) -> float:
             achievable=(m_hi, m_lo),
         )
 
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        m = _step_sq_at_alpha(S.values, dl2, math.exp(mid))
-        if abs(m - target_step_sq) <= ALPHA_REL_TOL * target_step_sq:
-            return math.exp(mid)
-        if m > target_step_sq:
-            lo = mid
-        else:
-            hi = mid
-    return math.exp(0.5 * (lo + hi))
+    def gap(log_alpha):
+        return _step_sq_at_alpha(S.values, dl2, math.exp(log_alpha)) - target_step_sq
+
+    return math.exp(_bisect(gap, lo, hi, ftol=ALPHA_REL_TOL * target_step_sq))
 
 
 def gaussian_step_moments(
@@ -259,17 +271,12 @@ def _tilt_to_moment(masses, quantity, target):
         return float((w * q).sum() / w.sum())
 
     lo, hi = -1.0, 1.0
-    for _ in range(80):
-        if moment_gap(lo) <= 0.0 <= moment_gap(hi) or moment_gap(hi) <= 0.0 <= moment_gap(lo):
-            break
+    while not moment_gap(lo) >= 0.0 >= moment_gap(hi):  # the gap falls with delta
         lo *= 2.0
         hi *= 2.0
         if hi > 1e12:
             return None
-    try:
-        delta = brentq(moment_gap, lo, hi, xtol=1e-14, rtol=1e-15, maxiter=200)
-    except ValueError:
-        return None
+    delta = _bisect(moment_gap, lo, hi, xtol=1e-14)
     expo = -delta * q
     expo -= expo.max()
     w = p * np.exp(expo)

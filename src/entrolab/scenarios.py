@@ -57,7 +57,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import yaml
 
-from . import dynamics, ensemble as ens, fokker_planck as fp, io, schrodinger as schro
+from . import dynamics, ensemble as ens, fokker_planck as fp, io, kernel as ker, schrodinger as schro
 from ._pelz_good import pelz_good_cdf
 from .errors import ConfigError, GridMismatchError
 from .fields import (
@@ -176,8 +176,10 @@ def _field_section(node, types, path, base_dir):
 
 
 def _number(value, path, kind=float):
-    """The one conversion of a config number; anything else, NaN and the
-    infinities included, names its key."""
+    """The one conversion of a config number; anything else, NaN, the
+    infinities and the booleans included, names its key."""
+    if isinstance(value, (bool, np.bool_)):
+        raise ConfigError(f"{path} must be a number, got {value!r}")
     if kind is int and isinstance(value, float) and not value.is_integer():
         raise ConfigError(f"{path} must be a whole number, got {value!r}")
     try:
@@ -386,7 +388,7 @@ def _build_potential(cfg, space, masses):
 
 def _time_scale(scale):
     """(a, b) with V(x, t) = V(x) (a + b t); a scalar T means (1, 1/T)."""
-    if isinstance(scale, (int, float)) and not isinstance(scale, bool):
+    if isinstance(scale, (int, float)):
         scale = _number(scale, "potentials.V.time_scale")
         if scale <= 0:
             raise ConfigError("potentials.V.time_scale as a scalar must be a positive time")
@@ -795,8 +797,18 @@ def _psi_distance(a, b):
     return schro.phase_aligned_distance(schro.WaveFunction(a), schro.WaveFunction(b))
 
 
+def _series_rows(dir_path, name):
+    """Header and rows of a run's series file; a file with no rows has
+    nothing to compare and is refused."""
+    path = os.path.join(dir_path, name)
+    header, rows = io.load_series(path)
+    if not len(rows):
+        raise ConfigError(f"{path} holds no rows")
+    return header, rows
+
+
 def _series_columns(dir_path, wanted_prefix):
-    header, rows = io.load_series(os.path.join(dir_path, "series.csv"))
+    header, rows = _series_rows(dir_path, "series.csv")
     cols = [i for i, h in enumerate(header) if h.startswith(wanted_prefix)]
     return rows[:, cols]
 
@@ -852,8 +864,8 @@ def compare(dir_a, dir_b, metrics, tolerances=None) -> ComparisonReport:
                 raise ConfigError("series shapes differ; snapshot grids do not match")
             values = np.max(np.abs(col_a - col_b), axis=1)
         elif metric == "energy":
-            _, rows_a = io.load_series(os.path.join(dir_a, "energy.csv"))
-            _, rows_b = io.load_series(os.path.join(dir_b, "energy.csv"))
+            _, rows_a = _series_rows(dir_a, "energy.csv")
+            _, rows_b = _series_rows(dir_b, "energy.csv")
             if rows_a.shape != rows_b.shape:
                 raise ConfigError("energy series shapes differ")
             scale = max(np.max(np.abs(rows_a[:, 4])), 1e-30)
@@ -1098,8 +1110,6 @@ def classical_limit(
 def maxent_audit(sc: Scenario, trials=1000, outdir=None, tolerance=1e-9) -> dict:
     """Build the exact one-step kernel at the box center and certify it
     against constrained perturbations."""
-    from . import kernel as ker  # here, not at the top: kernel loads scipy.optimize
-
     if sc.space.dim > 2:
         raise ConfigError("maxent-audit runs on dim <= 2 scenarios")
     trials = _number(trials, "trials", int)

@@ -12,6 +12,7 @@ from entrolab.fields import (
     ConfigSpace,
     PhysicalParams,
     ScalarField,
+    VectorField,
     axis_gradient,
     clamped_log,
     normalize_density,
@@ -87,6 +88,31 @@ def test_step_ensemble_bits_are_pinned(dim, boundary):
         e = ens.step_ensemble(e, S, p)
     digest = hashlib.sha256(e.positions.tobytes()).hexdigest()
     assert digest == STEP_BITS[dim, boundary]
+
+
+# sha256 of the final positions after 20 steps with a vector potential: a
+# constant A in 1D and a polynomial one in 2D, so the beta A drift term
+# enters the bits that STEP_BITS pins without it.
+ENSEMBLE_BITS = {
+    1: "76d260d2de8302c64d4451cf39d0ae8eb5869d4fb6e7cdc3326bb695e7884d5b",
+    2: "04354b2878061bdc52fb05ec786e9306268b470f0006d0d627cf32913de928d6",
+}
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_step_ensemble_with_a_vector_potential_bits_are_pinned(dim):
+    p = PhysicalParams([1.0, 2.0][:dim], eta=1.0, tau=0.1, beta=0.7)
+    space = ConfigSpace(dim=dim, extents=(6.0, 5.0)[:dim], points=(48, 20)[:dim],
+                        sigma_sq=p.sigma_sq)
+    u = [m / L for m, L in zip(space.meshes, space.extents)]
+    S = ScalarField(space, sum(3.0 * x**2 + (a + 1) * x**3 for a, x in enumerate(u)))
+    A = VectorField(space, [0.3 + (a + 1) * u[dim - 1 - a] ** 2 for a in range(dim)])
+    rho = normalize_density(ScalarField(space, np.prod([1.2 - 4.0 * x**2 for x in u], axis=0)))
+    e = ens.Ensemble.from_density(rho, 3000, dt=0.01, seed=11)
+    for _ in range(20):
+        e = ens.step_ensemble(e, S, p, A)
+    digest = hashlib.sha256(e.positions.tobytes()).hexdigest()
+    assert digest == ENSEMBLE_BITS[dim]
 
 
 def test_estimate_density_normalized():

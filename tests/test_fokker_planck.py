@@ -1,3 +1,5 @@
+import collections
+import hashlib
 import math
 
 import numpy as np
@@ -5,8 +7,9 @@ import pytest
 
 from entrolab import fokker_planck as fp
 from entrolab.dynamics import AMP_RATIO_LIMIT, clipped_amplitude_curvature
-from entrolab.errors import StabilityError
+from entrolab.errors import GridMismatchError, StabilityError
 from entrolab.fields import (
+    PERIODIC,
     REFLECTING,
     ConfigSpace,
     ScalarField,
@@ -58,6 +61,58 @@ def test_fp_step_enforces_stability_bound():
     with pytest.raises(StabilityError) as exc:
         fp.fp_step(rho, S, p, 1.5 * limit)
     assert exc.value.dt_max == pytest.approx(limit)
+
+
+# sha256 of rho after 20 fp_steps.  The fields are polynomials, so only +, -,
+# * and / enter the bits.  The 1D box is periodic and carries a constant A;
+# the 2D box has reflecting walls, where rho is nonzero.
+FP_BITS = {
+    1: "3d27c5495d58643c2a83552fc075f95138af873f59b347d375825f55834631c5",
+    2: "6edbdeb00e03889a12d2b2c5af86b277b6babc0e55aaa1163e765e5b304de096",
+}
+
+
+@pytest.mark.parametrize("dim, points, boundary", [(1, 256, PERIODIC), (2, 64, REFLECTING)])
+def test_fp_step_bits_are_pinned(dim, points, boundary):
+    p = make_params(masses=(1.0, 2.0)[:dim], beta=0.7)
+    space = ConfigSpace(dim=dim, extents=(8.0, 6.0)[:dim], points=(points,) * dim,
+                        boundary=boundary, sigma_sq=p.sigma_sq)
+    u = [m / L for m, L in zip(space.meshes, space.extents)]
+    S = ScalarField(space, sum(3.0 * x**2 + (a + 1) * x**3 for a, x in enumerate(u)))
+    rho = normalize_density(ScalarField(space, np.prod([1.2 - 4.0 * x**2 for x in u], axis=0)))
+    A = VectorField(space, np.full((1,) + space.shape, 0.3)) if dim == 1 else None
+    dt = 0.5 * fp.fp_stability_limit(S, p, A)
+    for _ in range(20):
+        rho = fp.fp_step(rho, S, p, dt, A)
+    assert hashlib.sha256(rho.values.tobytes()).hexdigest() == FP_BITS[dim]
+
+
+def test_fp_step_builds_its_drift_once(monkeypatch):
+    """One drift per step serves the bound and both Heun stages, and the
+    public bound is not called."""
+    p = make_params(tau=0.1)
+    space = make_space(12.0, 128, p)
+    S = sine_entropy(space, 0.3)
+    rho = gaussian_density(space, 0.0, 1.0)
+    dt = 0.25 * fp.fp_stability_limit(S, p)
+    calls = collections.Counter()
+    for name in ("drift_velocity", "fp_stability_limit"):
+        def counted(*args, _name=name, _inner=getattr(fp, name), **kwargs):
+            calls[_name] += 1
+            return _inner(*args, **kwargs)
+
+        monkeypatch.setattr(fp, name, counted)
+    fp.fp_step(rho, S, p, dt)
+    assert calls == {"drift_velocity": 1}
+
+
+def test_fp_step_refuses_an_entropy_on_another_grid():
+    p = make_params()
+    space = make_space(12.0, 64, p)
+    rho = gaussian_density(space, 0.0, 1.0)
+    for other in (make_space(6.0, 64, p), make_space(12.0, 128, p)):
+        with pytest.raises(GridMismatchError, match="entropy field lives on a different grid"):
+            fp.fp_step(rho, zero_field(other), p, 1e-3)
 
 
 def test_pure_diffusion_variance_growth_is_exact():

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -319,6 +320,24 @@ def test_sidecar_with_a_grid_size_that_is_not_whole_is_refused(tmp_path, key, va
     meta[key] = value
     (tmp_path / "rho.csv.meta.json").write_text(json.dumps(meta))
     with pytest.raises(ConfigError, match=rf"^{message}$"):
+        io.load_scalar_field(path)
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [("dim", True, "dim must be a whole number, got True"),
+     ("points", [True], "points must be a whole number, got True"),
+     ("extents", [True], "extents must be a number or a list of numbers, got [True]")],
+)
+def test_sidecar_with_a_boolean_grid_entry_is_refused(tmp_path, key, value, message):
+    """float() reads true as 1: a sidecar's "dim": true used to state a 1D grid."""
+    space = make_space(10.0, 64, make_params())
+    path = tmp_path / "rho.csv"
+    io.save_scalar_field(path, gaussian_density(space, 0.0, 1.0))
+    meta = json.loads((tmp_path / "rho.csv.meta.json").read_text())
+    meta[key] = value
+    (tmp_path / "rho.csv.meta.json").write_text(json.dumps(meta))
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         io.load_scalar_field(path)
 
 

@@ -169,6 +169,30 @@ def test_non_finite_value_names_its_key(tmp_path, capsys, path, value):
     assert f"{path} must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "path", ["run.steps", "params.eta", "space.extent", "potentials.V.time_scale"]
+)
+def test_a_boolean_is_not_a_config_number(tmp_path, capsys, path):
+    """YAML's true is no number, though int() and float() read it as 1: it
+    ran one step, or read eta and the extent as 1.0.  The API names the key,
+    and CLI evolve exits 2 before it writes anything."""
+    *sections, key = path.split(".")
+    cfg = base_cfg()
+    node = cfg
+    for section in sections:
+        node = node[section]
+    node[key] = True
+    message = f"{path} must be a number, got True"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        scenario_from_dict(cfg)
+    cfg_path = tmp_path / "bad.yaml"
+    cfg_path.write_text(yaml.safe_dump(cfg))
+    assert f"{key}: true" in cfg_path.read_text()
+    assert cli.main(["evolve", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "out")
+
+
 @pytest.mark.parametrize("path, value", [("run.steps", 2.5), ("space.points", 100.7)])
 def test_fractional_count_names_its_key(tmp_path, capsys, path, value):
     section, key = path.split(".")
@@ -1105,7 +1129,7 @@ def test_maxent_audit_small(tmp_path):
         run={"engine": "fokker-planck", "dt": 0.1 / 40.0, "steps": 5, "seed": 11},
     )
     rep = maxent_audit(scenario_from_dict(cfg), trials=100)
-    assert rep["max_gap"] == -1.0336918428999198e-06
+    assert rep["max_gap"] == -1.033691843010942e-06
     assert rep["skipped"] == 0
     assert rep["passed"]
 
@@ -1446,6 +1470,32 @@ def _ensemble_with_positions(tmp_path, text):
     path = tmp_path / "a" / "final_positions.csv"
     path.write_text(text(path.read_text().splitlines()))
     return str(tmp_path / "a"), str(path)
+
+
+@pytest.mark.parametrize(
+    "metric, name", [("variance", "series.csv"), ("center_of_mass", "series.csv"),
+                     ("energy", "energy.csv")]
+)
+def test_compare_refuses_a_series_with_no_rows(tmp_path, capsys, metric, name):
+    """A header-only series has nothing to compare (numpy's max of an empty
+    array raised ValueError, and the CLI exited 1): compare refuses it,
+    naming the file, and the CLI exits 2."""
+    run_dirs = []
+    for engine in ("coupled", "schrodinger"):
+        cfg = write_cfg(tmp_path, name=engine, run={"engine": engine, "steps": 10})
+        run_dirs.append(str(tmp_path / engine))
+        assert cli.main(["evolve", cfg, "--out", run_dirs[-1]]) == 0
+        path = os.path.join(run_dirs[-1], name)
+        with open(path) as fh:
+            header = fh.readline()
+        with open(path, "w") as fh:
+            fh.write(header)
+    message = f"{os.path.join(run_dirs[0], name)} holds no rows"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        compare(*run_dirs, [metric])
+    capsys.readouterr()
+    assert cli.main(["compare", *run_dirs, "--metrics", metric]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_compare_ks_refuses_a_positions_file_with_no_rows(tmp_path, capsys):

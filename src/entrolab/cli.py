@@ -214,10 +214,7 @@ def main(argv=None) -> int:
                         format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.func(args)
-    except EntrolabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except (EntrolabError, OSError) as exc:  # OSError: a file missing, or a directory
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

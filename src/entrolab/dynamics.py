@@ -67,6 +67,8 @@ from .fields import (
     clamped_log,
     gradient,
     normalize_density,
+    require_periodic,
+    require_same_grid,
     shift,
 )
 from .fokker_planck import covariant_gradient, drift_velocity
@@ -79,8 +81,7 @@ class ManifoldState:
     time: float = 0.0
 
     def __post_init__(self):
-        if not self.rho.space.same_grid(self.phi.space):
-            raise ConfigError("rho and phi live on different grids")
+        require_same_grid(self.rho, self.phi, "rho and phi live on different grids", ConfigError)
 
     @property
     def space(self) -> ConfigSpace:
@@ -296,12 +297,6 @@ def energy(
 # stepping
 
 
-def _require_periodic(space, what):
-    """Spectral, circulant and roll-based solvers assume a periodic box."""
-    if space.boundary != PERIODIC:
-        raise ConfigError(f"{what} needs a periodic box")
-
-
 def _kinetic(g, params):
     """sum_a eta^2 / (2 m_a) g_a^2 for a covariant gradient g of the phase."""
     kinetic = np.zeros(g.shape[1:])
@@ -399,7 +394,7 @@ def coupled_step(
     step's first stage; each phi step builds q once, each rho half step its
     v_face once."""
     params.matches_space(state.space)
-    _require_periodic(state.space, "the coupled solver")
+    require_periodic(state.space, "the coupled solver")
     space = state.space
     g = covariant_gradient(state.phi, params, A)
     v = params.eta_over_m.reshape((-1,) + (1,) * space.dim) * g

@@ -26,13 +26,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, GridMismatchError
+from .errors import ConfigError
 from .fields import (
     ConfigSpace,
     PhysicalParams,
     ScalarField,
     VectorField,
     interpolate_vector,
+    require_same_grid,
 )
 from .fokker_planck import drift_velocity
 
@@ -90,8 +91,7 @@ def step_ensemble(
 ) -> Ensemble:
     """Advance every walker by drift*dt plus Gaussian noise; the Ensemble
     constructor wraps the result back into the box."""
-    if not e.space.same_grid(S.space):
-        raise GridMismatchError("entropy field lives on a different grid")
+    require_same_grid(e, S, "entropy field lives on a different grid")
     params.matches_space(e.space)
     b = drift_velocity(S, params, A)
     # (positions + drift * dt) + noise, built in place in the drift array
@@ -132,8 +132,7 @@ def _conditional_drift(e_before: Ensemble, e_after: Ensemble, conditioning: np.n
     space = e_before.space
     if e_after.walkers != e_before.walkers:
         raise ConfigError("ensembles must pair walkers one to one")
-    if not space.same_grid(e_after.space):
-        raise GridMismatchError("ensembles live on different grids")
+    require_same_grid(e_before, e_after, "ensembles live on different grids")
     dt = e_before.dt
     # Min-image displacement: the physical step, not the wrapped coordinate gap.
     velocity = space.min_image(e_after.positions - e_before.positions) / dt

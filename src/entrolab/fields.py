@@ -16,7 +16,14 @@ phase solvers) shares the conventions fixed here:
   from one table padded by a cell per side, with periodic copies on a
   periodic box and edge copies on a reflecting one,
 * a diagonal configuration-space metric with weight 1/sigma_a^2 per axis,
-  so the squared step length of a displacement dx is sum_a dx_a^2/sigma_a^2.
+  so the squared step length of a displacement dx is sum_a dx_a^2/sigma_a^2,
+* one number rule, number() and per_axis(): every number from outside the
+  program (a scenario key, a sidecar entry, a dataclass field, a check's
+  tolerance or sweep) is a finite float or int, never a boolean, and never a
+  fraction where a count is due; a refusal is a ConfigError naming the key,
+* one grid rule, require_same_grid(): two fields an operation combines must
+  live on one grid, and require_periodic() refuses a reflecting box where a
+  solver needs a periodic one.
 
 Axes play the role of particle coordinates: an axis with its own sigma_a^2
 carries its own mass.  Axes belonging to identical particles should share one
@@ -50,37 +57,32 @@ DENSITY_REL_FLOOR = 1e-12
 LOG_ABS_GUARD = 1e-300
 
 
-def _real(value):
-    """float(value), refusing a boolean, which float() would read as 0 or 1."""
+def number(value, name, kind=float):
+    """The number rule: `value` as a finite `kind` (float or int).  A
+    boolean, NaN, an infinity, a fraction where kind is int, and anything
+    kind() refuses raise ConfigError naming `name`."""
     if isinstance(value, (bool, np.bool_)):
-        raise TypeError(f"{value!r} is not a number")
-    return float(value)
-
-
-def _whole(value, name):
-    """A whole number (64, or 64.0 as YAML may give it) as an int; anything
-    else, a boolean included, raises ConfigError naming `name`, where int()
-    would truncate."""
-    try:
-        number = _real(value)
-    except (TypeError, ValueError):
-        number = math.nan
-    if not number.is_integer():
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    if kind is int and isinstance(value, (float, np.floating)) and not float(value).is_integer():
         raise ConfigError(f"{name} must be a whole number, got {value!r}")
-    return int(number)
-
-
-def _as_tuple(value, dim, kind=_real, name="value"):
-    """Broadcast a scalar or sequence to a per-axis tuple of length dim; an
-    entry that is not a number, a boolean included, raises ConfigError
-    naming `name`."""
     try:
-        seq = tuple(kind(v) for v in ([value] * dim if np.isscalar(value) else value))
+        out = kind(value)
     except (TypeError, ValueError):
-        raise ConfigError(f"{name} must be a number or a list of numbers, got {value!r}") from None
-    if len(seq) != dim:
-        raise ConfigError(f"{name} needs 1 or {dim} entries, got {len(seq)}")
-    return seq
+        raise ConfigError(f"{name} must be a number, got {value!r}") from None
+    if not math.isfinite(out):
+        raise ConfigError(f"{name} must be finite, got {out!r}")
+    return out
+
+
+def per_axis(value, dim, name, kind=float):
+    """One number for every axis, or a list of dim numbers, as a dim-tuple
+    under the number rule."""
+    if not isinstance(value, (list, tuple, np.ndarray)):
+        return (number(value, name, kind),) * dim
+    values = tuple(number(v, name, kind) for v in value)
+    if len(values) != dim:
+        raise ConfigError(f"{name} needs {dim} entries, got {len(values)}")
+    return values
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,21 +96,21 @@ class ConfigSpace:
     sigma_sq: tuple = None
 
     def __post_init__(self):
-        object.__setattr__(self, "dim", _whole(self.dim, "dim"))
-        if self.dim < 1 or self.dim > 3:
-            raise ConfigError(f"dim must be 1, 2, or 3, got {self.dim}")
-        object.__setattr__(self, "extents", _as_tuple(self.extents, self.dim, _real, "extents"))
-        points = _as_tuple(self.points, self.dim, lambda n: _whole(n, "points"), "points")
-        object.__setattr__(self, "points", points)
+        dim = number(self.dim, "dim", int)
+        if dim < 1 or dim > 3:
+            raise ConfigError(f"dim must be 1, 2, or 3, got {dim}")
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "extents", per_axis(self.extents, dim, "extents"))
+        object.__setattr__(self, "points", per_axis(self.points, dim, "points", int))
         sig = self.sigma_sq if self.sigma_sq is not None else 1.0
-        object.__setattr__(self, "sigma_sq", _as_tuple(sig, self.dim, _real, "sigma_sq"))
+        object.__setattr__(self, "sigma_sq", per_axis(sig, dim, "sigma_sq"))
         if self.boundary not in BOUNDARIES:
             raise ConfigError(f"boundary must be one of {BOUNDARIES}, got {self.boundary!r}")
-        if not all(math.isfinite(L) and L > 0 for L in self.extents):
+        if min(self.extents) <= 0:
             raise ConfigError(f"extents must be finite and positive, got {self.extents}")
-        if any(n < 4 for n in self.points):
+        if min(self.points) < 4:
             raise ConfigError("need at least 4 points per axis")
-        if not all(math.isfinite(s) and s > 0 for s in self.sigma_sq):
+        if min(self.sigma_sq) <= 0:
             raise ConfigError(f"sigma_sq must be finite and positive, got {self.sigma_sq}")
 
     @cached_property
@@ -197,9 +199,18 @@ class ConfigSpace:
         )
 
 
-def _check_same_space(a, b):
-    if not a.space.same_grid(b.space):
-        raise GridMismatchError("fields live on different grids")
+def require_same_grid(a, b, message="fields live on different grids", error=GridMismatchError):
+    """The grid rule: a and b (fields, ensembles or wave functions; None, an
+    absent vector potential, passes) must live on one grid, or error(message)
+    is raised."""
+    if a is not None and b is not None and not a.space.same_grid(b.space):
+        raise error(message)
+
+
+def require_periodic(space, what):
+    """Spectral, circulant and roll-based solvers assume a periodic box."""
+    if space.boundary != PERIODIC:
+        raise ConfigError(f"{what} needs a periodic box")
 
 
 @dataclass(frozen=True, eq=False)
@@ -264,15 +275,17 @@ class PhysicalParams:
     beta: float = 0.0
 
     def __post_init__(self):
-        m = np.atleast_1d(np.asarray(self.masses, dtype=float))
-        if m.ndim != 1 or not np.all(np.isfinite(m) & (m > 0)):
-            raise ConfigError(f"masses must be a 1-D array of finite positive numbers, got {m}")
-        object.__setattr__(self, "masses", m)
+        masses = self.masses
+        if not isinstance(masses, (list, tuple, np.ndarray)):
+            masses = [masses]
+        masses = [number(m, "masses") for m in masses]
+        if any(m <= 0.0 for m in masses):
+            raise ConfigError(f"masses must be positive, got {masses}")
+        object.__setattr__(self, "masses", np.array(masses))
         for name in ("eta", "osmotic_ratio", "tau", "beta"):
-            value = float(getattr(self, name))
-            rule = "finite" if name == "beta" else "finite and positive"
-            if not (math.isfinite(value) and (value > 0.0 or name == "beta")):
-                raise ConfigError(f"{name} must be {rule}, got {value}")
+            value = number(getattr(self, name), name)
+            if value <= 0.0 and name != "beta":
+                raise ConfigError(f"{name} must be positive, got {value}")
             object.__setattr__(self, name, value)
 
     # The constructor under its older name; perfbench/micro.py is its one caller.
@@ -366,7 +379,7 @@ def clamped_log(values: np.ndarray) -> np.ndarray:
 
 def entropy_field(rho: ScalarField, phi: ScalarField) -> ScalarField:
     """Entropy that drives short steps: S = phi + log sqrt(rho)."""
-    _check_same_space(rho, phi)
+    require_same_grid(rho, phi)
     return ScalarField(rho.space, phi.values + 0.5 * clamped_log(rho.values))
 
 
@@ -388,12 +401,12 @@ def density_moments(rho: ScalarField):
 
 
 def l1_distance(a: ScalarField, b: ScalarField) -> float:
-    _check_same_space(a, b)
+    require_same_grid(a, b)
     return float(np.abs(a.values - b.values).sum()) * a.space.cell_volume
 
 
 def l2_distance(a: ScalarField, b: ScalarField) -> float:
-    _check_same_space(a, b)
+    require_same_grid(a, b)
     return math.sqrt(float(((a.values - b.values) ** 2).sum()) * a.space.cell_volume)
 
 

@@ -25,7 +25,7 @@ import math
 
 import numpy as np
 
-from .errors import GridMismatchError, StabilityError
+from .errors import StabilityError
 from .fields import (
     PERIODIC,
     PhysicalParams,
@@ -34,21 +34,16 @@ from .fields import (
     clamped_log,
     gradient,
     normalize_density,
+    require_same_grid,
     shift,
 )
 
 log = logging.getLogger(__name__)
 
 
-def _require_same_grid(A: VectorField | None, space):
-    """Raise GridMismatchError unless A is None or lives on `space`'s grid."""
-    if A is not None and not A.space.same_grid(space):
-        raise GridMismatchError("the vector potential lives on a different grid")
-
-
 def covariant_gradient(S: ScalarField, params: PhysicalParams, A: VectorField | None = None) -> np.ndarray:
     """dS/dx_a - beta A_a, one row per axis (raw array); A must share S's grid."""
-    _require_same_grid(A, S.space)
+    require_same_grid(S, A, "the vector potential lives on a different grid")
     g = gradient(S).components
     return g if A is None else g - params.beta * A.components
 
@@ -148,8 +143,7 @@ def fp_step(
     explicit bound it checks dt against."""
     params.matches_space(rho.space)
     space = rho.space
-    if not space.same_grid(S.space):
-        raise GridMismatchError("entropy field lives on a different grid")
+    require_same_grid(rho, S, "entropy field lives on a different grid")
     b = drift_velocity(S, params, A).components
     limit = _stability_limit(b, space, params, safety=1.0)
     if dt > limit:

@@ -63,8 +63,7 @@ def _read_meta(path):
     meta_file = _meta_path(path)
     if not os.path.exists(meta_file):
         raise ConfigError(f"missing sidecar metadata {meta_file}")
-    with open(meta_file) as fh:
-        return json.load(fh)
+    return load_summary(meta_file)
 
 
 def space_from_meta(meta) -> ConfigSpace:
@@ -321,5 +320,10 @@ def save_summary(path, summary: dict):
 
 
 def load_summary(path) -> dict:
+    """A JSON file, a summary or a sidecar; text that is not JSON is refused,
+    naming the file."""
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # a JSONDecodeError, or bytes that are not text
+            raise ConfigError(f"{path}: {exc}") from None

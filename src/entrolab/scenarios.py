@@ -20,7 +20,8 @@ A scenario is a YAML file with five sections.  Everything is optional except
 A scalar `time_scale: T` (T > 0) is the time over which V doubles, i.e.
 `[1, 1/T]`; it applies to every V type.  Unknown keys are rejected, naming
 the offending path, and so is a number that is not finite: every config
-number must be finite.  A field section takes only the keys its type reads
+number must be finite, by the number rule in `fields` that every number
+from outside passes.  A field section takes only the keys its type reads
 (the first type listed is the default); a key that another type reads is
 refused too: `entropy.amplitude does not apply to entropy.type 'uniform'`.
 `dt: auto` (the default) picks half the engine's reported stability limit,
@@ -59,7 +60,7 @@ import yaml
 
 from . import dynamics, ensemble as ens, fokker_planck as fp, io, kernel as ker, schrodinger as schro
 from ._pelz_good import pelz_good_cdf
-from .errors import ConfigError, GridMismatchError
+from .errors import ConfigError
 from .fields import (
     PERIODIC,
     ComplexField,
@@ -74,6 +75,9 @@ from .fields import (
     l1_distance,
     l2_distance,
     normalize_density,
+    number,
+    per_axis,
+    require_same_grid,
 )
 
 logger = logging.getLogger(__name__)
@@ -173,38 +177,6 @@ def _field_section(node, types, path, base_dir):
             value = os.path.join(base_dir, value)
         out[key] = value
     return out
-
-
-def _number(value, path, kind=float):
-    """The one conversion of a config number; anything else, NaN, the
-    infinities and the booleans included, names its key."""
-    if isinstance(value, (bool, np.bool_)):
-        raise ConfigError(f"{path} must be a number, got {value!r}")
-    if kind is int and isinstance(value, float) and not value.is_integer():
-        raise ConfigError(f"{path} must be a whole number, got {value!r}")
-    try:
-        number = kind(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{path} must be a number, got {value!r}") from None
-    if not math.isfinite(number):
-        raise ConfigError(f"{path} must be finite, got {number!r}")
-    return number
-
-
-def _numbers(value, path, kind=float):
-    """A number, or a list converted entry by entry."""
-    if isinstance(value, (list, tuple)):
-        return [_number(v, path, kind) for v in value]
-    return _number(value, path, kind)
-
-
-def _per_axis(value, dim, path):
-    value = _numbers(value, path)
-    if isinstance(value, list):
-        if len(value) != dim:
-            raise ConfigError(f"{path} needs {dim} entries, got {len(value)}")
-        return tuple(value)
-    return (value,) * dim
 
 
 @dataclass(frozen=True, eq=False)
@@ -316,11 +288,11 @@ def _build_entropy(cfg, space, initial):
     if kind == "uniform":
         values = np.zeros(space.shape)
     elif kind == "linear":
-        slope = _per_axis(cfg.get("slope", 0.0), space.dim, "entropy.slope")
+        slope = per_axis(cfg.get("slope", 0.0), space.dim, "entropy.slope")
         values = sum(k * x[a] for a, k in enumerate(slope))
     elif kind == "sine":
-        amp = _number(cfg.get("amplitude", 0.1), "entropy.amplitude")
-        mode = _number(cfg.get("mode", 1), "entropy.mode", int)
+        amp = number(cfg.get("amplitude", 0.1), "entropy.amplitude")
+        mode = number(cfg.get("mode", 1), "entropy.mode", int)
         return _sine(space, amp, mode)
     else:  # from_initial
         return entropy_field(initial.rho, initial.phi)
@@ -331,11 +303,11 @@ def _build_initial(cfg, space, eta):
     kind = cfg["type"]
     x = space.meshes
     if kind == "gaussian":
-        center = _per_axis(cfg.get("center", 0.0), space.dim, "initial.center")
-        width = _per_axis(cfg.get("width", 1.0), space.dim, "initial.width")
+        center = per_axis(cfg.get("center", 0.0), space.dim, "initial.center")
+        width = per_axis(cfg.get("width", 1.0), space.dim, "initial.width")
         if any(w <= 0 for w in width):
             raise ConfigError("initial.width must be positive")
-        momentum = _per_axis(cfg.get("momentum", 0.0), space.dim, "initial.momentum")
+        momentum = per_axis(cfg.get("momentum", 0.0), space.dim, "initial.momentum")
         log_rho = sum(
             -((x[a] - center[a]) ** 2) / (2.0 * width[a] ** 2) for a in range(space.dim)
         )
@@ -345,7 +317,7 @@ def _build_initial(cfg, space, eta):
         )
         phi = ScalarField(space, np.asarray(phi_vals, dtype=float) + np.zeros(space.shape))
     elif kind == "plane_wave":
-        mode = _number(cfg.get("mode", 1), "initial.mode", int)
+        mode = number(cfg.get("mode", 1), "initial.mode", int)
         k = 2.0 * math.pi * mode / space.extents[0]
         volume = float(np.prod(space.extents))
         rho = ScalarField(space, np.full(space.shape, 1.0 / volume))
@@ -371,14 +343,14 @@ def _build_potential(cfg, space, masses):
     if kind == "none":
         values = np.zeros(space.shape)
     elif kind == "harmonic":
-        omega = _number(cfg.get("omega", 1.0), "potentials.V.omega")
-        center = _per_axis(cfg.get("center", 0.0), space.dim, "potentials.V.center")
+        omega = number(cfg.get("omega", 1.0), "potentials.V.omega")
+        center = per_axis(cfg.get("center", 0.0), space.dim, "potentials.V.center")
         values = sum(
             0.5 * masses[a] * omega**2 * (x[a] - center[a]) ** 2
             for a in range(space.dim)
         )
     elif kind == "linear":
-        slope = _per_axis(cfg.get("slope", 0.0), space.dim, "potentials.V.slope")
+        slope = per_axis(cfg.get("slope", 0.0), space.dim, "potentials.V.slope")
         values = sum(k * x[a] for a, k in enumerate(slope))
     else:  # file
         values = _grid_file(cfg, "file", "potentials.V", space, io.load_scalar_field).values
@@ -389,7 +361,7 @@ def _build_potential(cfg, space, masses):
 def _time_scale(scale):
     """(a, b) with V(x, t) = V(x) (a + b t); a scalar T means (1, 1/T)."""
     if isinstance(scale, (int, float)):
-        scale = _number(scale, "potentials.V.time_scale")
+        scale = number(scale, "potentials.V.time_scale")
         if scale <= 0:
             raise ConfigError("potentials.V.time_scale as a scalar must be a positive time")
         return (1.0, 1.0 / scale)
@@ -397,7 +369,7 @@ def _time_scale(scale):
         raise ConfigError(
             "potentials.V.time_scale must be a [constant, rate] pair or a positive time"
         )
-    return tuple(_numbers(scale, "potentials.V.time_scale"))
+    return per_axis(scale, 2, "potentials.V.time_scale")
 
 
 def _build_vector_potential(cfg, space):
@@ -405,12 +377,12 @@ def _build_vector_potential(cfg, space):
     if kind == "none":
         return None
     if kind == "constant":
-        value = _per_axis(cfg.get("value", 0.0), space.dim, "potentials.A.value")
+        value = per_axis(cfg.get("value", 0.0), space.dim, "potentials.A.value")
         comps = np.stack([np.full(space.shape, v) for v in value])
         return VectorField(space, comps)
     if kind == "pure_gauge":
-        amp = _number(cfg.get("chi_amplitude", 1.0), "potentials.A.chi_amplitude")
-        mode = _number(cfg.get("chi_mode", 1), "potentials.A.chi_mode", int)
+        amp = number(cfg.get("chi_amplitude", 1.0), "potentials.A.chi_amplitude")
+        mode = number(cfg.get("chi_mode", 1), "potentials.A.chi_mode", int)
         return schro.spectral_gradient(_sine(space, amp, mode))
     loaded = _grid_file(cfg, "file", "potentials.A", space, io.load_vector_field)  # type file
     return VectorField(space, loaded.components)
@@ -418,7 +390,10 @@ def _build_vector_potential(cfg, space):
 
 def load_scenario(path) -> Scenario:
     with open(path) as fh:
-        raw = yaml.safe_load(fh)
+        try:
+            raw = yaml.safe_load(fh)
+        except yaml.YAMLError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
     return scenario_from_dict(raw, base_dir=os.path.dirname(path))
 
 
@@ -429,16 +404,17 @@ def scenario_from_dict(raw: dict, base_dir: str = ".") -> Scenario:
         raise ConfigError("config.name is required")
     p_cfg, s_cfg, r_cfg = cfg["params"], cfg["space"], cfg["run"]
 
-    eta = _number(p_cfg.get("eta", 1.0), "params.eta")
-    tau = _number(p_cfg.get("tau", 0.1), "params.tau")
-    beta = _number(p_cfg.get("beta", 0.0), "params.beta")
-    dim = _number(s_cfg.get("dim", 1), "space.dim", int)
-    masses = _per_axis(p_cfg.get("masses", 1.0), dim, "params.masses")
-    ratio = _numbers(p_cfg.get("osmotic_ratio", 1.0), "params.osmotic_ratio")
-    if isinstance(ratio, list):
-        if len(set(ratio)) != 1:
-            raise ConfigError("params.osmotic_ratio must be a single shared value")
-        ratio = ratio[0]
+    eta = number(p_cfg.get("eta", 1.0), "params.eta")
+    tau = number(p_cfg.get("tau", 0.1), "params.tau")
+    beta = number(p_cfg.get("beta", 0.0), "params.beta")
+    dim = number(s_cfg.get("dim", 1), "space.dim", int)
+    masses = per_axis(p_cfg.get("masses", 1.0), dim, "params.masses")
+    ratio = p_cfg.get("osmotic_ratio", 1.0)
+    n_ratios = len(ratio) if isinstance(ratio, (list, tuple)) else 1
+    ratios = set(per_axis(ratio, n_ratios, "params.osmotic_ratio"))
+    if len(ratios) != 1:
+        raise ConfigError("params.osmotic_ratio must be a single shared value")
+    [ratio] = ratios
 
     params = _in_section(
         "params",
@@ -449,8 +425,8 @@ def scenario_from_dict(raw: dict, base_dir: str = ".") -> Scenario:
         "space",
         ConfigSpace,
         dim=dim,
-        extents=_numbers(s_cfg.get("extent", 20.0), "space.extent"),
-        points=_numbers(s_cfg.get("points", 256), "space.points", int),
+        extents=per_axis(s_cfg.get("extent", 20.0), dim, "space.extent"),
+        points=per_axis(s_cfg.get("points", 256), dim, "space.points", int),
         sigma_sq=params.sigma_sq,
         boundary=s_cfg.get("boundary", PERIODIC),
     )
@@ -461,7 +437,7 @@ def scenario_from_dict(raw: dict, base_dir: str = ".") -> Scenario:
     vector_potential = _build_vector_potential(potentials["A"], space)
     potentials["V"]["time_scale"] = list(time_scale)  # the resolved pair, for the echo
 
-    steps = _number(r_cfg.get("steps", 100), "run.steps", int)
+    steps = number(r_cfg.get("steps", 100), "run.steps", int)
     if r_cfg.get("engine") == "coupled" and ratio != 1.0:
         logger.info(
             "scenario %s: coupled engine with osmotic_ratio != 1; the nonlinear engine,"
@@ -479,14 +455,14 @@ def scenario_from_dict(raw: dict, base_dir: str = ".") -> Scenario:
         time_scale=time_scale,
         vector_potential=vector_potential,
         engine=r_cfg.get("engine"),
-        dt=None if r_cfg.get("dt") in (None, "auto") else _number(r_cfg["dt"], "run.dt"),
+        dt=None if r_cfg.get("dt") in (None, "auto") else number(r_cfg["dt"], "run.dt"),
         steps=steps,
-        snapshot_stride=_number(
+        snapshot_stride=number(
             r_cfg.get("snapshot_stride", max(1, steps // 10)), "run.snapshot_stride", int
         ),
-        seed=_number(r_cfg.get("seed", 0), "run.seed", int),
-        walkers=_number(r_cfg.get("walkers", 100_000), "run.walkers", int),
-        energy_tolerance=_number(
+        seed=number(r_cfg.get("seed", 0), "run.seed", int),
+        walkers=number(r_cfg.get("walkers", 100_000), "run.walkers", int),
+        energy_tolerance=number(
             r_cfg.get("energy_tolerance", METRICS["energy"][0]), "run.energy_tolerance"
         ),
         sources={key: cfg[key] for key in ("entropy", "initial", "potentials")},
@@ -516,6 +492,14 @@ def resolve_dt(sc: Scenario) -> float:
             "run.dt cannot be 'auto' for a scenario with no dynamical rate; set it explicitly"
         )
     return 0.5 * limit
+
+
+def _tolerance(value, name):
+    """A check's tolerance: a number under the fields rule, at least 0."""
+    value = number(value, name)
+    if value < 0.0:
+        raise ConfigError(f"{name} must be at least 0, got {value}")
+    return value
 
 
 def _check(values, tolerance) -> dict:
@@ -787,8 +771,7 @@ def _snapshot_gaps(dir_a, dir_b, kind, distance):
     for tag in common:
         (path_a, load_a), (path_b, load_b) = found_a[tag], found_b[tag]
         a, b = load_a(path_a), load_b(path_b)
-        if not a.space.same_grid(b.space):
-            raise GridMismatchError(f"snapshot {tag}: grids differ")
+        require_same_grid(a, b, f"snapshot {tag}: grids differ")
         gaps.append(distance(a, b))
     return gaps
 
@@ -840,12 +823,11 @@ def compare(dir_a, dir_b, metrics, tolerances=None) -> ComparisonReport:
     """Metric-by-metric comparison of two run directories."""
     if not metrics:
         raise ConfigError("compare needs at least one metric")
-    tolerances = tolerances or {}
+    tolerances = dict(tolerances or {})
     for name, tol in tolerances.items():
         if name not in METRICS:
             raise ConfigError(f"tolerance for unknown metric '{name}'")
-        if not (math.isfinite(tol) and tol >= 0.0):
-            raise ConfigError(f"tolerance for '{name}' must be finite and >= 0, got {tol}")
+        tolerances[name] = _tolerance(tol, f"tolerance for '{name}'")
     _check_time_alignment(dir_a, dir_b)
     results = []
     for metric in metrics:
@@ -872,7 +854,7 @@ def compare(dir_a, dir_b, metrics, tolerances=None) -> ComparisonReport:
             values = np.abs(rows_a[:, 4] - rows_b[:, 4]) / scale
         else:
             values = _ks_metric(dir_a, dir_b)
-        tol = float(tolerances.get(metric, METRICS[metric][0]))
+        tol = tolerances.get(metric, METRICS[metric][0])
         results.append(MetricResult(metric, tuple(float(v) for v in values), tol))
     return ComparisonReport(metrics=tuple(results))
 
@@ -894,13 +876,12 @@ def gauge_check(sc: Scenario, chi_amplitude, chi_mode, outdir, tolerance=1e-8) -
     beta = sc.params.beta
     if beta == 0.0:
         raise ConfigError("gauge-check needs params.beta != 0")
-    chi_amplitude = _number(chi_amplitude, "chi amplitude")
-    chi_mode = _number(chi_mode, "chi_mode", int)
+    chi_amplitude = number(chi_amplitude, "chi amplitude")
+    chi_mode = number(chi_mode, "chi_mode", int)
     if chi_amplitude == 0.0 or chi_mode == 0:
         # chi = 0 makes the twin the base, and the check would test nothing
         raise ConfigError(f"chi amplitude and mode must be nonzero, got {chi_amplitude}:{chi_mode}")
-    if not (math.isfinite(tolerance) and tolerance >= 0.0):
-        raise ConfigError(f"tolerance must be finite and >= 0, got {tolerance}")
+    tolerance = _tolerance(tolerance, "tolerance")
     space = sc.space
     chi = _sine(space, chi_amplitude, chi_mode)
     dt = resolve_dt(sc)
@@ -1024,19 +1005,14 @@ def classical_limit(
         # the steps below and the Hamilton-Jacobi residual carry no A term
         raise ConfigError("the classical-limit audit does not take a vector potential")
     key, raw = ("eta_scales", eta_scales) if eta_scales is not None else ("mu_scales", mu_scales)
-    # sweep scales are not config numbers: the one rule below refuses a NaN,
-    # an infinite and a non-positive scale alike
-    try:
-        scales = [float(s) for s in raw]
-    except (TypeError, ValueError):
-        raise ConfigError(f"{key} must be a number, got {list(raw)!r}") from None
+    scales = [number(s, key) for s in raw]
     if len(scales) < 2 or scales[0] != 1.0:
         raise ConfigError(
             f"{key} must start at 1.0 (the reference) and hold at least two scales, got {scales}"
         )
-    if not all(math.isfinite(s) and s > 0 for s in scales):
-        raise ConfigError(f"{key} must be finite and positive, got {scales}")
-    walkers = sc.walkers if walkers is None else _number(walkers, "walkers", int)
+    if min(scales) <= 0:
+        raise ConfigError(f"{key} must be positive, got {scales}")
+    walkers = sc.walkers if walkers is None else number(walkers, "walkers", int)
     if walkers < 1:
         raise ConfigError(f"walkers must be at least 1, got {walkers}")
 
@@ -1112,9 +1088,10 @@ def maxent_audit(sc: Scenario, trials=1000, outdir=None, tolerance=1e-9) -> dict
     against constrained perturbations."""
     if sc.space.dim > 2:
         raise ConfigError("maxent-audit runs on dim <= 2 scenarios")
-    trials = _number(trials, "trials", int)
+    trials = number(trials, "trials", int)
     if trials < 1:
         raise ConfigError(f"trials must be at least 1, got {trials}")
+    tolerance = _tolerance(tolerance, "tolerance")
     dt = resolve_dt(sc)
     alpha = sc.params.tau / dt
     source = tuple(n // 2 for n in sc.space.points)

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import EnergyBreakdown, ManifoldState, _require_periodic
+from .dynamics import EnergyBreakdown, ManifoldState
 from .errors import ConfigError, DegenerateDensityError
 from .fields import (
     DENSITY_REL_FLOOR,
@@ -56,8 +56,9 @@ from .fields import (
     PhysicalParams,
     ScalarField,
     VectorField,
+    require_periodic,
+    require_same_grid,
 )
-from .fokker_planck import _require_same_grid
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,7 +142,7 @@ def _reshape_k(k, axis, dim):
 
 def spectral_gradient(chi: ScalarField) -> VectorField:
     """Exact band-limited gradient; the inverse of the link antiderivative."""
-    _require_periodic(chi.space, "the spectral gradient")
+    require_periodic(chi.space, "the spectral gradient")
     space = chi.space
     comps = []
     for a in range(space.dim):
@@ -173,9 +174,8 @@ def _face_links(space: ConfigSpace, A: VectorField):
 
 def gauge_transform(w: WaveFunction, A: VectorField | None, chi: ScalarField, beta: float):
     """Psi' = exp(i beta chi) Psi and A' = A + grad(chi) (spectral gradient)."""
-    _require_periodic(w.space, "gauge transformation")
-    if not w.space.same_grid(chi.space):
-        raise ConfigError("chi lives on a different grid")
+    require_periodic(w.space, "gauge transformation")
+    require_same_grid(w, chi, "chi lives on a different grid", ConfigError)
     psi_new = ComplexField(w.space, w.psi.values * np.exp(1j * beta * chi.values))
     grad_chi = spectral_gradient(chi)
     if A is None:
@@ -288,8 +288,8 @@ def unitary_step(
     commutative bit for bit, so the operand order is part of the result.
     """
     params.matches_space(w.space)
-    _require_periodic(w.space, "the wavefunction solver")
-    _require_same_grid(A, w.space)
+    require_periodic(w.space, "the wavefunction solver")
+    require_same_grid(w, A, "the vector potential lives on a different grid")
     space = w.space
     kick = _built(V, "kick", (dt, params.eta), lambda: _half_kick(V.values, dt, params.eta))
     psi = _kinetic_palindrome(kick * w.psi.values, space, params, dt, A)
@@ -318,7 +318,7 @@ def wavefunction_energy_breakdown(
     functional is the same number in either units.
     """
     params.matches_space(w.space)
-    _require_same_grid(A, w.space)
+    require_same_grid(w, A, "the vector potential lives on a different grid")
     space = w.space
     psi = w.psi.values
     vol = space.cell_volume
@@ -348,8 +348,7 @@ def phase_aligned_distance(a: WaveFunction, b: WaveFunction) -> float:
     via the inner-product identity sqrt(2 - 2|<a,b>|), which cannot resolve
     distances below sqrt(machine epsilon).
     """
-    if not a.space.same_grid(b.space):
-        raise ConfigError("wavefunctions live on different grids")
+    require_same_grid(a, b, "wavefunctions live on different grids", ConfigError)
     vol = a.space.cell_volume
     inner = complex((np.conj(a.psi.values) * b.psi.values).sum() * vol)
     rot = np.conj(inner) / abs(inner) if inner != 0.0 else 1.0

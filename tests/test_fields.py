@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -63,23 +64,27 @@ def test_space_rejects_bad_config():
 def test_space_refuses_a_bad_extent_or_metric_naming_the_values(name, value):
     """NaN once passed the `<= 0` test, and a sidecar can spell Infinity."""
     kwargs = {"dim": 2, "extents": 10.0, "points": 32, "sigma_sq": 0.1, name: (1.0, value)}
-    with pytest.raises(ConfigError, match=rf"^{name} must be finite and positive, got \(1.0, "):
+    message = (
+        rf"^{name} must be finite and positive, got \(1.0, {value}\)$" if math.isfinite(value)
+        else rf"^{name} must be finite, got {value}$"
+    )
+    with pytest.raises(ConfigError, match=message):
         ConfigSpace(**kwargs)
 
 
 @pytest.mark.parametrize(
-    "kwargs, name, shown",
-    [({"dim": 1, "points": 64.9}, "points", "64.9"),
-     ({"dim": 2, "points": (64, 32.5)}, "points", "32.5"),
-     ({"dim": 1, "points": math.nan}, "points", "nan"),
-     ({"dim": 2.5, "points": 64}, "dim", "2.5"),
-     ({"dim": "two", "points": 64}, "dim", "'two'")],
+    "kwargs, message",
+    [({"dim": 1, "points": 64.9}, "points must be a whole number, got 64.9"),
+     ({"dim": 2, "points": (64, 32.5)}, "points must be a whole number, got 32.5"),
+     ({"dim": 1, "points": math.nan}, "points must be a whole number, got nan"),
+     ({"dim": 2.5, "points": 64}, "dim must be a whole number, got 2.5"),
+     ({"dim": "two", "points": 64}, "dim must be a number, got 'two'")],
     ids=["points", "points-per-axis", "points-nan", "dim", "dim-text"],
 )
-def test_space_refuses_a_grid_size_that_is_not_whole(kwargs, name, shown):
+def test_space_refuses_a_grid_size_that_is_not_whole(kwargs, message):
     """int() used to truncate 64.9 to a 64-point grid; a float dim raised a
     bare TypeError."""
-    with pytest.raises(ConfigError, match=rf"^{name} must be a whole number, got {shown}$"):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         ConfigSpace(extents=10.0, **kwargs)
 
 

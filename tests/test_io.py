@@ -325,9 +325,9 @@ def test_sidecar_with_a_grid_size_that_is_not_whole_is_refused(tmp_path, key, va
 
 @pytest.mark.parametrize(
     "key, value, message",
-    [("dim", True, "dim must be a whole number, got True"),
-     ("points", [True], "points must be a whole number, got True"),
-     ("extents", [True], "extents must be a number or a list of numbers, got [True]")],
+    [("dim", True, "dim must be a number, got True"),
+     ("points", [True], "points must be a number, got True"),
+     ("extents", [True], "extents must be a number, got True")],
 )
 def test_sidecar_with_a_boolean_grid_entry_is_refused(tmp_path, key, value, message):
     """float() reads true as 1: a sidecar's "dim": true used to state a 1D grid."""

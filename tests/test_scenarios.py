@@ -13,6 +13,8 @@ import yaml
 from entrolab import cli, io, schrodinger as schro
 from entrolab.errors import ConfigError, StabilityError
 from entrolab.fields import (
+    ConfigSpace,
+    PhysicalParams,
     ScalarField,
     entropy_field,
     l1_distance,
@@ -941,7 +943,7 @@ def test_compare_refuses_an_infinite_sidecar_extent(tmp_path, capsys):
     with open(meta, "w") as fh:
         fh.write(text.replace("12.0", "Infinity", 1))
     assert cli.main(["compare", dir_a, dir_b, "--metrics", "rho_l2"]) == 2
-    assert "extents must be finite and positive, got (inf,)" in capsys.readouterr().err
+    assert "extents must be finite, got inf" in capsys.readouterr().err
 
 
 def test_compare_refuses_an_empty_metric_list(tmp_path):
@@ -1311,8 +1313,8 @@ def test_classical_limit_refuses_vector_potential(tmp_path, capsys):
 def test_classical_limit_refuses_bad_sweep_scales(tmp_path, capsys, flag, bad):
     """A scale that is not a finite positive number is refused before any step."""
     key = "eta_scales" if flag == "--eta-sweep" else "mu_scales"
-    message = "takes comma-separated numbers" if bad == "abc" else "finite and positive"
-    api_message = "must be a number" if bad == "abc" else message
+    message = "takes comma-separated numbers" if bad == "abc" else f"{key} must be finite, got {bad}"
+    api_message = "must be a number" if bad == "abc" else f"^{message}$"
     with pytest.raises(ConfigError, match=api_message):
         classical_limit(scenario_from_dict(base_cfg()), **{key: (1.0, bad)})
     cfg = write_cfg(tmp_path, name="classical")
@@ -1424,7 +1426,7 @@ def test_cli_evolve_malformed_field_file_exits_2(tmp_path, capsys, corrupt):
 @pytest.mark.parametrize(
     "extents, code, message",
     [(12.0, 0, ""),
-     ("twelve", 2, "extents must be a number or a list of numbers, got 'twelve'")],
+     ("twelve", 2, "extents must be a number, got 'twelve'")],
     ids=["scalar", "string"],
 )
 def test_cli_evolve_reads_a_sidecar_of_scalars(tmp_path, capsys, extents, code, message):
@@ -1541,3 +1543,122 @@ def test_cli_compare_ks_with_malformed_positions_exits_2(tmp_path, capsys):
                      "--metrics", "ks"])
     assert code == 2
     assert "final_positions.csv, line 8" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# the number rule at every entry point, and input files that do not parse
+
+
+def _gauge_scenario():
+    return scenario_from_dict(base_cfg(params={"beta": 0.7}, space={"points": 32},
+                                       run={"engine": "coupled", "steps": 2}))
+
+
+# entry point -> (the key its refusal names, a call that passes it `value`)
+NUMBER_ENTRY_POINTS = {
+    "params-masses": ("masses", lambda value, tmp_path: PhysicalParams((1.0, value))),
+    "params-eta": ("eta", lambda value, tmp_path: PhysicalParams((1.0,), eta=value)),
+    "params-beta": ("beta", lambda value, tmp_path: PhysicalParams((1.0,), beta=value)),
+    "space-extents": ("extents", lambda value, tmp_path: ConfigSpace(
+        dim=2, extents=(10.0, value), points=32)),
+    "space-sigma_sq": ("sigma_sq", lambda value, tmp_path: ConfigSpace(
+        dim=1, extents=10.0, points=32, sigma_sq=value)),
+    "compare-tolerance": ("tolerance for 'rho_l2'", lambda value, tmp_path: compare(
+        str(tmp_path / "a"), str(tmp_path / "b"), ["rho_l2"], {"rho_l2": value})),
+    "gauge-tolerance": ("tolerance", lambda value, tmp_path: gauge_check(
+        _gauge_scenario(), 0.8, 1, str(tmp_path / "out"), tolerance=value)),
+    "classical-eta_scales": ("eta_scales", lambda value, tmp_path: classical_limit(
+        scenario_from_dict(base_cfg(space={"points": 32})), eta_scales=(1.0, value),
+        walkers=1000)),
+    "classical-mu_scales": ("mu_scales", lambda value, tmp_path: classical_limit(
+        scenario_from_dict(base_cfg(space={"points": 32})), mu_scales=(1.0, value),
+        walkers=1000)),
+    "maxent-tolerance": ("tolerance", lambda value, tmp_path: maxent_audit(
+        scenario_from_dict(base_cfg(space={"points": 32})), trials=10, tolerance=value)),
+}
+
+
+@pytest.mark.parametrize("value", [True, np.True_, math.nan, "ten"],
+                         ids=["true", "np-true", "nan", "text"])
+@pytest.mark.parametrize("entry", sorted(NUMBER_ENTRY_POINTS))
+def test_every_entry_point_refuses_what_is_not_a_number(tmp_path, entry, value):
+    """float() reads a boolean as 1: PhysicalParams took masses [1.0] and
+    eta 1.0, compare and gauge-check a tolerance of 1.0, classical-limit the
+    scale 1.0, and maxent-audit checked no tolerance at all.  Each names the
+    key it refuses and writes nothing."""
+    key, call = NUMBER_ENTRY_POINTS[entry]
+    rule = "finite" if isinstance(value, float) else "a number"
+    message = f"{key} must be {rule}, got {value!r}"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        call(value, tmp_path)
+    assert not os.path.exists(tmp_path / "out")
+
+
+@pytest.mark.parametrize(
+    "entry", ["compare-tolerance", "gauge-tolerance", "maxent-tolerance"])
+def test_a_negative_tolerance_is_refused(tmp_path, entry):
+    """maxent-audit took -1, and then no certificate could pass."""
+    key, call = NUMBER_ENTRY_POINTS[entry]
+    with pytest.raises(ConfigError, match=f"^{re.escape(key)} must be at least 0, got -1.0$"):
+        call(-1.0, tmp_path)
+    assert not os.path.exists(tmp_path / "out")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [(["compare", "A", "B", "--metrics", "rho_l2", "--tolerance", "rho_l2=nan"],
+      "tolerance for 'rho_l2' must be finite, got nan"),
+     (["gauge-check", "CFG", "--chi", "0.8:1", "--tolerance", "nan"],
+      "tolerance must be finite, got nan"),
+     (["classical-limit", "CFG", "--eta-sweep", "1,nan"], "eta_scales must be finite, got nan")],
+    ids=["compare", "gauge-check", "classical-limit"],
+)
+def test_cli_refuses_a_nan_flag_naming_its_key(tmp_path, capsys, argv, message):
+    """A flag's NaN reaches the number rule: exit 2, and no output directory."""
+    cfg = write_cfg(tmp_path, params={"beta": 0.7}, space={"points": 32},
+                    run={"engine": "coupled", "steps": 2})
+    names = {"CFG": cfg, "A": str(tmp_path / "a"), "B": str(tmp_path / "b")}
+    argv = [names.get(arg, arg) for arg in argv]
+    out = [] if argv[0] == "compare" else ["--out", str(tmp_path / "out")]
+    assert cli.main(argv + out) == 2
+    assert message in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "out")
+
+
+def test_a_scenario_that_is_not_yaml_is_a_config_error(tmp_path, capsys):
+    """yaml.YAMLError once escaped load_scenario, and the CLI printed a
+    traceback and exited 1, the check-failed code."""
+    path = tmp_path / "open.yaml"
+    path.write_text("name: open\nspace: {dim: 1, extent: 12.0\n")
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: "):
+        load_scenario(str(path))
+    assert cli.main(["evolve", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert str(path) in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "out")
+
+
+def test_cli_refuses_a_directory_as_the_scenario(tmp_path, capsys):
+    """open() of a directory raised IsADirectoryError, and the CLI exited 1."""
+    (tmp_path / "cfg").mkdir()
+    assert cli.main(["evolve", str(tmp_path / "cfg"), "--out", str(tmp_path / "out")]) == 2
+    assert "Is a directory" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "out")
+
+
+@pytest.mark.parametrize("name", ["summary.json", "rho_000000.csv.meta.json"])
+def test_compare_refuses_a_json_file_that_does_not_parse(tmp_path, capsys, name):
+    """json.JSONDecodeError once escaped compare, and the CLI exited 1."""
+    run_dirs = []
+    for label in ("a", "b"):
+        cfg = write_cfg(tmp_path, name=label, space={"points": 32},
+                        run={"engine": "coupled", "steps": 2})
+        run_dirs.append(str(tmp_path / label))
+        assert cli.main(["evolve", cfg, "--out", run_dirs[-1]]) == 0
+    path = os.path.join(run_dirs[1], name)
+    with open(path, "w") as fh:
+        fh.write("{not json")
+    with pytest.raises(ConfigError, match=f"^{re.escape(path)}: "):
+        compare(*run_dirs, ["rho_l2"])
+    capsys.readouterr()
+    assert cli.main(["compare", *run_dirs, "--metrics", "rho_l2"]) == 2
+    assert path in capsys.readouterr().err

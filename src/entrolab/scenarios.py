@@ -26,15 +26,16 @@ from outside passes.  A field section takes only the keys its type reads
 refused too: `entropy.amplitude does not apply to entropy.type 'uniform'`.
 `dt: auto` (the default) picks half the engine's reported stability limit,
 its safety factor included (0.8 for the wave engines, 0.9 for fokker-planck
-and ensemble).  Every run writes CSV snapshots, a moments series, an energy
-audit where energy is defined, and a summary.json echoing the fully resolved
-configuration, so a run is reproducible from its artifacts alone.  A
-snapshot CSV is its value columns in row-major order, and its `.meta.json`
-sidecar states the grid; coordinates come from `io.load_*(path).space.meshes`.
-Readers also accept leading `axis<k>` coordinate columns, as older runs and
-hand-written inputs carry them.
-A snapshot is one file: the density `rho_<tag>.csv` for fokker-planck,
-ensemble and coupled, the wave function `psi_<tag>.csv` for schrodinger and
+and ensemble).  Every run writes `.npy` snapshots, a moments series
+(`series.csv`), an energy audit (`energy.csv`) where energy is defined, and a
+summary.json echoing the fully resolved configuration, so a run is
+reproducible from its artifacts alone; an ensemble run also writes its
+walkers' `final_positions.npy`.  A snapshot's `.meta.json` sidecar states the
+grid; coordinates come from `io.load_*(path).space.meshes`.  A file input
+(`rho_file`, `phi_file`, a V or A file) is a `.npy` grid or a hand-written
+grid CSV, each beside its sidecar; a run's own snapshot is a valid input.
+A snapshot is one file: the density `rho_<tag>.npy` for fokker-planck,
+ensemble and coupled, the wave function `psi_<tag>.npy` for schrodinger and
 nonlinear.  The schrodinger engine steps osmotic_ratio 1 and refuses any
 other; the nonlinear engine (any ratio) is the linear one in
 regraduated units (`dynamics.regraduate`), so its psi is sqrt(rho)
@@ -617,9 +618,9 @@ def run(sc: Scenario, outdir) -> dict:
         tag = f"{len(snap_times):06d}"
         snap_times.append(t)
         if psi is None:
-            io.save_scalar_field(os.path.join(outdir, f"rho_{tag}.csv"), rho)
+            io.save_scalar_field(os.path.join(outdir, f"rho_{tag}.npy"), rho)
         else:  # rho = |psi|^2 is derived where it is read
-            io.save_complex_field(os.path.join(outdir, f"psi_{tag}.csv"), psi)
+            io.save_complex_field(os.path.join(outdir, f"psi_{tag}.npy"), psi)
             norm_gaps.append(abs(psi.norm_sq() - 1.0))
         if breakdown is not None:
             energy_rows.append(
@@ -636,11 +637,7 @@ def run(sc: Scenario, outdir) -> dict:
             if due:
                 record(*snapshot(state, last_step))
         if sc.engine == "ensemble":
-            io.save_series(
-                os.path.join(outdir, "final_positions.csv"),
-                [f"axis{a}" for a in range(dim)],
-                state.positions,
-            )
+            io.save_array(os.path.join(outdir, "final_positions.npy"), state.positions)
     except Exception as exc:
         _save_failure(outdir, sc, dt, last_step, exc)
         raise
@@ -749,15 +746,15 @@ def _born_density(path):
 
 def _snapshots(run_dir, kind):
     """tag -> (path, load) for each `kind` ("rho" or "psi") snapshot of a run.
-    A density is the run's `rho_<tag>.csv`, or else |psi|^2 of `psi_<tag>.csv`."""
+    A density is the run's `rho_<tag>.npy`, or else |psi|^2 of `psi_<tag>.npy`."""
     sources = (
         [("psi", _born_density), ("rho", io.load_scalar_field)]  # a rho file wins
         if kind == "rho" else [("psi", io.load_complex_field)]
     )
     return {
-        os.path.basename(path)[len(prefix) + 1 : -len(".csv")]: (path, load)
+        os.path.basename(path)[len(prefix) + 1 : -len(".npy")]: (path, load)
         for prefix, load in sources
-        for path in glob.glob(os.path.join(run_dir, f"{prefix}_*.csv"))
+        for path in glob.glob(os.path.join(run_dir, f"{prefix}_*.npy"))
     }
 
 
@@ -1131,13 +1128,15 @@ def _ks_metric(dir_a, dir_b):
     scipy's p that docstring states.  A positions file with no rows, or with
     a coordinate that is not finite, is refused: it has no p-value.
     """
-    pos_path = os.path.join(dir_a, "final_positions.csv")
+    pos_path = os.path.join(dir_a, "final_positions.npy")
     if not os.path.exists(pos_path):
-        pos_path = os.path.join(dir_b, "final_positions.csv")
+        pos_path = os.path.join(dir_b, "final_positions.npy")
         dir_b = dir_a
     if not os.path.exists(pos_path):
-        raise ConfigError("ks metric needs an ensemble run with final_positions.csv")
-    positions = io.load_series(pos_path)[1]
+        raise ConfigError("ks metric needs an ensemble run with final_positions.npy")
+    positions = io.load_array(pos_path, np.float64)
+    if positions.ndim != 2:
+        raise ConfigError(f"{pos_path}: expected (walkers, dim) positions, found {positions.shape}")
     if not positions.size:
         raise ConfigError(f"{pos_path} holds no walker positions")
     if not np.isfinite(positions).all():
@@ -1145,7 +1144,7 @@ def _ks_metric(dir_a, dir_b):
     samples = positions[:, 0]
     snapshots = _snapshots(dir_b, "rho")
     if not snapshots:
-        raise ConfigError(f"ks metric needs rho_*.csv or psi_*.csv snapshots in {dir_b}")
+        raise ConfigError(f"ks metric needs rho_*.npy or psi_*.npy snapshots in {dir_b}")
     path, load = snapshots[max(snapshots)]
     rho = load(path)
     space = rho.space

@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 
+from entrolab import io
 from entrolab.dynamics import ManifoldState
 from entrolab.fields import (
     ConfigSpace,
@@ -52,3 +53,10 @@ def rest_state(space, center=0.0, var=1.0):
 def field_l2(a, b, space):
     return math.sqrt(float(((a - b) ** 2).sum()) * space.cell_volume)
 
+
+def write_grid_csv(path, field):
+    """A hand-written grid CSV input: the field's `value` column in row-major
+    order, beside the `.meta.json` sidecar that states its grid.  In 1D it is
+    also a vector field's one component column."""
+    io.save_series(path, ["value"], field.values.reshape(-1, 1))
+    io._write_meta(path, field.space)

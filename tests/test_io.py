@@ -1,8 +1,6 @@
 import csv
 import json
-import math
 import re
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -19,7 +17,7 @@ def test_scalar_field_roundtrip_exact(tmp_path):
     p = make_params()
     space = make_space(10.0, 64, p)
     rho = gaussian_density(space, 0.3, 1.1)
-    path = tmp_path / "rho.csv"
+    path = tmp_path / "rho.npy"
     io.save_scalar_field(path, rho)
     back = io.load_scalar_field(path)
     assert back.space.same_grid(space)
@@ -33,7 +31,7 @@ def test_scalar_field_roundtrip_2d(tmp_path):
     space = flds.ConfigSpace(dim=2, extents=(8.0, 4.0), points=(16, 8), sigma_sq=p.sigma_sq)
     vals = np.arange(16 * 8, dtype=float).reshape(16, 8)
     f = ScalarField(space, vals)
-    path = tmp_path / "f2d.csv"
+    path = tmp_path / "f2d.npy"
     io.save_scalar_field(path, f)
     back = io.load_scalar_field(path)
     assert back.space.same_grid(space)
@@ -45,7 +43,7 @@ def test_complex_field_roundtrip(tmp_path):
     space = make_space(10.0, 64, p)
     x = space.meshes[0]
     psi = ComplexField(space, np.exp(1j * x) * np.exp(-(x**2)))
-    path = tmp_path / "psi.csv"
+    path = tmp_path / "psi.npy"
     io.save_complex_field(path, psi)
     back = io.load_complex_field(path)
     assert np.array_equal(back.values, psi.values)
@@ -73,9 +71,9 @@ def test_missing_sidecar_is_a_config_error(tmp_path):
     p = make_params()
     space = make_space(10.0, 64, p)
     rho = gaussian_density(space, 0.0, 1.0)
-    path = tmp_path / "rho.csv"
+    path = tmp_path / "rho.npy"
     io.save_scalar_field(path, rho)
-    (tmp_path / "rho.csv.meta.json").unlink()
+    (tmp_path / "rho.npy.meta.json").unlink()
     with pytest.raises(ConfigError):
         io.load_scalar_field(path)
 
@@ -117,64 +115,11 @@ def _reference_csv(path, header, rows):
 def test_writer_matches_reference_bytes(tmp_path):
     rng = np.random.default_rng(3)
     values = np.concatenate([SPECIAL, rng.standard_normal(64 - len(SPECIAL))])
-    space = make_space(10.0, values.size, make_params())
-    x = space.meshes[0]
-
-    io.save_scalar_field(tmp_path / "rho.csv", ScalarField(space, values))
-    _reference_csv(tmp_path / "rho_ref.csv", ["value"], zip(values))
-    assert (tmp_path / "rho.csv").read_bytes() == (tmp_path / "rho_ref.csv").read_bytes()
-
-    psi = np.empty(values.size, dtype=complex)
-    psi.real, psi.imag = values[::-1], values
-    io.save_complex_field(tmp_path / "psi.csv", ComplexField(space, psi))
-    _reference_csv(tmp_path / "psi_ref.csv", ["real", "imag"], zip(psi.real, psi.imag))
-    assert (tmp_path / "psi.csv").read_bytes() == (tmp_path / "psi_ref.csv").read_bytes()
-
+    x = make_space(10.0, values.size, make_params()).meshes[0]
     rows = [(t, v, 7) for t, v in zip(x, values)]
     io.save_series(tmp_path / "series.csv", ["t", "mass", "n"], rows)
     _reference_csv(tmp_path / "series_ref.csv", ["t", "mass", "n"], rows)
     assert (tmp_path / "series.csv").read_bytes() == (tmp_path / "series_ref.csv").read_bytes()
-
-
-def _assert_grid_files_match_reference(tmp_path, space, seed):
-    """Scalar and complex saves on `space` against the reference writer."""
-    rng = np.random.default_rng(seed)
-    values = rng.standard_normal(space.shape)
-    psi = values + 1j * rng.standard_normal(space.shape)
-
-    io.save_scalar_field(tmp_path / "rho.csv", ScalarField(space, values))
-    _reference_csv(tmp_path / "rho_ref.csv", ["value"], zip(values.ravel()))
-    assert (tmp_path / "rho.csv").read_bytes() == (tmp_path / "rho_ref.csv").read_bytes()
-
-    io.save_complex_field(tmp_path / "psi.csv", ComplexField(space, psi))
-    _reference_csv(tmp_path / "psi_ref.csv", ["real", "imag"],
-                   zip(psi.real.ravel(), psi.imag.ravel()))
-    assert (tmp_path / "psi.csv").read_bytes() == (tmp_path / "psi_ref.csv").read_bytes()
-
-
-@pytest.mark.parametrize(
-    "extents, points",
-    [((8.0, 4.0), (67, 65)), ((6.0, 5.0, 4.0), (10, 12, 40))],
-    ids=["2d-partial-last-block", "3d"],
-)
-def test_grid_writer_matches_reference_bytes(tmp_path, extents, points):
-    """Grids whose row count is not a multiple of the block size: every block,
-    the partial last one included, is formatted in row-major order."""
-    assert math.prod(points) % io._BLOCK_ROWS != 0 and math.prod(points) > io._BLOCK_ROWS
-    space = ConfigSpace(dim=len(points), extents=extents, points=points)
-    _assert_grid_files_match_reference(tmp_path, space, seed=7)
-
-
-def test_grid_roundtrip_across_row_blocks(tmp_path):
-    n = 2 * io._BLOCK_ROWS + 3
-    space = make_space(10.0, n, make_params())
-    rng = np.random.default_rng(5)
-    values = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
-    path = tmp_path / "rho.csv"
-    io.save_scalar_field(path, ScalarField(space, values))
-    back = io.load_scalar_field(path)
-    assert np.array_equal(back.values, values)
-    assert np.array_equal(back.space.meshes[0], space.meshes[0])
 
 
 def _hard_cells():
@@ -206,32 +151,19 @@ def _assert_table_matches_reference(tmp_path, rows):
 
 
 def test_writer_matches_reference_bytes_on_hard_cells(tmp_path):
-    """The numpy digits are certified or left to Python, cell by cell; 1e-305
-    is a double below 10^-305 whose 17 digits carry into it."""
+    """Ties, powers of ten and their neighbours, and random bit patterns;
+    1e-305 is a double below 10^-305 whose 17 digits carry into it."""
     assert Fraction(1e-305) < Fraction(1, 10**305) and format(1e-305, ".17g") == "1e-305"
     cells = _hard_cells()
     _assert_table_matches_reference(tmp_path, cells[: cells.size // 3 * 3].reshape(-1, 3))
 
 
 @pytest.mark.parametrize("n_cols", [1, 2, 3])
-@pytest.mark.parametrize("n_rows", [0, 1, io._BLOCK_ROWS - 1, io._BLOCK_ROWS, io._BLOCK_ROWS + 1])
+@pytest.mark.parametrize("n_rows", [0, 1, 2047, 2048, 2049])
 def test_writer_matches_reference_bytes_at_block_edges(tmp_path, n_rows, n_cols):
+    """Empty, one-row and 2^11-row tables, one to three columns wide."""
     cells = np.resize(_hard_cells()[:4000], n_rows * n_cols)
     _assert_table_matches_reference(tmp_path, cells.reshape(n_rows, n_cols))
-
-
-def test_a_long_series_is_formatted_a_block_at_a_time(tmp_path):
-    """Formatting 2^18 rows at once would hold about 220 bytes a cell of
-    temporaries, ~60 MB; one block at a time it holds well under 4 MB."""
-    rows = np.random.default_rng(2).standard_normal((2**18, 1))
-    io.save_series(tmp_path / "warm.csv", ["x"], rows[:1])  # the digit tables are built once
-    tracemalloc.start()
-    try:
-        io.save_series(tmp_path / "long.csv", ["x"], rows)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4e6
 
 
 # ---------------------------------------------------------------------------
@@ -273,11 +205,15 @@ def test_both_grid_layouts_load_bit_equal(tmp_path, kind):
 
 
 def test_saved_grids_carry_only_their_value_columns(tmp_path):
+    """A saved grid is a .npy array of the field's values alone, at the path
+    given, whatever its name says; the grid is in the sidecar."""
     space = ConfigSpace(dim=2, extents=(8.0, 4.0), points=(16, 8))
     io.save_scalar_field(tmp_path / "rho.csv", ScalarField(space, np.ones(space.shape)))
     io.save_complex_field(tmp_path / "psi.csv", ComplexField(space, np.ones(space.shape) + 0j))
-    assert (tmp_path / "rho.csv").read_text().splitlines()[:2] == ["value", "1"]
-    assert (tmp_path / "psi.csv").read_text().splitlines()[:2] == ["real,imag", "1,0"]
+    rho, psi = (np.load(tmp_path / name) for name in ("rho.csv", "psi.csv"))
+    assert rho.dtype == np.float64 and rho.shape == (16, 8) and (rho == 1.0).all()
+    assert psi.dtype == np.complex128 and psi.shape == (16, 8) and (psi == 1.0).all()
+    assert io.load_scalar_field(tmp_path / "rho.csv").space.same_grid(space)
 
 
 @pytest.mark.parametrize(
@@ -298,9 +234,9 @@ def test_grid_file_with_a_wrong_column_count_is_refused_naming_the_file(tmp_path
 
 
 def test_a_series_keeps_its_axis_columns(tmp_path):
-    """The grid rule is for grid files: a series headed axis0 (an ensemble's
-    final_positions.csv) reads every column."""
-    path = tmp_path / "final_positions.csv"
+    """The grid rule is for grid files: a series headed axis0 reads every
+    column."""
+    path = tmp_path / "positions.csv"
     io.save_series(path, ["axis0"], [[0.5], [-1.25]])
     header, rows = io.load_series(path)
     assert header == ["axis0"] and rows.tolist() == [[0.5], [-1.25]]
@@ -390,6 +326,15 @@ def test_bad_body_line_is_refused_naming_the_file_and_the_line(tmp_path, bad_lin
         io.load_series(path)
 
 
+def test_a_body_line_that_is_not_text_is_refused_naming_the_line(tmp_path):
+    """Bytes that are not UTF-8, as in a binary file given as a CSV input,
+    once escaped the reader as a UnicodeDecodeError."""
+    path = tmp_path / "series.csv"
+    path.write_bytes(b"t,mass\r\n0,1\r\n\x93NUMPY,1\r\n")
+    with pytest.raises(ConfigError, match=r"series\.csv, line 3: "):
+        io.load_series(path)
+
+
 def test_nan_and_infinite_cells_round_trip(tmp_path):
     rows = [(0.0, np.nan, np.inf), (1.0, -np.inf, -0.0)]
     io.save_series(tmp_path / "series.csv", ["t", "a", "b"], rows)
@@ -403,6 +348,82 @@ def test_complex_field_round_trips_signed_zeros_and_infinities(tmp_path):
     and a -0.0 real part beside a positive imaginary part loaded as +0.0."""
     space = make_space(4.0, 4, make_params())
     psi = np.array([complex(-0.0, 1.0), complex(1.0, np.inf), 2.0 - 1.0j, complex(-0.0, -1.0)])
-    io.save_complex_field(tmp_path / "psi.csv", ComplexField(space, psi))
-    back = io.load_complex_field(tmp_path / "psi.csv").values
+    io.save_complex_field(tmp_path / "psi.npy", ComplexField(space, psi))
+    back = io.load_complex_field(tmp_path / "psi.npy").values
     assert np.array_equal(back.view(np.int64), psi.view(np.int64))
+
+
+# ---------------------------------------------------------------------------
+# .npy grids: every bit kept, and a file that is not the grid's array refused
+
+
+def test_grid_round_trip_keeps_every_bit(tmp_path):
+    space = ConfigSpace(dim=2, extents=(8.0, 4.0), points=(16, 8))
+    rng = np.random.default_rng(5)
+    values = rng.standard_normal(space.size) * 10.0 ** rng.integers(-300, 300, space.size)
+    values[: len(SPECIAL) + 2] = SPECIAL + [-np.nan, np.nextafter(2.2250738585072014e-308, 0)]
+    values = values.reshape(space.shape)
+    psi = np.empty(space.shape, dtype=complex)
+    psi.real, psi.imag = values, values[::-1]
+    io.save_scalar_field(tmp_path / "rho.npy", ScalarField(space, values))
+    io.save_complex_field(tmp_path / "psi.npy", ComplexField(space, psi))
+    rho_back = io.load_scalar_field(tmp_path / "rho.npy").values
+    psi_back = io.load_complex_field(tmp_path / "psi.npy").values
+    assert np.array_equal(rho_back.view(np.uint64), values.view(np.uint64))
+    assert np.array_equal(psi_back.view(np.uint64), psi.view(np.uint64))
+
+
+def _saved_grid(tmp_path):
+    space = ConfigSpace(dim=2, extents=(8.0, 4.0), points=(16, 8))
+    path = tmp_path / "rho.npy"
+    io.save_scalar_field(path, ScalarField(space, np.ones(space.shape)))
+    return space, path
+
+
+@pytest.mark.parametrize(
+    "load, stored",
+    [(io.load_scalar_field, np.complex128), (io.load_scalar_field, np.float32),
+     (io.load_complex_field, np.float64)],
+    ids=["complex-as-rho", "float32-as-rho", "float-as-psi"],
+)
+def test_npy_grid_of_the_wrong_dtype_is_refused_naming_the_file(tmp_path, load, stored):
+    space, path = _saved_grid(tmp_path)
+    io.save_array(path, np.ones(space.shape, dtype=stored))
+    found = np.dtype(stored).name
+    with pytest.raises(ConfigError, match=rf"rho\.npy: expected \w+ values, found {found}$"):
+        load(path)
+
+
+def test_npy_grid_whose_shape_disagrees_with_its_sidecar_is_refused(tmp_path):
+    _, path = _saved_grid(tmp_path)
+    io.save_array(path, np.ones((8, 16)))
+    with pytest.raises(ConfigError, match=r"rho\.npy: expected shape \(16, 8\), as its sidecar"):
+        io.load_scalar_field(path)
+
+
+@pytest.mark.parametrize("keep", [4, 100, -8], ids=["in-magic", "in-header", "in-data"])
+def test_truncated_npy_grid_is_refused_naming_the_file(tmp_path, keep):
+    """Cut inside numpy's magic string, the file reads as a CSV and is
+    refused as one."""
+    _, path = _saved_grid(tmp_path)
+    path.write_bytes(path.read_bytes()[:keep])
+    with pytest.raises(ConfigError, match=r"rho\.npy"):
+        io.load_scalar_field(path)
+
+
+def test_pickled_npy_is_refused_naming_the_file(tmp_path):
+    """An object array is a pickle, which a load never runs."""
+    space, path = _saved_grid(tmp_path)
+    with open(path, "wb") as fh:
+        np.save(fh, np.full(space.shape, None, dtype=object), allow_pickle=True)
+    for load in (io.load_scalar_field, lambda p: io.load_array(p, np.float64)):
+        with pytest.raises(ConfigError, match=r"rho\.npy: Object arrays cannot be loaded"):
+            load(path)
+
+
+def test_array_round_trip_keeps_every_bit(tmp_path):
+    """Walker positions: a (walkers, dim) array, with no sidecar."""
+    positions = np.array([[0.5, -0.0], [np.inf, 5e-324], [np.nan, -np.inf]])
+    io.save_array(tmp_path / "final_positions.npy", positions)
+    back = io.load_array(tmp_path / "final_positions.npy", np.float64)
+    assert np.array_equal(back.view(np.uint64), positions.view(np.uint64))

@@ -33,6 +33,8 @@ from entrolab.scenarios import (
     scenario_from_dict,
 )
 
+from conftest import write_grid_csv
+
 
 def base_cfg(**overrides):
     cfg = {
@@ -109,9 +111,9 @@ def test_a_key_its_type_does_not_read_is_refused(tmp_path, capsys, section, fiel
                                {"type": "linear", "slope": 0.2}, {"type": "file"}])
 def test_time_scale_applies_to_every_potential_type(tmp_path, V):
     space = scenario_from_dict(base_cfg()).space
-    io.save_scalar_field(tmp_path / "V.csv", ScalarField(space, np.full(space.shape, 0.5)))
+    io.save_scalar_field(tmp_path / "V.npy", ScalarField(space, np.full(space.shape, 0.5)))
     if V["type"] == "file":
-        V = {**V, "file": "V.csv"}
+        V = {**V, "file": "V.npy"}
     cfg = base_cfg(potentials={"V": {**V, "time_scale": [1.0, 0.5]}})
     assert scenario_from_dict(cfg, base_dir=str(tmp_path)).time_scale == (1.0, 0.5)
 
@@ -262,10 +264,10 @@ def test_initial_from_density_file(tmp_path):
     p = make_params(tau=0.1)
     space = make_space(12.0, 64, p)
     rho = gaussian_density(space, 0.5, 0.7)
-    io.save_scalar_field(tmp_path / "rho0.csv", rho)
+    io.save_scalar_field(tmp_path / "rho0.npy", rho)
     cfg = base_cfg(
         space={"points": 64},
-        initial={"type": "file", "rho_file": "rho0.csv"},
+        initial={"type": "file", "rho_file": "rho0.npy"},
     )
     sc = scenario_from_dict(cfg, base_dir=str(tmp_path))
     assert np.abs(sc.initial.rho.values - rho.values).max() < 1e-15
@@ -275,18 +277,18 @@ def test_initial_phase_from_file(tmp_path):
     from conftest import gaussian_density, make_params, make_space
 
     space = make_space(12.0, 64, make_params(tau=0.1))
-    io.save_scalar_field(tmp_path / "rho0.csv", gaussian_density(space, 0.5, 0.7))
+    io.save_scalar_field(tmp_path / "rho0.npy", gaussian_density(space, 0.5, 0.7))
     phi = ScalarField(space, 0.4 * np.sin(2.0 * math.pi * space.meshes[0] / 12.0))
-    io.save_scalar_field(tmp_path / "phi0.csv", phi)
+    io.save_scalar_field(tmp_path / "phi0.npy", phi)
     cfg = base_cfg(
         space={"points": 64},
-        initial={"type": "file", "rho_file": "rho0.csv", "phi_file": "phi0.csv"},
+        initial={"type": "file", "rho_file": "rho0.npy", "phi_file": "phi0.npy"},
         run={"engine": "schrodinger", "dt": 0.002, "steps": 2, "snapshot_stride": 2},
     )
     sc = scenario_from_dict(cfg, base_dir=str(tmp_path))
     assert np.array_equal(sc.initial.phi.values, phi.values)
     run(sc, str(tmp_path / "out"))
-    psi0 = io.load_complex_field(tmp_path / "out" / "psi_000000.csv")
+    psi0 = io.load_complex_field(tmp_path / "out" / "psi_000000.npy")
     # |phi| <= 0.4, so the angle of psi is phi itself
     assert np.abs(np.angle(psi0.values) - phi.values).max() < 1e-15
 
@@ -323,15 +325,15 @@ def test_summary_config_echoes_every_section(tmp_path):
     scalar time_scale as its (a, b) pair, a one-entry ratio list as its value."""
     sc = scenario_from_dict(base_cfg(space={"points": 32}, params={"masses": 2.0}))
     (tmp_path / "data").mkdir()
-    io.save_scalar_field(tmp_path / "data" / "rho0.csv", sc.initial.rho)
+    io.save_scalar_field(tmp_path / "data" / "rho0.npy", sc.initial.rho)
     a_path = str(tmp_path / "A.csv")
-    io.save_scalar_field(a_path, ScalarField(sc.space, np.full(sc.space.shape, 0.3)))
+    write_grid_csv(a_path, ScalarField(sc.space, np.full(sc.space.shape, 0.3)))
     cfg = {
         "name": "echo",
         "space": {"dim": 1, "extent": 12.0, "points": 32},
         "params": {"tau": 0.1, "masses": [2.0], "osmotic_ratio": [1.0], "beta": 0.5},
         "entropy": {"type": "sine", "amplitude": 0.2},
-        "initial": {"type": "file", "rho_file": "data/rho0.csv"},
+        "initial": {"type": "file", "rho_file": "data/rho0.npy"},
         "potentials": {"V": {"type": "harmonic", "omega": 1, "time_scale": 4},
                        "A": {"type": "file", "file": "A.csv"}},
         "run": {"engine": "schrodinger", "dt": 0.001, "steps": 4, "seed": 3},
@@ -344,7 +346,7 @@ def test_summary_config_echoes_every_section(tmp_path):
         "params": {"eta": 1.0, "tau": 0.1, "masses": [2.0], "osmotic_ratio": 1.0,
                    "beta": 0.5},
         "entropy": {"type": "sine", "amplitude": 0.2},
-        "initial": {"type": "file", "rho_file": str(tmp_path / "data" / "rho0.csv")},
+        "initial": {"type": "file", "rho_file": str(tmp_path / "data" / "rho0.npy")},
         "potentials": {"V": {"type": "harmonic", "omega": 1, "time_scale": [1.0, 0.25]},
                        "A": {"type": "file", "file": a_path}},
         "run": {"engine": "schrodinger", "dt": 0.001, "steps": 4, "snapshot_stride": 1,
@@ -542,7 +544,7 @@ def test_run_writes_artifacts_and_passes_checks(tmp_path):
     summary = run(sc, str(tmp_path))
     assert summary["passed"], summary["checks"]
     assert summary["status"] == "completed"
-    assert os.path.exists(tmp_path / "rho_000000.csv")
+    assert os.path.exists(tmp_path / "rho_000000.npy")
     assert os.path.exists(tmp_path / "series.csv")
     assert os.path.exists(tmp_path / "energy.csv")
     assert os.path.exists(tmp_path / "summary.json")
@@ -558,7 +560,7 @@ def test_failed_run_leaves_a_failed_summary(tmp_path):
                                      run={"engine": "coupled", "dt": 0.5, "steps": 5}))
     with pytest.raises(StabilityError):
         run(sc, str(tmp_path))
-    assert os.path.exists(tmp_path / "rho_000000.csv")
+    assert os.path.exists(tmp_path / "rho_000000.npy")
     summary = io.load_summary(tmp_path / "summary.json")
     assert summary["status"] == "failed"
     assert summary["error"]["type"] == "StabilityError"
@@ -578,11 +580,11 @@ def test_run_is_deterministic(tmp_path):
     a = run(scenario_from_dict(cfg), str(tmp_path / "a"))
     b = run(scenario_from_dict(cfg), str(tmp_path / "b"))
     assert a["checks"] == b["checks"]
-    ra = (tmp_path / "a" / "rho_000002.csv").read_text()
-    rb = (tmp_path / "b" / "rho_000002.csv").read_text()
+    ra = (tmp_path / "a" / "rho_000002.npy").read_bytes()
+    rb = (tmp_path / "b" / "rho_000002.npy").read_bytes()
     assert ra == rb
-    pa = (tmp_path / "a" / "final_positions.csv").read_text()
-    pb = (tmp_path / "b" / "final_positions.csv").read_text()
+    pa = (tmp_path / "a" / "final_positions.npy").read_bytes()
+    pb = (tmp_path / "b" / "final_positions.npy").read_bytes()
     assert pa == pb
 
 
@@ -591,7 +593,7 @@ def test_schrodinger_run_records_psi_and_norm(tmp_path):
                                           "snapshot_stride": 10}))
     summary = run(sc, str(tmp_path))
     assert summary["passed"], summary["checks"]
-    assert os.path.exists(tmp_path / "psi_000000.csv")
+    assert os.path.exists(tmp_path / "psi_000000.npy")
     assert "norm_conservation" in summary["checks"]
     assert "energy_drift" in summary["checks"]
 
@@ -602,7 +604,7 @@ def test_nan_potential_fails_mass_and_norm_checks(tmp_path):
     sc = scenario_from_dict(base_cfg())
     V = np.zeros(sc.space.shape)
     V[64] = np.nan
-    v_path = tmp_path / "V.csv"
+    v_path = tmp_path / "V.npy"
     io.save_scalar_field(v_path, ScalarField(sc.space, V))
     cfg = base_cfg(potentials={"V": {"type": "file", "file": str(v_path)}},
                    run={"engine": "schrodinger", "dt": 0.002, "steps": 20,
@@ -622,7 +624,7 @@ def _nan_vector_potential_cfg(tmp_path):
     A[64] = np.nan
     a_path = tmp_path / "A.csv"
     # a 1D vector field has one component column, as a scalar field does
-    io.save_scalar_field(a_path, ScalarField(sc.space, A))
+    write_grid_csv(a_path, ScalarField(sc.space, A))
     return base_cfg(params={"beta": 0.5},
                     potentials={"A": {"type": "file", "file": str(a_path)}},
                     entropy={"type": "sine", "amplitude": 0.2, "mode": 1},
@@ -639,7 +641,7 @@ def test_nan_vector_potential_fails_the_ensemble_run(tmp_path):
     assert summary["status"] == "failed"
     assert summary["error"]["type"] == "ConfigError"
     assert summary["last_step"] == 0
-    assert not os.path.exists(tmp_path / "out" / "final_positions.csv")
+    assert not os.path.exists(tmp_path / "out" / "final_positions.npy")
 
 
 def test_cli_nan_vector_potential_exits_2(tmp_path, capsys):
@@ -780,17 +782,17 @@ def test_a_run_writes_each_snapshot_once(tmp_path, engine, written, absent):
                         "walkers": 500})
     summary = run(scenario_from_dict(cfg), str(tmp_path))
     names = os.listdir(tmp_path)
-    snapshots = sorted(n for n in names if n.endswith(".csv") and n[:4] in ("rho_", "psi_"))
-    assert snapshots == [f"{written}_{i:06d}.csv" for i in range(len(summary["snapshot_times"]))]
+    snapshots = sorted(n for n in names if n.endswith(".npy") and n[:4] in ("rho_", "psi_"))
+    assert snapshots == [f"{written}_{i:06d}.npy" for i in range(len(summary["snapshot_times"]))]
     assert not any(n.startswith(f"{absent}_") for n in names)
 
 
 def _density_of(run_dir, tag):
     """A snapshot's density by hand: the rho file, or |psi|^2 of the psi file."""
-    rho_path = os.path.join(run_dir, f"rho_{tag}.csv")
+    rho_path = os.path.join(run_dir, f"rho_{tag}.npy")
     if os.path.exists(rho_path):
         return io.load_scalar_field(rho_path)
-    psi = io.load_complex_field(os.path.join(run_dir, f"psi_{tag}.csv"))
+    psi = io.load_complex_field(os.path.join(run_dir, f"psi_{tag}.npy"))
     return ScalarField(psi.space, np.abs(psi.values) ** 2)
 
 
@@ -829,38 +831,58 @@ def test_compare_reads_densities_of_two_wave_runs(tmp_path):
     assert not report.passed
 
 
-def _with_coordinate_columns(run_dir, dest):
-    """A copy of a run directory with every snapshot rewritten by hand in the
-    older grid layout: leading axis<k> coordinate columns, then the values."""
+def _with_csv_snapshots(run_dir, dest):
+    """A copy of a run directory in the layout written before snapshots were
+    .npy: each snapshot a grid CSV beside its sidecar, the walkers'
+    positions a CSV series headed axis<k>."""
     shutil.copytree(run_dir, dest)
-    for path in glob.glob(os.path.join(dest, "*_0*.csv")):
-        space = io.space_from_meta(io._read_meta(path))
-        header, rows = io.load_series(path)
-        coords = np.stack([m.ravel() for m in space.meshes], axis=1)
-        io.save_series(path, [f"axis{a}" for a in range(space.dim)] + header,
-                       np.hstack([coords, rows]))
-        assert io.load_series(path)[0][0] == "axis0"
+    for path in glob.glob(os.path.join(dest, "*_0*.npy")):
+        csv_path = path[: -len(".npy")] + ".csv"
+        values = np.load(path)
+        header = ["real", "imag"] if values.dtype == complex else ["value"]
+        io.save_series(csv_path, header, values.reshape(-1, 1).view(float))
+        os.replace(path + ".meta.json", csv_path + ".meta.json")
+        os.remove(path)
+    positions = os.path.join(dest, "final_positions.npy")
+    if os.path.exists(positions):
+        values = np.load(positions)
+        io.save_series(positions[: -len(".npy")] + ".csv",
+                       [f"axis{a}" for a in range(values.shape[1])], values)
+        os.remove(positions)
     return str(dest)
 
 
-def test_compare_reads_runs_written_in_the_coordinate_layout(tmp_path):
-    """Run directories from before grid CSVs dropped their coordinate columns
-    compare exactly as the value-only runs they hold the numbers of."""
-    dir_a, dir_b = run_pair(tmp_path)
-    old_a = _with_coordinate_columns(dir_a, tmp_path / "old_a")
-    old_b = _with_coordinate_columns(dir_b, tmp_path / "old_b")
-    metrics = ["rho_l2", "rho_l1"]
-    expected = [m.values for m in compare(dir_a, dir_b, metrics).metrics]
-    for pair in ((old_a, dir_b), (dir_a, old_b), (old_a, old_b)):
-        assert [m.values for m in compare(*pair, metrics).metrics] == expected
+def test_compare_refuses_a_run_written_with_csv_snapshots(tmp_path, capsys):
+    """Run directories whose snapshots and positions are CSV hold none of the
+    .npy files compare reads: each metric refuses them, naming what it needs,
+    and the CLI exits 2.  Their grid CSVs still load as file inputs."""
+    dir_a, dir_b = run_pair(tmp_path, engine_a="ensemble", engine_b="fokker-planck")
+    old_a = _with_csv_snapshots(dir_a, tmp_path / "old_a")
+    old_b = _with_csv_snapshots(dir_b, tmp_path / "old_b")
+    assert os.path.exists(os.path.join(old_a, "final_positions.csv"))
+    refusals = [
+        ((old_a, dir_b), "rho_l2", f"no matching rho snapshots between {old_a} and {dir_b}"),
+        ((old_a, dir_b), "ks", "ks metric needs an ensemble run with final_positions.npy"),
+        ((dir_a, old_b), "ks", f"ks metric needs rho_*.npy or psi_*.npy snapshots in {old_b}"),
+    ]
+    for dirs, metric, message in refusals:
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            compare(*dirs, [metric])
+        capsys.readouterr()
+        assert cli.main(["compare", *dirs, "--metrics", metric]) == 2
+        assert message in capsys.readouterr().err
+    for tag in ("000000", "000003"):
+        old = io.load_scalar_field(os.path.join(old_b, f"rho_{tag}.csv"))
+        new = io.load_scalar_field(os.path.join(dir_b, f"rho_{tag}.npy"))
+        assert np.array_equal(old.values, new.values)
 
 
 def test_a_runs_density_snapshot_is_another_runs_initial_file(tmp_path):
-    """A run's own rho_*.csv is a valid `initial.rho_file`: the grid comes
+    """A run's own rho_*.npy is a valid `initial.rho_file`: the grid comes
     from its sidecar, and the second run starts from its numbers."""
     run(scenario_from_dict(base_cfg(run={"engine": "coupled", "dt": 0.002, "steps": 40,
                                          "snapshot_stride": 20})), str(tmp_path / "a"))
-    path = str(tmp_path / "a" / "rho_000002.csv")
+    path = str(tmp_path / "a" / "rho_000002.npy")
     cfg = base_cfg(initial={"type": "file", "rho_file": path},
                    run={"engine": "fokker-planck", "dt": 0.002, "steps": 2,
                         "snapshot_stride": 2})
@@ -868,7 +890,7 @@ def test_a_runs_density_snapshot_is_another_runs_initial_file(tmp_path):
     snapshot = io.load_scalar_field(path)
     assert np.array_equal(sc.initial.rho.values, normalize_density(snapshot).values)
     run(sc, str(tmp_path / "b"))
-    first = io.load_scalar_field(str(tmp_path / "b" / "rho_000000.csv"))
+    first = io.load_scalar_field(str(tmp_path / "b" / "rho_000000.npy"))
     assert np.array_equal(first.values, sc.initial.rho.values)
 
 
@@ -917,13 +939,10 @@ def test_compare_fails_on_a_nan_snapshot(tmp_path, capsys):
     """One NaN cell in a middle snapshot fails rho_l2; it is not skipped.
     dir_b is a wave run, so its rho is read as |psi|^2 of its psi snapshot."""
     dir_a, dir_b = run_pair(tmp_path)
-    path = os.path.join(dir_b, "psi_000002.csv")
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    _, imag = lines[10].split(",")
-    lines[10] = f"nan,{imag}"
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    path = os.path.join(dir_b, "psi_000002.npy")
+    psi = io.load_complex_field(path)
+    psi.values.real[9] = np.nan
+    io.save_complex_field(path, psi)
     report = compare(dir_a, dir_b, ["rho_l2"])
     [metric] = report.metrics
     assert math.isnan(metric.values[2]) and math.isnan(metric.worst)
@@ -937,7 +956,7 @@ def test_compare_refuses_an_infinite_sidecar_extent(tmp_path, capsys):
     """json reads Infinity: the grid once had an infinite cell volume, and
     compare printed worst=nan [FAIL] and exited 1."""
     dir_a, dir_b = run_pair(tmp_path)
-    meta = os.path.join(dir_b, "psi_000000.csv.meta.json")
+    meta = os.path.join(dir_b, "psi_000000.npy.meta.json")
     with open(meta) as fh:
         text = fh.read()
     with open(meta, "w") as fh:
@@ -967,7 +986,7 @@ def test_compare_psi_l2_and_energy_by_hand(tmp_path):
         run(scenario_from_dict(cfg), str(tmp_path / tag))
         dirs.append(str(tmp_path / tag))
     psi_l2, energy = compare(*dirs, ["psi_l2", "energy"]).metrics
-    psis = [[io.load_complex_field(os.path.join(d, f"psi_{i:06d}.csv")) for i in range(4)]
+    psis = [[io.load_complex_field(os.path.join(d, f"psi_{i:06d}.npy")) for i in range(4)]
             for d in dirs]
     assert psi_l2.values == tuple(
         schro.phase_aligned_distance(schro.WaveFunction(a), schro.WaveFunction(b))
@@ -1003,12 +1022,12 @@ def test_compare_ks_projects_a_2d_density_on_axis_0(tmp_path):
                        run={"engine": engine, "steps": 20, "walkers": 5000, "seed": 5,
                             "snapshot_stride": 10, "dt": 0.002})
         run(scenario_from_dict(cfg), str(tmp_path / tag))
-    rho = io.load_scalar_field(tmp_path / "f" / "rho_000002.csv")
+    rho = io.load_scalar_field(tmp_path / "f" / "rho_000002.npy")
     line = dataclasses.replace(rho.space, dim=1, extents=rho.space.extents[0],
                                points=rho.space.points[0], sigma_sq=rho.space.sigma_sq[0])
     (tmp_path / "m").mkdir()
     marginal = rho.values.sum(axis=1) * rho.space.spacings[1]
-    io.save_scalar_field(tmp_path / "m" / "rho_000002.csv", ScalarField(line, marginal))
+    io.save_scalar_field(tmp_path / "m" / "rho_000002.npy", ScalarField(line, marginal))
     [plane] = compare(str(tmp_path / "e"), str(tmp_path / "f"), ["ks"]).metrics
     [by_line] = compare(str(tmp_path / "e"), str(tmp_path / "m"), ["ks"]).metrics
     assert plane.values[0] == pytest.approx(by_line.values[0], rel=1e-9)
@@ -1044,7 +1063,7 @@ def test_compare_ks_against_a_wave_run(tmp_path):
     [metric] = compare(str(tmp_path / "e"), str(tmp_path / "s"), ["ks"]).metrics
     assert len(metric.values) == 1 and 0.0 <= metric.values[0] <= 1.0
     (tmp_path / "r").mkdir()
-    io.save_scalar_field(tmp_path / "r" / "rho_000002.csv", _density_of(tmp_path / "s", "000002"))
+    io.save_scalar_field(tmp_path / "r" / "rho_000002.npy", _density_of(tmp_path / "s", "000002"))
     [by_rho] = compare(str(tmp_path / "e"), str(tmp_path / "r"), ["ks"]).metrics
     assert metric.values == by_rho.values
 
@@ -1411,7 +1430,7 @@ def test_cli_evolve_malformed_field_file_exits_2(tmp_path, capsys, corrupt):
     p = make_params(tau=0.1)
     space = make_space(12.0, 64, p)
     path = tmp_path / "rho0.csv"
-    io.save_scalar_field(path, gaussian_density(space, 0.5, 0.7))
+    write_grid_csv(path, gaussian_density(space, 0.5, 0.7))
     lines = path.read_text().splitlines()
     lines[5] = corrupt(lines[5])
     path.write_text("\n".join(lines) + "\n")
@@ -1434,19 +1453,19 @@ def test_cli_evolve_reads_a_sidecar_of_scalars(tmp_path, capsys, extents, code, 
     from conftest import gaussian_density, make_params, make_space
 
     space = make_space(12.0, 64, make_params(tau=0.1))
-    path = tmp_path / "rho0.csv"
+    path = tmp_path / "rho0.npy"
     rho = gaussian_density(space, 0.5, 0.7)
     io.save_scalar_field(path, rho)
-    meta = json.loads((tmp_path / "rho0.csv.meta.json").read_text())
+    meta = json.loads((tmp_path / "rho0.npy.meta.json").read_text())
     meta.update(extents=extents, points=64, sigma_sq=space.sigma_sq[0])
-    (tmp_path / "rho0.csv.meta.json").write_text(json.dumps(meta))
+    (tmp_path / "rho0.npy.meta.json").write_text(json.dumps(meta))
     cfg = write_cfg(tmp_path, name="sidecar", space={"points": 64},
                     initial={"type": "file", "rho_file": str(path)},
                     run={"steps": 2, "snapshot_stride": 2})
     assert cli.main(["evolve", cfg, "--out", str(tmp_path / "out")]) == code
     assert message in capsys.readouterr().err
     if code == 0:
-        first = io.load_scalar_field(tmp_path / "out" / "rho_000000.csv")
+        first = io.load_scalar_field(tmp_path / "out" / "rho_000000.npy")
         assert np.array_equal(first.values, normalize_density(rho).values)
 
 
@@ -1463,15 +1482,16 @@ def test_cli_compare_ks_without_density_snapshots_exits_2(tmp_path, capsys):
     assert "rho_" in capsys.readouterr().err
 
 
-def _ensemble_with_positions(tmp_path, text):
-    """An ensemble run in tmp_path / "a" whose final_positions.csv is `text`."""
+def _ensemble_with_positions(tmp_path, edit):
+    """An ensemble run in tmp_path / "a" whose final_positions.npy holds
+    `edit` of its walkers' positions."""
     cfg = write_cfg(tmp_path, name="ens", potentials={},
                     run={"engine": "ensemble", "steps": 5, "snapshot_stride": 5,
                          "walkers": 500, "seed": 1})
     assert cli.main(["ensemble", cfg, "--out", str(tmp_path / "a")]) == 0
-    path = tmp_path / "a" / "final_positions.csv"
-    path.write_text(text(path.read_text().splitlines()))
-    return str(tmp_path / "a"), str(path)
+    path = str(tmp_path / "a" / "final_positions.npy")
+    io.save_array(path, edit(io.load_array(path, np.float64)))
+    return str(tmp_path / "a"), path
 
 
 @pytest.mark.parametrize(
@@ -1501,10 +1521,10 @@ def test_compare_refuses_a_series_with_no_rows(tmp_path, capsys, metric, name):
 
 
 def test_compare_ks_refuses_a_positions_file_with_no_rows(tmp_path, capsys):
-    """A header-only positions file has no p-value (scipy's read NaN with a
+    """A positions file of no walkers has no p-value (scipy's read NaN with a
     SmallSampleWarning): compare refuses it, naming the file, and the CLI
     exits 2."""
-    run_dir, path = _ensemble_with_positions(tmp_path, lambda lines: lines[0] + "\n")
+    run_dir, path = _ensemble_with_positions(tmp_path, lambda positions: positions[:0])
     with pytest.raises(ConfigError, match=f"^{re.escape(path)} holds no walker positions$"):
         compare(run_dir, run_dir, ["ks"])
     capsys.readouterr()
@@ -1516,9 +1536,9 @@ def test_compare_ks_refuses_a_positions_file_with_no_rows(tmp_path, capsys):
 def test_compare_ks_refuses_a_position_that_is_not_finite(tmp_path, capsys, cell):
     """A non-finite coordinate would give a NaN p-value: compare refuses the
     file, naming it, and the CLI exits 2."""
-    def corrupt(lines):
-        lines[7] = cell
-        return "\n".join(lines) + "\n"
+    def corrupt(positions):
+        positions[6, 0] = float(cell)
+        return positions
 
     run_dir, path = _ensemble_with_positions(tmp_path, corrupt)
     message = f"{path} holds a coordinate that is not finite"
@@ -1529,20 +1549,26 @@ def test_compare_ks_refuses_a_position_that_is_not_finite(tmp_path, capsys, cell
     assert message in capsys.readouterr().err
 
 
-def test_cli_compare_ks_with_malformed_positions_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "edit, message",
+    [(lambda raw: raw[:-8], "Failed to read all data"),
+     (lambda raw: raw.replace(b"'<f8'", b"'<f4'"), "expected float64 values, found float32"),
+     (lambda raw: raw.replace(b"(500, 1)", b"(500,)  "),
+      "expected (walkers, dim) positions, found (500,)")],
+    ids=["truncated", "float32", "flat"],
+)
+def test_cli_compare_ks_with_malformed_positions_exits_2(tmp_path, capsys, edit, message):
     cfg = write_cfg(tmp_path, name="ens", potentials={},
                     run={"engine": "ensemble", "steps": 5, "snapshot_stride": 5,
                          "walkers": 500, "seed": 1})
     assert cli.main(["ensemble", cfg, "--out", str(tmp_path / "a")]) == 0
-    path = tmp_path / "a" / "final_positions.csv"
-    lines = path.read_text().splitlines()
-    lines[7] = "0.25,abc"
-    path.write_text("\n".join(lines) + "\n")
+    path = tmp_path / "a" / "final_positions.npy"
+    path.write_bytes(edit(path.read_bytes()))
     capsys.readouterr()
     code = cli.main(["compare", str(tmp_path / "a"), str(tmp_path / "a"),
                      "--metrics", "ks"])
     assert code == 2
-    assert "final_positions.csv, line 8" in capsys.readouterr().err
+    assert f"final_positions.npy: {message}" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -1645,7 +1671,7 @@ def test_cli_refuses_a_directory_as_the_scenario(tmp_path, capsys):
     assert not os.path.exists(tmp_path / "out")
 
 
-@pytest.mark.parametrize("name", ["summary.json", "rho_000000.csv.meta.json"])
+@pytest.mark.parametrize("name", ["summary.json", "rho_000000.npy.meta.json"])
 def test_compare_refuses_a_json_file_that_does_not_parse(tmp_path, capsys, name):
     """json.JSONDecodeError once escaped compare, and the CLI exited 1."""
     run_dirs = []

@@ -515,8 +515,8 @@ def test_nonlinear_engine_at_equal_masses_writes_the_schrodinger_bytes(tmp_path)
         assert scenarios.run(scenarios.scenario_from_dict(cfg), str(tmp_path / engine))["passed"]
     names = sorted(os.listdir(tmp_path / "schrodinger"))
     assert names == sorted(os.listdir(tmp_path / "nonlinear"))
-    written = [n for n in names if n.endswith(".csv")]
-    assert {"series.csv", "energy.csv", "psi_000003.csv"} <= set(written)
+    written = [n for n in names if n.endswith((".csv", ".npy"))]
+    assert {"series.csv", "energy.csv", "psi_000003.npy"} <= set(written)
     for name in written:
         assert (tmp_path / "schrodinger" / name).read_bytes() == (
             tmp_path / "nonlinear" / name

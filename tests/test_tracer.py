@@ -48,17 +48,27 @@ def test_tracer_installs_and_uninstalls(monkeypatch):
 
 def test_tracer_records_each_layer_of_a_run_and_a_compare(monkeypatch, tmp_path):
     """Spans appear only where callers look a traced name up at call time;
-    a name bound at import time would record nothing here."""
+    a name bound at import time would record nothing here.  V is a
+    hand-written CSV input, so the CSV reader is traced too."""
     monkeypatch.syspath_prepend(PERFBENCH)
     from tracer import Tracer
 
     from entrolab import scenarios
+    from entrolab.fields import ScalarField
+
+    from conftest import write_grid_csv
+
+    grid = {"dim": 1, "extent": 12.0, "points": 64}
+    space = scenarios.scenario_from_dict(
+        {"name": "grid", "space": grid, "run": {"engine": "coupled"}}).space
+    v_path = str(tmp_path / "V.csv")
+    write_grid_csv(v_path, ScalarField(space, 0.5 * space.meshes[0] ** 2))
 
     def cfg(engine):
         return {
             "name": engine,
-            "space": {"dim": 1, "extent": 12.0, "points": 64},
-            "potentials": {"V": {"type": "harmonic", "omega": 1.0}},
+            "space": grid,
+            "potentials": {"V": {"type": "file", "file": v_path}},
             "run": {"engine": engine, "dt": 0.002, "steps": 4, "snapshot_stride": 2},
         }
 

@@ -75,8 +75,8 @@ def engine_densities(engine, outdir):
     run(scenario(engine), outdir)
     tags = [f"{i:06d}" for i in range(STEPS // STRIDE + 1)]
     if engine == "coupled":
-        return [io.load_scalar_field(f"{outdir}/rho_{tag}.csv") for tag in tags]
-    psis = [io.load_complex_field(f"{outdir}/psi_{tag}.csv") for tag in tags]
+        return [io.load_scalar_field(f"{outdir}/rho_{tag}.npy") for tag in tags]
+    psis = [io.load_complex_field(f"{outdir}/psi_{tag}.npy") for tag in tags]
     return [ScalarField(psi.space, np.abs(psi.values) ** 2) for psi in psis]
 
 

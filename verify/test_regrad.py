@@ -113,7 +113,7 @@ def test_nonlinear_engine_matches_the_spectral_truth(setup, tmp_path):
     assert np.array_equal(sc.initial.rho.values, state0.rho.values)
     summary = run(sc, str(tmp_path))
     assert summary["kappa"] == 0.5 and summary["snapshot_times"][-1] == pytest.approx(T)
-    psi = load_complex_field(tmp_path / "psi_000001.csv").values
+    psi = load_complex_field(tmp_path / "psi_000001.npy").values
 
     # free flow in regraduated units: i eta' dPsi'/dt = -(eta'^2 / 2m) Psi'',
     # exact on every Fourier mode of the initial Psi' = sqrt(rho)

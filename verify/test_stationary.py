@@ -32,7 +32,7 @@ def l1_drift(tmp_path, entropy):
     })
     outdir = str(tmp_path / entropy)
     assert run(sc, outdir)["passed"]
-    final = io.load_scalar_field(os.path.join(outdir, "rho_000001.csv"))
+    final = io.load_scalar_field(os.path.join(outdir, "rho_000001.npy"))
     return l1_distance(final, sc.initial.rho)
 
 

@@ -1549,15 +1549,9 @@ def test_compare_ks_refuses_a_position_that_is_not_finite(tmp_path, capsys, cell
     assert message in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "edit, message",
-    [(lambda raw: raw[:-8], "Failed to read all data"),
-     (lambda raw: raw.replace(b"'<f8'", b"'<f4'"), "expected float64 values, found float32"),
-     (lambda raw: raw.replace(b"(500, 1)", b"(500,)  "),
-      "expected (walkers, dim) positions, found (500,)")],
-    ids=["truncated", "float32", "flat"],
-)
-def test_cli_compare_ks_with_malformed_positions_exits_2(tmp_path, capsys, edit, message):
+def _compare_ks_exit_and_error(tmp_path, capsys, edit):
+    """Run an ensemble, rewrite the bytes of its final_positions.npy with
+    `edit`, and return compare ks's exit code and stderr."""
     cfg = write_cfg(tmp_path, name="ens", potentials={},
                     run={"engine": "ensemble", "steps": 5, "snapshot_stride": 5,
                          "walkers": 500, "seed": 1})
@@ -1567,8 +1561,29 @@ def test_cli_compare_ks_with_malformed_positions_exits_2(tmp_path, capsys, edit,
     capsys.readouterr()
     code = cli.main(["compare", str(tmp_path / "a"), str(tmp_path / "a"),
                      "--metrics", "ks"])
+    return code, capsys.readouterr().err
+
+
+def test_cli_compare_ks_with_malformed_positions_exits_2(tmp_path, capsys):
+    """A truncated positions file is refused, naming the file."""
+    code, err = _compare_ks_exit_and_error(tmp_path, capsys, lambda raw: raw[:-8])
     assert code == 2
-    assert f"final_positions.npy: {message}" in capsys.readouterr().err
+    assert "final_positions.npy: Failed to read all data" in err
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [(lambda raw: raw.replace(b"'<f8'", b"'<f4'"), "expected float64 values, found float32"),
+     (lambda raw: raw.replace(b"(500, 1)", b"(500,)  "),
+      "expected (walkers, dim) positions, found (500,)")],
+    ids=["float32", "flat"],
+)
+def test_cli_compare_ks_with_positions_of_the_wrong_layout_exits_2(tmp_path, capsys,
+                                                                   edit, message):
+    """A positions file of the wrong dtype or shape is refused, naming the file."""
+    code, err = _compare_ks_exit_and_error(tmp_path, capsys, edit)
+    assert code == 2
+    assert f"final_positions.npy: {message}" in err
 
 
 # ---------------------------------------------------------------------------

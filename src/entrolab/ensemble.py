@@ -16,6 +16,10 @@ every walker step wraps exactly once and interpolation always sees in-box
 points.  The constructor refuses non-finite coordinates, so a NaN or infinite
 drift fails the step instead of leaving walkers on a wall.
 
+Memory: loops take `fields.BLOCK` walkers at a time (a block's draws are the
+next rows of one full-shape draw, so no bit moves): a step peaks near 2x its
+positions above its input (2.5x tested), and no temporary is page-faulted in.
+
 Reproducibility: every ensemble owns a seeded generator; equal seeds and
 inputs give bit-identical trajectories.
 """
@@ -32,6 +36,7 @@ from .fields import (
     PhysicalParams,
     ScalarField,
     VectorField,
+    blocks,
     interpolate_vector,
     require_same_grid,
 )
@@ -56,8 +61,9 @@ class Ensemble:
             )
         if not self.dt > 0.0:
             raise ConfigError("dt must be positive")
-        bad = pos.size - np.count_nonzero(np.isfinite(pos))
-        if bad:
+        # min and max are finite only if every coordinate is: NaN propagates
+        if pos.size and not (np.isfinite(pos.min()) and np.isfinite(pos.max())):
+            bad = pos.size - np.count_nonzero(np.isfinite(pos))
             raise ConfigError(f"{bad} of {pos.size} walker coordinates are not finite")
         self.positions = self.space.wrap(pos)
 
@@ -77,10 +83,10 @@ class Ensemble:
             raise ConfigError("cannot sample from a density with no mass")
         counts = rng.multinomial(walkers, p / total)
         centers = np.stack([m.ravel() for m in space.meshes], axis=1)
-        cells = np.repeat(np.arange(p.size), counts)
-        pos = centers[cells]
-        jitter = rng.uniform(-0.5, 0.5, size=pos.shape) * np.asarray(space.spacings)
-        return cls(space, pos + jitter, dt, rng)
+        pos = np.repeat(centers, counts, axis=0)
+        for s in blocks(walkers):  # the jitter, drawn and added a block at a time
+            pos[s] += rng.uniform(-0.5, 0.5, size=pos[s].shape) * np.asarray(space.spacings)
+        return cls(space, pos, dt, rng)
 
 
 def step_ensemble(
@@ -93,20 +99,22 @@ def step_ensemble(
     constructor wraps the result back into the box."""
     require_same_grid(e, S, "entropy field lives on a different grid")
     params.matches_space(e.space)
-    b = drift_velocity(S, params, A)
-    # (positions + drift * dt) + noise, built in place in the drift array
-    new_pos = interpolate_vector(b, e.positions)
-    new_pos *= e.dt
-    new_pos += e.positions
-    noise = e.rng.standard_normal(e.positions.shape)
-    noise *= np.sqrt(params.eta_over_m * e.dt)
-    new_pos += noise
+    new_pos = interpolate_vector(drift_velocity(S, params, A), e.positions)
+    # (positions + drift * dt) + noise, in the drift array a block at a time
+    for s in blocks(e.walkers):
+        step = new_pos[s]
+        step *= e.dt
+        step += e.positions[s]
+        step += e.rng.standard_normal(step.shape) * np.sqrt(params.eta_over_m * e.dt)
     return Ensemble(e.space, new_pos, e.dt, e.rng, e.time + e.dt)
 
 
 def _flat_cells(space: ConfigSpace, positions: np.ndarray) -> np.ndarray:
     """Row-major number of the cell each in-box walker sits in."""
-    return np.ravel_multi_index(tuple(space.cell_index(positions).T), space.shape)
+    flat = np.empty(len(positions), dtype=np.intp)
+    for s in blocks(len(positions)):
+        flat[s] = np.ravel_multi_index(tuple(space.cell_index(positions[s]).T), space.shape)
+    return flat
 
 
 def estimate_density(e: Ensemble) -> ScalarField:

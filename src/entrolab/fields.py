@@ -11,6 +11,8 @@ phase solvers) shares the conventions fixed here:
   fluxes) is built on it, and fokker_planck._face_div passes no flux
   through a reflecting wall,
 * second-order central differences respecting the boundary condition,
+* one block rule, blocks(): per-walker loops take BLOCK walkers at a time, so
+  no temporary beside a (W, dim) result holds more than a block,
 * multilinear interpolation (interpolate_vector) of in-box positions only:
   callers wrap first, as the Ensemble constructor does; the corners come
   from one table padded by a cell per side, with periodic copies on a
@@ -56,6 +58,13 @@ DENSITY_REL_FLOOR = 1e-12
 # for an (almost) unclamped logarithm.
 LOG_ABS_GUARD = 1e-300
 
+BLOCK = 5120  # (3, BLOCK) float64 is 120 KiB: under glibc's 128 KiB mmap threshold
+
+
+def blocks(n):
+    """Slices that cover range(n), BLOCK items each (the last may be short)."""
+    return [slice(i, i + BLOCK) for i in range(0, n, BLOCK)]
+
 
 def number(value, name, kind=float):
     """The number rule: `value` as a finite `kind` (float or int).  A
@@ -72,6 +81,14 @@ def number(value, name, kind=float):
     if not math.isfinite(out):
         raise ConfigError(f"{name} must be finite, got {out!r}")
     return out
+
+
+def dimension(value, name="dim"):
+    """A box's dimension under the number rule: a whole number 1, 2 or 3."""
+    dim = number(value, name, int)
+    if dim < 1 or dim > 3:
+        raise ConfigError(f"{name} must be 1, 2, or 3, got {dim}")
+    return dim
 
 
 def per_axis(value, dim, name, kind=float):
@@ -96,9 +113,7 @@ class ConfigSpace:
     sigma_sq: tuple = None
 
     def __post_init__(self):
-        dim = number(self.dim, "dim", int)
-        if dim < 1 or dim > 3:
-            raise ConfigError(f"dim must be 1, 2, or 3, got {dim}")
+        dim = dimension(self.dim)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "extents", per_axis(self.extents, dim, "extents"))
         object.__setattr__(self, "points", per_axis(self.points, dim, "points", int))
@@ -156,17 +171,21 @@ class ConfigSpace:
         for a in range(self.dim):
             lo = -0.5 * self.extents[a]
             L = self.extents[a]
-            r = pos[:, a] - lo
-            if self.boundary == PERIODIC:
-                off = np.flatnonzero(~((r >= 0.0) & (r < L)))
-                y = r[off] % L
-                r[off] = np.where(y < L, y, 0.0)
-            else:
-                # fold repeatedly: period-2L sawtooth gives specular reflection
-                off = np.flatnonzero(~((r >= 0.0) & (r <= L)))
-                y = r[off] % (2.0 * L)
-                r[off] = np.where(y > L, 2.0 * L - y, y)
-            np.add(r, lo, out=out[:, a])
+            np.subtract(pos[:, a], lo, out=out[:, a])  # r, formed in its output column
+            for s in blocks(len(pos)):
+                r = out[s, a]
+                if r.min() >= 0.0 and r.max() < L:  # a NaN fails this too
+                    continue
+                if self.boundary == PERIODIC:
+                    off = np.flatnonzero(~((r >= 0.0) & (r < L)))
+                    y = r[off] % L
+                    r[off] = np.where(y < L, y, 0.0)
+                else:
+                    # fold repeatedly: period-2L sawtooth gives specular reflection
+                    off = np.flatnonzero(~((r >= 0.0) & (r <= L)))
+                    y = r[off] % (2.0 * L)
+                    r[off] = np.where(y > L, 2.0 * L - y, y)
+            np.add(out[:, a], lo, out=out[:, a])
         return out
 
     def min_image(self, delta):
@@ -419,42 +438,46 @@ def interpolate_vector(field: VectorField, positions: np.ndarray) -> np.ndarray:
 
     Positions must lie in the box, as ConfigSpace.wrap leaves them; corner
     cells then fall in [-1, n], and a point further out raises ConfigError.
-    The corners are read from one table padded by a cell per side: periodic
-    copies on a periodic box, edge copies on a reflecting one (-1 -> 0,
-    n -> n-1), which is the even extension of the data that the difference
-    stencils see.
+    Block by block, the corners are read from one table padded by a cell per
+    side: periodic copies on a periodic box, edge copies on a reflecting one
+    (-1 -> 0, n -> n-1), the even extension the difference stencils see.
     """
     space = field.space
     pos = np.asarray(positions, dtype=float).reshape(-1, space.dim)
-    # fractional cell coordinates, one contiguous row per axis
-    f = np.empty((space.dim, pos.shape[0]))
     for a in range(space.dim):
-        np.add(pos[:, a], 0.5 * space.extents[a], out=f[a])
-        f[a] /= space.spacings[a]
-    f -= 0.5
-    floor = np.floor(f)
-    base = floor.astype(np.intp)
-    frac = f - floor
-    lower = 1.0 - frac
-    for a in range(space.dim):
-        if base[a].size and (base[a].min() < -1 or base[a].max() >= space.points[a]):
+        # the cell coordinate f below is monotone in x, so its extremes decide
+        ends = np.array([pos[:, a].min(initial=np.inf), pos[:, a].max(initial=-np.inf)])
+        ends = (ends + 0.5 * space.extents[a]) / space.spacings[a] - 0.5
+        if not (ends[0] >= -1.0 and ends[1] < space.points[a]):
             raise ConfigError(f"interpolate_vector needs in-box positions (axis {a}); wrap first")
     mode = "wrap" if space.boundary == PERIODIC else "edge"
     padded = np.pad(field.components, [(0, 0)] + [(1, 1)] * space.dim, mode=mode)
     table = padded.reshape(space.dim, -1)
     strides = [padded.strides[a + 1] // padded.itemsize for a in range(space.dim)]
-    # cell c sits at c + 1 in the padded table: low is the flat index of
-    # base - 1, so corner base + hi is at low + sum((1 + hi) * strides)
-    low = base[-1]
-    for a in range(space.dim - 1):
-        low = low + base[a] * strides[a]
     out = np.zeros((space.dim, pos.shape[0]))
-    for corner in range(1 << space.dim):
-        hi = [(corner >> a) & 1 for a in range(space.dim)]
-        weight = frac[0] if hi[0] else lower[0]
-        for a in range(1, space.dim):
-            weight = weight * (frac[a] if hi[a] else lower[a])
-        values = table.take(low + sum((1 + h) * s for h, s in zip(hi, strides)), axis=1)
-        values *= weight
-        out += values
+    for blk in blocks(pos.shape[0]):
+        x, acc = pos[blk], out[:, blk]
+        # fractional cell coordinates, one contiguous row per axis
+        f = np.empty((space.dim, x.shape[0]))
+        for a in range(space.dim):
+            np.add(x[:, a], 0.5 * space.extents[a], out=f[a])
+            f[a] /= space.spacings[a]
+        f -= 0.5
+        floor = np.floor(f)
+        base = floor.astype(np.intp)
+        frac = f - floor
+        lower = 1.0 - frac
+        # cell c sits at c + 1 in the padded table: low is the flat index of
+        # base - 1, so corner base + hi is at low + sum((1 + hi) * strides)
+        low = base[-1]
+        for a in range(space.dim - 1):
+            low = low + base[a] * strides[a]
+        for corner in range(1 << space.dim):
+            hi = [(corner >> a) & 1 for a in range(space.dim)]
+            weight = frac[0] if hi[0] else lower[0]
+            for a in range(1, space.dim):
+                weight = weight * (frac[a] if hi[a] else lower[a])
+            values = table.take(low + sum((1 + h) * s for h, s in zip(hi, strides)), axis=1)
+            values *= weight
+            acc += values
     return out.T

@@ -69,7 +69,9 @@ from .fields import (
     PhysicalParams,
     ScalarField,
     VectorField,
+    blocks,
     density_moments,
+    dimension,
     entropy_field,
     gradient,
     interpolate_vector,
@@ -200,6 +202,11 @@ class Scenario:
     sources: dict  # entropy, initial, potentials as read; types, paths, time_scale resolved
 
     def __post_init__(self):
+        # the number rule, also under dataclasses.replace; a dt of None is 'auto'
+        for key, kind in (("dt", float), ("steps", int), ("snapshot_stride", int),
+                          ("seed", int), ("walkers", int), ("energy_tolerance", float)):
+            if key != "dt" or self.dt is not None:
+                object.__setattr__(self, key, number(getattr(self, key), f"run.{key}", kind))
         if self.engine not in ENGINES:
             rule = "is required" if self.engine is None else f"must be one of {ENGINES}"
             raise ConfigError(f"run.engine {rule}")
@@ -408,7 +415,7 @@ def scenario_from_dict(raw: dict, base_dir: str = ".") -> Scenario:
     eta = number(p_cfg.get("eta", 1.0), "params.eta")
     tau = number(p_cfg.get("tau", 0.1), "params.tau")
     beta = number(p_cfg.get("beta", 0.0), "params.beta")
-    dim = number(s_cfg.get("dim", 1), "space.dim", int)
+    dim = dimension(s_cfg.get("dim", 1), "space.dim")  # before any per-axis key is read
     masses = per_axis(p_cfg.get("masses", 1.0), dim, "params.masses")
     ratio = p_cfg.get("osmotic_ratio", 1.0)
     n_ratios = len(ratio) if isinstance(ratio, (list, tuple)) else 1
@@ -456,16 +463,12 @@ def scenario_from_dict(raw: dict, base_dir: str = ".") -> Scenario:
         time_scale=time_scale,
         vector_potential=vector_potential,
         engine=r_cfg.get("engine"),
-        dt=None if r_cfg.get("dt") in (None, "auto") else number(r_cfg["dt"], "run.dt"),
+        dt=None if r_cfg.get("dt") in (None, "auto") else r_cfg["dt"],
         steps=steps,
-        snapshot_stride=number(
-            r_cfg.get("snapshot_stride", max(1, steps // 10)), "run.snapshot_stride", int
-        ),
-        seed=number(r_cfg.get("seed", 0), "run.seed", int),
-        walkers=number(r_cfg.get("walkers", 100_000), "run.walkers", int),
-        energy_tolerance=number(
-            r_cfg.get("energy_tolerance", METRICS["energy"][0]), "run.energy_tolerance"
-        ),
+        snapshot_stride=r_cfg.get("snapshot_stride", max(1, steps // 10)),
+        seed=r_cfg.get("seed", 0),
+        walkers=r_cfg.get("walkers", 100_000),
+        energy_tolerance=r_cfg.get("energy_tolerance", METRICS["energy"][0]),
         sources={key: cfg[key] for key in ("entropy", "initial", "potentials")},
     )
 
@@ -1141,7 +1144,10 @@ def _ks_metric(dir_a, dir_b):
         raise ConfigError(f"{pos_path} holds no walker positions")
     if not np.isfinite(positions).all():
         raise ConfigError(f"{pos_path} holds a coordinate that is not finite")
-    samples = positions[:, 0]
+    # axis 0, moved a block at a time to the front of the array's own buffer, is sorted there
+    samples = positions.reshape(-1)[: len(positions)]
+    for s in blocks(len(positions)):
+        samples[s] = positions[s, 0]
     snapshots = _snapshots(dir_b, "rho")
     if not snapshots:
         raise ConfigError(f"ks metric needs rho_*.npy or psi_*.npy snapshots in {dir_b}")
@@ -1161,13 +1167,13 @@ def _ks_metric(dir_a, dir_b):
 def _ks_pvalue(samples, cdf):
     """Two-sided one-sample KS p-value of `samples` against `cdf`.
 
-    D is computed as scipy.stats.ks_1samp computes it, and p is one minus
-    the Pelz-Good expansion of P(D_n <= D) (`_pelz_good`), clipped to
-    [0, 1].  scipy's kstwo.sf takes that expansion for n > 140 and
-    n D^2 < 2.2 (for n <= 1e5 also n D^1.5 > 1.4), and there p is scipy's
-    bit for bit.  Elsewhere scipy uses 2 smirnov(n, D), or exact methods for
-    n <= 140.  The largest gaps to scipy's p read on 2001 z = sqrt(n) D in
-    [0.2, 2.6], against the 1e-2 floor:
+    D is computed as scipy.stats.ks_1samp computes it (`samples` sorted in
+    place, `cdf` taken a block at a time), and p is one minus the Pelz-Good
+    expansion of P(D_n <= D) (`_pelz_good`), clipped to [0, 1].  scipy's
+    kstwo.sf takes that expansion for n > 140 and n D^2 < 2.2 (for n <= 1e5
+    also n D^1.5 > 1.4), and there p is scipy's bit for bit.  Elsewhere scipy
+    uses 2 smirnov(n, D), or exact methods for n <= 140.  The largest gaps to
+    scipy's p read on 2001 z = sqrt(n) D in [0.2, 2.6], against the 1e-2 floor:
 
         n        10      30      100     141     500     1000 to 1e5
         |dp|     1.5e-3  8.7e-5  6.1e-6  3.1e-6  1.2e-7  4.4e-8
@@ -1175,10 +1181,13 @@ def _ks_pvalue(samples, cdf):
     and, where p >= 1e-5, 3.9e-5 relative at n = 1000 and 1.8e-6 for n =
     5000 to 1e5.  Past z = 3 both read p below 4e-8.
     """
-    x = np.sort(samples)
-    cdfvals = cdf(x)
-    n = x.size
-    d_plus = np.max(np.arange(1.0, n + 1) / n - cdfvals)
-    d_minus = np.max(cdfvals - np.arange(0.0, n) / n)
+    samples.sort()
+    n = samples.size
+    gaps = []  # per block: max of i/n - cdf(x_i) over i from 1, and of cdf(x_i) - i/n from 0
+    for s in blocks(n):
+        cdfvals = cdf(samples[s])
+        i = np.arange(s.start, s.start + cdfvals.size, dtype=float)
+        gaps.append((np.max((i + 1.0) / n - cdfvals), np.max(cdfvals - i / n)))
+    d_plus, d_minus = np.max(gaps, axis=0)
     D = d_plus if d_plus > d_minus else d_minus
     return float(np.clip(1.0 - pelz_good_cdf(n, D), 0.0, 1.0))

@@ -12,6 +12,7 @@ import numpy as np
 from entrolab import io
 from entrolab.dynamics import ManifoldState
 from entrolab.fields import (
+    PERIODIC,
     ConfigSpace,
     PhysicalParams,
     ScalarField,
@@ -52,6 +53,22 @@ def rest_state(space, center=0.0, var=1.0):
 
 def field_l2(a, b, space):
     return math.sqrt(float(((a - b) ** 2).sum()) * space.cell_volume)
+
+
+def remainder_wrap(space, positions):
+    """ConfigSpace.wrap as the remainder rule taken on every point, kept as
+    the bitwise reference for the off-box-only remainder."""
+    pos = np.array(positions, dtype=float, copy=True).reshape(-1, space.dim)
+    for a in range(space.dim):
+        lo = -0.5 * space.extents[a]
+        L = space.extents[a]
+        if space.boundary == PERIODIC:
+            r = (pos[:, a] - lo) % L
+            pos[:, a] = np.where(r < L, r, 0.0) + lo
+        else:
+            y = (pos[:, a] - lo) % (2.0 * L)
+            pos[:, a] = lo + np.where(y > L, 2.0 * L - y, y)
+    return pos
 
 
 def write_grid_csv(path, field):

@@ -1,12 +1,15 @@
 import hashlib
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from entrolab import ensemble as ens
+from entrolab import ensemble as ens, io
 from entrolab.errors import ConfigError
 from entrolab.fields import (
+    BLOCK,
     PERIODIC,
     REFLECTING,
     ConfigSpace,
@@ -18,8 +21,9 @@ from entrolab.fields import (
     normalize_density,
 )
 from entrolab.fokker_planck import drift_velocity
+from entrolab.scenarios import compare
 
-from conftest import gaussian_density, make_params, make_space, zero_field
+from conftest import gaussian_density, make_params, make_space, remainder_wrap, zero_field
 
 
 def test_from_density_counts_and_determinism():
@@ -220,3 +224,115 @@ def test_sampling_l1_bound_predicts_histogram_error():
         gaps.append(float(np.abs(est.values - rho.values).sum() * space.cell_volume))
     mean_gap = np.mean(gaps)
     assert 0.5 * bound <= mean_gap <= 1.5 * bound
+
+
+def _one_shot_interpolation(field, pos):
+    """interpolate_vector over every walker in one pass: the padded corner
+    table, the fractional cell coordinates and each corner's gather and
+    weight taken over the whole cloud."""
+    space, dim = field.space, field.space.dim
+    f = np.empty((dim, len(pos)))
+    for a in range(dim):
+        np.add(pos[:, a], 0.5 * space.extents[a], out=f[a])
+        f[a] /= space.spacings[a]
+    f -= 0.5
+    floor = np.floor(f)
+    base = floor.astype(np.intp)
+    frac = f - floor
+    lower = 1.0 - frac
+    mode = "wrap" if space.boundary == PERIODIC else "edge"
+    padded = np.pad(field.components, [(0, 0)] + [(1, 1)] * dim, mode=mode)
+    table = padded.reshape(dim, -1)
+    strides = [padded.strides[a + 1] // padded.itemsize for a in range(dim)]
+    low = base[-1] + sum(base[a] * strides[a] for a in range(dim - 1))
+    out = np.zeros((dim, len(pos)))
+    for corner in range(1 << dim):
+        hi = [(corner >> a) & 1 for a in range(dim)]
+        weight = frac[0] if hi[0] else lower[0]
+        for a in range(1, dim):
+            weight = weight * (frac[a] if hi[a] else lower[a])
+        values = table.take(low + sum((1 + h) * s for h, s in zip(hi, strides)), axis=1)
+        values *= weight
+        out += values
+    return out.T
+
+
+@pytest.mark.parametrize("with_A", [False, True], ids=["no-A", "A"])
+@pytest.mark.parametrize("boundary", [PERIODIC, REFLECTING])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("walkers", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+def test_block_edges_keep_the_bits(walkers, dim, boundary, with_A):
+    """Sampling and two steps, a block at a time, equal one pass over the
+    whole cloud with one full-shape draw per step, bit for bit, for walker
+    counts on and either side of the block edges."""
+    p = PhysicalParams([1.0, 2.0, 0.5][:dim], eta=1.0, tau=0.1, beta=0.7 if with_A else 0.0)
+    space = ConfigSpace(dim=dim, extents=(6.0, 5.0, 4.0)[:dim], points=(24, 10, 8)[:dim],
+                        boundary=boundary, sigma_sq=p.sigma_sq)
+    u = [m / L for m, L in zip(space.meshes, space.extents)]
+    S = ScalarField(space, sum(3.0 * x**2 + (a + 1) * x**3 for a, x in enumerate(u)))
+    A = VectorField(space, [0.3 + (a + 1) * u[dim - 1 - a] ** 2 for a in range(dim)]) if with_A else None
+    # nonzero on the walls, so walkers start next to them and cross them
+    rho = normalize_density(ScalarField(space, np.prod([1.2 - 4.0 * x**2 for x in u], axis=0)))
+    e = ens.Ensemble.from_density(rho, walkers, dt=0.01, seed=13)
+
+    rng = np.random.default_rng(13)
+    p_cells = rho.values.ravel()
+    counts = rng.multinomial(walkers, p_cells / p_cells.sum())
+    centers = np.stack([m.ravel() for m in space.meshes], axis=1)
+    pos = centers[np.repeat(np.arange(p_cells.size), counts)]
+    pos = remainder_wrap(space, pos + rng.uniform(-0.5, 0.5, pos.shape) * np.asarray(space.spacings))
+    assert e.positions.shape == (walkers, dim)
+    assert np.array_equal(e.positions, pos)
+
+    b = drift_velocity(S, p, A)
+    for _ in range(2):
+        e = ens.step_ensemble(e, S, p, A)
+        new = _one_shot_interpolation(b, pos)
+        new *= 0.01
+        new += pos
+        noise = rng.standard_normal(pos.shape)
+        noise *= np.sqrt(p.eta_over_m * 0.01)
+        new += noise
+        pos = remainder_wrap(space, new)
+        assert np.array_equal(e.positions, pos)
+
+
+def _peak_above_start(fn):
+    """tracemalloc's peak while fn() runs, above what was traced at its start."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_the_walker_path_holds_no_full_size_temporaries(tmp_path, dim):
+    """At 2e5 walkers every per-walker temporary holds one block: a step or a
+    sampling peaks at its result and the wrapped copy of it, the density
+    estimate and the ks comparison at about one positions array."""
+    walkers = 200_000
+    p = PhysicalParams([1.0] * dim, eta=1.0, tau=0.1)
+    space = ConfigSpace(dim=dim, extents=20.0, points=(256,) if dim == 1 else (64, 64),
+                        sigma_sq=p.sigma_sq)
+    S = ScalarField(space, 0.5 * np.sin(2.0 * np.pi * space.meshes[0] / 10.0))
+    rho = gaussian_density(space, 0.0, 4.0)
+    e = ens.Ensemble.from_density(rho, walkers, dt=0.001, seed=3)
+    os.makedirs(tmp_path / "walkers")
+    os.makedirs(tmp_path / "density")
+    io.save_array(tmp_path / "walkers" / "final_positions.npy", e.positions)
+    io.save_scalar_field(tmp_path / "density" / "rho_000000.npy", rho)
+    peaks = {
+        "step_ensemble": _peak_above_start(lambda: ens.step_ensemble(e, S, p)),
+        "from_density": _peak_above_start(
+            lambda: ens.Ensemble.from_density(rho, walkers, dt=0.001, seed=3)),
+        "estimate_density": _peak_above_start(lambda: ens.estimate_density(e)),
+        "compare ks": _peak_above_start(
+            lambda: compare(str(tmp_path / "walkers"), str(tmp_path / "density"), ["ks"])),
+    }
+    bounds = {"step_ensemble": 2.5, "from_density": 2.5, "estimate_density": 1.5,
+              "compare ks": 1.5}
+    ratios = {name: peak / e.positions.nbytes for name, peak in peaks.items()}
+    assert all(ratios[name] <= bounds[name] for name in bounds), ratios

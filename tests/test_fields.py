@@ -25,7 +25,7 @@ from entrolab.fields import (
     normalize_density,
 )
 
-from conftest import gaussian_density, make_params, make_space
+from conftest import gaussian_density, make_params, make_space, remainder_wrap
 
 
 def test_space_geometry():
@@ -374,22 +374,6 @@ def test_wrap_is_idempotent(boundary):
             assert once.max() < 10.0
 
 
-def _remainder_wrap(space, positions):
-    """ConfigSpace.wrap as the remainder rule taken on every point, kept as
-    the bitwise reference for the off-box-only remainder."""
-    pos = np.array(positions, dtype=float, copy=True).reshape(-1, space.dim)
-    for a in range(space.dim):
-        lo = -0.5 * space.extents[a]
-        L = space.extents[a]
-        if space.boundary == PERIODIC:
-            r = (pos[:, a] - lo) % L
-            pos[:, a] = np.where(r < L, r, 0.0) + lo
-        else:
-            y = (pos[:, a] - lo) % (2.0 * L)
-            pos[:, a] = lo + np.where(y > L, 2.0 * L - y, y)
-    return pos
-
-
 @pytest.mark.parametrize("boundary", [PERIODIC, REFLECTING])
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_wrap_matches_remainder_rule(dim, boundary):
@@ -405,7 +389,7 @@ def test_wrap_matches_remainder_rule(dim, boundary):
     x = np.concatenate([x, walls, *ulps, signed])
     with np.errstate(invalid="ignore"):  # inf % L
         got = space.wrap(x)
-        want = _remainder_wrap(space, x)
+        want = remainder_wrap(space, x)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
     if boundary == PERIODIC:
         assert np.all(got[-1] == -0.5 * ext)  # -inf lands on the lower wall

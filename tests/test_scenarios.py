@@ -371,6 +371,42 @@ def test_scenario_is_a_frozen_value_that_checks_its_run_settings():
     assert sc.echo["run"]["seed"] == 0
 
 
+@pytest.mark.parametrize(
+    "key", ["dt", "steps", "snapshot_stride", "seed", "walkers", "energy_tolerance"]
+)
+def test_replace_runs_the_number_rule_on_the_run_settings(key):
+    """A scenario built by dataclasses.replace reads its run settings under the
+    number rule too: a boolean, NaN or a fraction for a count is refused,
+    naming run.<key>, and a whole float for a count is stored as an int."""
+    sc = scenario_from_dict(base_cfg(run={"dt": 0.002}))
+    with pytest.raises(ConfigError, match=rf"^run\.{key} must be a number, got True$"):
+        dataclasses.replace(sc, **{key: True})
+    if key in ("dt", "energy_tolerance"):
+        with pytest.raises(ConfigError, match=rf"^run\.{key} must be finite, got nan$"):
+            dataclasses.replace(sc, **{key: math.nan})
+        assert type(getattr(dataclasses.replace(sc, **{key: 1}), key)) is float
+    else:
+        with pytest.raises(ConfigError, match=rf"^run\.{key} must be a whole number, got 2\.5$"):
+            dataclasses.replace(sc, **{key: 2.5})
+        value = getattr(dataclasses.replace(sc, **{key: np.float64(7.0)}), key)
+        assert value == 7 and type(value) is int
+
+
+@pytest.mark.parametrize("dim", [0, 4])
+def test_an_out_of_range_dim_is_named_before_any_per_axis_key(tmp_path, capsys, dim):
+    """space.dim is checked before the per-axis lists are read against it, so
+    a dim of 0 or 4 is not reported as a list of the wrong length."""
+    cfg = base_cfg(space={"dim": dim, "extent": [12.0], "points": [128]},
+                   params={"masses": [1.0]})
+    message = f"space.dim must be 1, 2, or 3, got {dim}"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        scenario_from_dict(cfg)
+    cfg_path = write_cfg(tmp_path, **cfg)
+    assert cli.main(["evolve", cfg_path, "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "out")
+
+
 def test_negative_seed_is_a_config_error(tmp_path, capsys):
     cfg = write_cfg(tmp_path, name="walkers", potentials={},
                     run={"engine": "ensemble", "dt": 0.002, "steps": 4, "walkers": 500,

@@ -71,7 +71,7 @@ from .fields import (
     require_same_grid,
     shift,
 )
-from .fokker_planck import covariant_gradient, drift_velocity
+from .fokker_planck import _face_div, covariant_gradient, drift_velocity
 
 
 @dataclass(frozen=True, eq=False)
@@ -341,7 +341,7 @@ def _rho_halfstep(rho_values, v, space, half_dt):
             vf = v_face[a].ravel()[steep]
             donor = np.where(vf > 0.0, rho.ravel()[steep], rho_plus.ravel()[steep])
             face.ravel()[steep] = donor * vf
-            out -= (face - shift(face, a, -1, PERIODIC)) / space.spacings[a]
+            out -= _face_div(face, a, space.spacings[a], PERIODIC)
         return out
 
     mid = rho_values + 0.5 * half_dt * rhs(rho_values)
@@ -377,8 +377,6 @@ def _stability_limit(rho_values, v, space, params, safety):
     for a in range(space.dim):
         vmax = float(np.abs(v[a])[mask].max()) if mask.any() else 0.0
         rate += vmax / space.spacings[a]
-    if rate <= 0.0:
-        return math.inf
     return safety / rate
 
 

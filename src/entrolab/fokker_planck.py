@@ -21,7 +21,6 @@ clipped to zero and the density renormalized; the clipped mass is logged.
 from __future__ import annotations
 
 import logging
-import math
 
 import numpy as np
 
@@ -119,8 +118,6 @@ def _stability_limit(comps, space, params, safety):
     for a in range(space.dim):
         face = 0.5 * (comps[a] + shift(comps[a], a, 1, space.boundary))
         rate += float(np.abs(face).max()) / space.spacings[a]
-    if rate <= 0.0:
-        return math.inf
     return safety / rate
 
 

@@ -305,7 +305,7 @@ def gibbs_optimality_certificate(
     space = kernel.space
     _, dl2, em_lin = _row_geometry(space, kernel.source, kernel.vector_potential)
     target_dl2 = float((kernel.probs * dl2).sum())
-    has_em = kernel.vector_potential is not None and kernel.beta != 0.0
+    has_em = kernel.vector_potential is not None  # build_exact_kernel drops A when beta = 0
     target_em = float((kernel.probs * em_lin).sum()) if has_em else None
 
     # gamma^(1/2) = prod 1/sigma_a; constant on this diagonal metric, so it

@@ -24,12 +24,12 @@ operator is circulant and the Cayley factor is diagonal in Fourier space.
 
 A and V are static over a run (a driven potential is a new ScalarField each
 step), so what is built from them lives in one weak memo keyed on the field:
-V's half-kick phase, A's face links and each axis's sweep operators.  That is
-sound because fields are immutable values (the fields.py contract): code that
+V's half-kick phase, A's face links, and each axis's sweep operators, kept on
+A when there is one and else on V, which every step has.  That is sound
+because fields are immutable values (the fields.py contract): code that
 needs another A or V builds a new field, and an entry dies with its field.
 Each slot keeps only the value built for its last scalars, so a caller that
-varies dt rebuilds instead of growing the memo.  Without A the sweep's Cayley
-factor has no field to key on; it is cached on its scalars.
+varies dt rebuilds instead of growing the memo.
 
 There is one stepper, the linear one.  A mu != m flow is the linear flow in
 regraduated units (dynamics.regraduate: phi' = kappa phi, eta' = eta/kappa,
@@ -40,7 +40,6 @@ sqrt(rho) exp(i kappa phi) with unitary_step under the regraduated params.
 
 from __future__ import annotations
 
-import functools
 import math
 import weakref
 from dataclasses import dataclass
@@ -50,7 +49,6 @@ import numpy as np
 from .dynamics import EnergyBreakdown, ManifoldState
 from .errors import ConfigError, DegenerateDensityError
 from .fields import (
-    DENSITY_REL_FLOOR,
     ComplexField,
     ConfigSpace,
     PhysicalParams,
@@ -83,45 +81,13 @@ def probability_density(w: WaveFunction) -> ScalarField:
     return ScalarField(w.space, np.abs(w.psi.values) ** 2)
 
 
-def _unwrap_axis_sweep(angles):
-    """Unwrap one axis at a time, each line seeded from the previous block.
-
-    Axis 0 is unwrapped along the line through the origin cell, then each
-    axis-1 line is seeded from that spine, and so on; the result is a
-    deterministic axis-ordered sweep starting at index (0, ..., 0).
-    """
-    phi = angles.copy()
-    dim = phi.ndim
-    for d in range(dim):
-        index = (slice(None),) * (d + 1) + (0,) * (dim - d - 1)
-        phi[index] = np.unwrap(phi[index], axis=d)
-    return phi
-
-
 def from_wavefunction(w: WaveFunction) -> ManifoldState:
-    """Split Psi into density and an unwrapped single-valued phase.
-
-    Cells whose amplitude sits below the relative floor inherit the phase of
-    the nearest preceding cell in the sweep order; their own angle is noise.
-    """
+    """The polar split: rho = |Psi|^2 and phi = angle(Psi), in (-pi, pi]."""
     psi = w.psi.values
-    rho = np.abs(psi) ** 2
     if not np.abs(psi).max() > 0.0:
         raise DegenerateDensityError("wavefunction vanishes everywhere")
-    phi = _unwrap_axis_sweep(np.angle(psi))
-    floor = DENSITY_REL_FLOOR * np.abs(psi).max()
-    bad = (np.abs(psi) < floor).ravel()
-    if bad.any() and not bad.all():
-        flat = phi.ravel()
-        pos = np.arange(flat.size)
-        last_good = np.maximum.accumulate(np.where(bad, -1, pos))
-        first_good = int(np.argmin(bad))
-        last_good = np.where(last_good < 0, first_good, last_good)
-        flat[:] = flat[last_good]
-    space = w.space
-    return ManifoldState(
-        rho=ScalarField(space, rho), phi=ScalarField(space, phi), time=w.time
-    )
+    rho, phi = ScalarField(w.space, np.abs(psi) ** 2), ScalarField(w.space, np.angle(psi))
+    return ManifoldState(rho=rho, phi=phi, time=w.time)
 
 
 # ---------------------------------------------------------------------------
@@ -198,11 +164,6 @@ def _cayley_factor(n, axis, dim, h, c, twist=0.0):
     return (1.0 - 0.5j * h * lam) / (1.0 + 0.5j * h * lam)
 
 
-# Without links the factor depends only on its scalars, so one entry per
-# (grid line, axis, h, c) serves every step of every run that shares them.
-_free_cayley_factor = functools.lru_cache(maxsize=16)(_cayley_factor)
-
-
 def _sweep_operators(space, params, axis, h, link):
     """Gauge phases, their conjugates and the Cayley factor of one axis sweep.
 
@@ -218,7 +179,7 @@ def _sweep_operators(space, params, axis, h, link):
     n = space.points[axis]
     c = params.eta / (2.0 * params.masses[axis] * space.spacings[axis] ** 2)
     if link is None:
-        return None, None, _free_cayley_factor(n, axis, space.dim, h, c)
+        return None, None, _cayley_factor(n, axis, space.dim, h, c)
     j = _reshape_k(np.arange(n), axis, space.dim)
     bl = params.beta * link
     twist = bl.sum(axis=axis, keepdims=True) / n
@@ -253,15 +214,18 @@ def _cayley_axis_sweep(psi, axis, operators):
     return gauge * np.fft.ifft(factor * np.fft.fft(conj_gauge * psi, axis=axis), axis=axis)
 
 
-def _kinetic_palindrome(psi, space, params, dt, A):
+def _kinetic_palindrome(psi, space, params, dt, V, A):
+    # the sweep operators are kept on A when there is one, else on V; the key
+    # holds every scalar _sweep_operators reads, and the grid's shape is the field's
+    holder, links = V, (None,) * space.dim
+    if A is not None:
+        holder, links = A, _built(A, "links", None, lambda: _face_links(space, A))
+
     def sweep(psi, axis, h):
-        if A is None:
-            return _cayley_axis_sweep(psi, axis, _sweep_operators(space, params, axis, h, None))
-        links = _built(A, "links", None, lambda: _face_links(space, A))
-        # every scalar _sweep_operators reads; the grid's shape is A's
         key = (h, params.beta, params.eta, params.masses[axis], space.spacings[axis])
         operators = _built(
-            A, ("sweep", axis), key, lambda: _sweep_operators(space, params, axis, h, links[axis])
+            holder, ("sweep", axis), key,
+            lambda: _sweep_operators(space, params, axis, h, links[axis]),
         )
         return _cayley_axis_sweep(psi, axis, operators)
 
@@ -292,7 +256,7 @@ def unitary_step(
     require_same_grid(w, A, "the vector potential lives on a different grid")
     space = w.space
     kick = _built(V, "kick", (dt, params.eta), lambda: _half_kick(V.values, dt, params.eta))
-    psi = _kinetic_palindrome(kick * w.psi.values, space, params, dt, A)
+    psi = _kinetic_palindrome(kick * w.psi.values, space, params, dt, V, A)
     return WaveFunction(psi=ComplexField(space, kick * psi), time=w.time + dt)
 
 

@@ -650,3 +650,31 @@ def test_coupled_engine_gauge_tolerant(tmp_path):
     assert rep["rho_gap_max"] < 1e-6
     assert rep["phase_gap_max"] < 2e-5
     assert rep["passed"]
+
+
+def _one_step_pair():
+    p = make_params()
+    space = make_space(12.0, 64, p)
+    st = rest_state(space)
+    return st, dyn.ManifoldState(st.rho, st.phi, time=0.0), p, harmonic(space)
+
+
+# refusal -> (a call that makes it, its message); each is a ValueError
+DYNAMICS_REFUSALS = {
+    "rate-audit-of-two-snapshots": (
+        lambda: dyn.energy_rate_audit([0.0, 1.0], [1.0, 1.0], [0.0, 0.0]),
+        "need at least three snapshots for centered rates"),
+    "rate-audit-of-misaligned-rows": (
+        lambda: dyn.energy_rate_audit([0.0, 1.0, 2.0], [1.0, 1.0], [0.0, 0.0, 0.0]),
+        "totals and imposed must align with the times"),
+    "residual-of-simultaneous-snapshots": (
+        lambda: dyn.hamilton_jacobi_residual(*_one_step_pair()),
+        "snapshots must be time-ordered"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DYNAMICS_REFUSALS))
+def test_a_diagnostic_refuses_what_it_cannot_measure(case):
+    call, message = DYNAMICS_REFUSALS[case]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()

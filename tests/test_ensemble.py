@@ -336,3 +336,31 @@ def test_the_walker_path_holds_no_full_size_temporaries(tmp_path, dim):
               "compare ks": 1.5}
     ratios = {name: peak / e.positions.nbytes for name, peak in peaks.items()}
     assert all(ratios[name] <= bounds[name] for name in bounds), ratios
+
+
+def _cloud(walkers, seed=0):
+    p = make_params()
+    space = make_space(12.0, 64, p)
+    return ens.Ensemble.from_density(gaussian_density(space, 0.0, 1.0), walkers, 0.01, seed=seed)
+
+
+# refusal -> (a call that makes it, its message); each is a ConfigError
+ENSEMBLE_REFUSALS = {
+    "sampling-a-massless-density": (
+        lambda: ens.Ensemble.from_density(zero_field(make_space(12.0, 64, make_params())),
+                                          100, 0.01),
+        "cannot sample from a density with no mass"),
+    "the-density-of-no-walkers": (
+        lambda: ens.estimate_density(_cloud(0)),
+        "need at least one walker"),
+    "drift-of-unpaired-walkers": (
+        lambda: ens.empirical_forward_drift(_cloud(100), _cloud(200)),
+        "ensembles must pair walkers one to one"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ENSEMBLE_REFUSALS))
+def test_the_ensemble_refuses_what_it_cannot_sample(case):
+    call, message = ENSEMBLE_REFUSALS[case]
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        call()

@@ -10,6 +10,7 @@ from entrolab.errors import ConfigError, DegenerateDensityError, GridMismatchErr
 from entrolab.fields import (
     PERIODIC,
     REFLECTING,
+    ComplexField,
     ConfigSpace,
     PhysicalParams,
     ScalarField,
@@ -436,3 +437,25 @@ def test_matches_space_agrees_with_allclose(ours, grid):
     except GridMismatchError:
         got = False
     assert got == expect
+
+
+def _grid():
+    return make_space(12.0, 16, make_params())
+
+
+# field -> (a call that builds it with the wrong shape, its message)
+FIELD_SHAPE_REFUSALS = {
+    "scalar": (lambda: ScalarField(_grid(), np.zeros(15)),
+               "values shape (15,) != grid shape (16,)"),
+    "vector": (lambda: VectorField(_grid(), np.zeros((2, 16))),
+               "components shape (2, 16) != (1, 16)"),
+    "complex": (lambda: ComplexField(_grid(), np.zeros((16, 1))),
+                "values shape (16, 1) != grid shape (16,)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FIELD_SHAPE_REFUSALS))
+def test_a_field_refuses_values_off_its_grid(case):
+    call, message = FIELD_SHAPE_REFUSALS[case]
+    with pytest.raises(GridMismatchError, match=f"^{re.escape(message)}$"):
+        call()

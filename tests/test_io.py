@@ -427,3 +427,24 @@ def test_array_round_trip_keeps_every_bit(tmp_path):
     io.save_array(tmp_path / "final_positions.npy", positions)
     back = io.load_array(tmp_path / "final_positions.npy", np.float64)
     assert np.array_equal(back.view(np.uint64), positions.view(np.uint64))
+
+
+@pytest.mark.parametrize("key", io._META_KEYS)
+def test_a_sidecar_missing_a_key_is_refused_naming_it(tmp_path, key):
+    space = make_space(12.0, 16, make_params())
+    path = tmp_path / "rho.npy"
+    io.save_scalar_field(path, gaussian_density(space, 0.0, 1.0))
+    meta = json.loads((tmp_path / "rho.npy.meta.json").read_text())
+    del meta[key]
+    (tmp_path / "rho.npy.meta.json").write_text(json.dumps(meta))
+    with pytest.raises(ConfigError, match=f"^sidecar metadata missing key '{key}'$"):
+        io.load_scalar_field(path)
+
+
+def test_a_cell_only_python_reads_is_refused_naming_the_file(tmp_path):
+    """float() reads 1_0 as 10, numpy's parser does not: the line scan finds
+    no bad line, and the refusal falls back to numpy's reason."""
+    path = tmp_path / "s.csv"
+    path.write_text("value\n1_0\n2\n")
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: could not convert string '1_0'"):
+        io.load_series(path)

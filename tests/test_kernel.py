@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -153,3 +154,47 @@ def test_certificate_tilts_ignore_dead_cells():
     cert = gibbs_optimality_certificate(S, kern, trials=200, rng_seed=5)
     assert cert.skipped == 0
     assert cert.passed
+
+
+def _kernel_case():
+    p = make_params(tau=0.5)
+    space = make_space(12.0, 256, p)
+    return p, space, sine_entropy(space)
+
+
+def _space_3d():
+    p = make_params(masses=(1.0, 1.0, 1.0), tau=0.5)
+    return ScalarField(make_space(12.0, 8, p, dim=3), np.zeros((8, 8, 8)))
+
+
+# refusal -> (a call that makes it, its error type, its message)
+KERNEL_REFUSALS = {
+    "source-of-two-indices-in-1d": (
+        lambda: build_exact_kernel(_kernel_case()[2], (1, 2), 16.0),
+        ValueError, "source needs 1 indices, got 2"),
+    "source-outside-the-grid": (
+        lambda: build_exact_kernel(_kernel_case()[2], (256,), 16.0),
+        ValueError, "source (256,) outside the grid"),
+    "a-row-in-3d": (
+        lambda: build_exact_kernel(_space_3d(), (4, 4, 4), 16.0),
+        ValueError, "exact kernel rows are limited to dim <= 2"),
+    "zero-alpha": (
+        lambda: build_exact_kernel(_kernel_case()[2], (128,), 0.0),
+        ValueError, "alpha must be positive"),
+    "charge-without-a-vector-potential": (
+        lambda: build_exact_kernel(_kernel_case()[2], (128,), 16.0, beta=0.5),
+        ValueError, "EM constraint given but no vector potential"),
+    "zero-dt-moments": (
+        lambda: gaussian_step_moments(_kernel_case()[2], _kernel_case()[0], 0.0),
+        ValueError, "dt must be positive"),
+    "a-step-under-one-cell": (
+        lambda: solve_alpha(_kernel_case()[2], (128,), 1e-9),
+        AlphaSolveError, "target_step_sq=1e-09 is below one-cell resolution"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(KERNEL_REFUSALS))
+def test_the_kernel_refuses_what_it_cannot_build(case):
+    call, error, message = KERNEL_REFUSALS[case]
+    with pytest.raises(error, match=f"^{re.escape(message)}"):
+        call()

@@ -10,12 +10,13 @@ import numpy as np
 import pytest
 import yaml
 
-from entrolab import cli, io, schrodinger as schro
+from entrolab import cli, io, scenarios, schrodinger as schro
 from entrolab.errors import ConfigError, StabilityError
 from entrolab.fields import (
     ConfigSpace,
     PhysicalParams,
     ScalarField,
+    VectorField,
     entropy_field,
     l1_distance,
     l2_distance,
@@ -345,9 +346,10 @@ def test_summary_config_echoes_every_section(tmp_path):
         "space": {"dim": 1, "extent": [12.0], "points": [32], "boundary": "periodic"},
         "params": {"eta": 1.0, "tau": 0.1, "masses": [2.0], "osmotic_ratio": 1.0,
                    "beta": 0.5},
-        "entropy": {"type": "sine", "amplitude": 0.2},
+        "entropy": {"type": "sine", "amplitude": 0.2, "mode": 1},
         "initial": {"type": "file", "rho_file": str(tmp_path / "data" / "rho0.npy")},
-        "potentials": {"V": {"type": "harmonic", "omega": 1, "time_scale": [1.0, 0.25]},
+        "potentials": {"V": {"type": "harmonic", "omega": 1, "center": 0.0,
+                             "time_scale": [1.0, 0.25]},
                        "A": {"type": "file", "file": a_path}},
         "run": {"engine": "schrodinger", "dt": 0.001, "steps": 4, "snapshot_stride": 1,
                 "seed": 3, "walkers": 100_000, "energy_tolerance": 1e-4},
@@ -636,41 +638,40 @@ def test_schrodinger_run_records_psi_and_norm(tmp_path):
 
 def test_nan_potential_fails_mass_and_norm_checks(tmp_path):
     """A NaN cell in V poisons every later snapshot; the run's conservation
-    checks must fail, not keep the clean first snapshot's 0."""
-    sc = scenario_from_dict(base_cfg())
+    checks must fail, not keep the clean first snapshot's 0.  A V file with
+    a NaN cell is refused at load, so the NaN V is built in-process."""
+    sc = scenario_from_dict(base_cfg(potentials={},
+                                     run={"engine": "schrodinger", "dt": 0.002, "steps": 20,
+                                          "snapshot_stride": 10}))
     V = np.zeros(sc.space.shape)
     V[64] = np.nan
-    v_path = tmp_path / "V.npy"
-    io.save_scalar_field(v_path, ScalarField(sc.space, V))
-    cfg = base_cfg(potentials={"V": {"type": "file", "file": str(v_path)}},
-                   run={"engine": "schrodinger", "dt": 0.002, "steps": 20,
-                        "snapshot_stride": 10})
-    summary = run(scenario_from_dict(cfg), str(tmp_path / "out"))
+    sc = dataclasses.replace(sc, potential=ScalarField(sc.space, V))
+    summary = run(sc, str(tmp_path / "out"))
     for name in ("mass_conservation", "norm_conservation"):
         check = summary["checks"][name]
         assert math.isnan(check["value"]) and not check["passed"], name
     assert not summary["passed"]
 
 
-def _nan_vector_potential_cfg(tmp_path):
-    """A 1D ensemble scenario whose A file has one NaN cell: the walkers'
-    drift there is NaN from the first step."""
-    sc = scenario_from_dict(base_cfg())
-    A = np.zeros(sc.space.shape)
-    A[64] = np.nan
-    a_path = tmp_path / "A.csv"
-    # a 1D vector field has one component column, as a scalar field does
-    write_grid_csv(a_path, ScalarField(sc.space, A))
-    return base_cfg(params={"beta": 0.5},
-                    potentials={"A": {"type": "file", "file": str(a_path)}},
-                    entropy={"type": "sine", "amplitude": 0.2, "mode": 1},
-                    run={"engine": "ensemble", "dt": 0.005, "steps": 20, "walkers": 20000, "seed": 3,
-                         "snapshot_stride": 10})
+_NAN_A_RUN = {"engine": "ensemble", "dt": 0.005, "steps": 20, "walkers": 20000, "seed": 3,
+              "snapshot_stride": 10}
+
+
+def _nan_vector_potential_scenario(run_cfg=_NAN_A_RUN):
+    """A 1D scenario whose A has one NaN cell: the walkers' drift there is
+    NaN from the first step.  An A file with a NaN cell is refused at load,
+    so the NaN A is built in-process."""
+    sc = scenario_from_dict(base_cfg(params={"beta": 0.5}, potentials={},
+                                     entropy={"type": "sine", "amplitude": 0.2, "mode": 1},
+                                     run=run_cfg))
+    A = np.zeros((1,) + sc.space.shape)
+    A[0, 64] = np.nan
+    return dataclasses.replace(sc, vector_potential=VectorField(sc.space, A))
 
 
 def test_nan_vector_potential_fails_the_ensemble_run(tmp_path):
     """NaN walkers once landed on the lower wall and the run passed."""
-    sc = scenario_from_dict(_nan_vector_potential_cfg(tmp_path))
+    sc = _nan_vector_potential_scenario()
     with pytest.raises(ConfigError, match="walker coordinates are not finite"):
         run(sc, str(tmp_path / "out"))
     summary = io.load_summary(tmp_path / "out" / "summary.json")
@@ -680,10 +681,10 @@ def test_nan_vector_potential_fails_the_ensemble_run(tmp_path):
     assert not os.path.exists(tmp_path / "out" / "final_positions.npy")
 
 
-def test_cli_nan_vector_potential_exits_2(tmp_path, capsys):
-    cfg = tmp_path / "nan-a.json"
-    cfg.write_text(json.dumps(_nan_vector_potential_cfg(tmp_path)))
-    code = cli.main(["ensemble", str(cfg), "--out", str(tmp_path / "out")])
+def test_cli_nan_vector_potential_exits_2(tmp_path, capsys, monkeypatch):
+    sc = _nan_vector_potential_scenario()
+    monkeypatch.setattr(scenarios, "load_scenario", lambda path: sc)
+    code = cli.main(["ensemble", "nan-a.yaml", "--out", str(tmp_path / "out")])
     assert code == 2
     assert "not finite" in capsys.readouterr().err
     summary = io.load_summary(tmp_path / "out" / "summary.json")
@@ -691,38 +692,29 @@ def test_cli_nan_vector_potential_exits_2(tmp_path, capsys):
     assert summary["last_step"] == 0
 
 
-def _nan_vector_potential_auto_dt_cfg(tmp_path, engine):
-    cfg = _nan_vector_potential_cfg(tmp_path)
-    cfg["run"] = {"engine": engine, "steps": 20, "snapshot_stride": 10}  # dt: auto
-    return cfg
+def _nan_vector_potential_auto_dt_scenario(engine):
+    return _nan_vector_potential_scenario(
+        {"engine": engine, "steps": 20, "snapshot_stride": 10})  # dt: auto
 
 
 @pytest.mark.parametrize("engine", ["fokker-planck", "coupled"])
-def test_auto_dt_with_a_nan_vector_potential_names_a_non_finite_field(tmp_path, engine):
+def test_auto_dt_with_a_nan_vector_potential_names_a_non_finite_field(engine):
     """A NaN bound once read as 'no dynamical rate', sending the user after
     the wrong input."""
-    sc = scenario_from_dict(_nan_vector_potential_auto_dt_cfg(tmp_path, engine))
-    with pytest.raises(ConfigError, match="not finite") as err:
+    sc = _nan_vector_potential_auto_dt_scenario(engine)
+    with pytest.raises(ConfigError, match="the stability bound is NaN.* is not finite"):
         resolve_dt(sc)
-    assert "no dynamical rate" not in str(err.value)
 
 
 @pytest.mark.parametrize("engine", ["fokker-planck", "coupled"])
-def test_cli_auto_dt_with_a_nan_vector_potential_exits_2(tmp_path, capsys, engine):
-    cfg = tmp_path / "nan-a-auto.json"
-    cfg.write_text(json.dumps(_nan_vector_potential_auto_dt_cfg(tmp_path, engine)))
-    code = cli.main(["evolve", str(cfg), "--out", str(tmp_path / "out")])
+def test_cli_auto_dt_with_a_nan_vector_potential_exits_2(tmp_path, capsys, monkeypatch, engine):
+    sc = _nan_vector_potential_auto_dt_scenario(engine)
+    monkeypatch.setattr(scenarios, "load_scenario", lambda path: sc)
+    code = cli.main(["evolve", "nan-a-auto.yaml", "--out", str(tmp_path / "out")])
     assert code == 2
     err = capsys.readouterr().err
-    assert "not finite" in err and "no dynamical rate" not in err
-
-
-def test_auto_dt_with_an_infinite_bound_says_there_is_no_rate(monkeypatch):
-    from entrolab import dynamics
-
-    monkeypatch.setattr(dynamics, "coupled_stability_limit", lambda *args: math.inf)
-    with pytest.raises(ConfigError, match="no dynamical rate"):
-        resolve_dt(scenario_from_dict(base_cfg()))
+    assert "the stability bound is NaN" in err and "not finite" in err
+    assert not os.path.exists(tmp_path / "out")
 
 
 def test_time_dependent_potential_audited(tmp_path):
@@ -1303,16 +1295,20 @@ def test_cli_gauge_check_prints_its_result_and_exit_code(tmp_path, capsys):
 
 def test_cli_classical_limit_prints_its_result_and_exit_code(tmp_path, capsys):
     """The residual is linear in the osmotic coupling: it halves with mu and
-    doubles when mu doubles, which fails residual_vanishes_with_mu."""
+    doubles when mu doubles, which fails residual_shrinks_with_mu; the tail
+    ratio 2 is under its tolerance 1.2 * 2, so residual_vanishes_with_mu
+    passes, as its printed value says."""
     cfg = write_cfg(tmp_path, name="classical")
     for sweep, code, lines in (
         ("1,0.5", 0, ["classical-limit classical (mu sweep): "
                       "residuals 2.163e-01 1.082e-01 [pass]",
-                      "classical-limit classical: residual_vanishes_with_mu=5.000e-01[pass] "
+                      "classical-limit classical: residual_shrinks_with_mu=-1.082e-01[pass] "
+                      "residual_vanishes_with_mu=5.000e-01[pass] "
                       "variance_persists=0.000e+00[pass]"]),
         ("1,2", 1, ["classical-limit classical (mu sweep): "
                     "residuals 2.163e-01 4.326e-01 [FAIL]",
-                    "classical-limit classical: residual_vanishes_with_mu=2.000e+00[FAIL] "
+                    "classical-limit classical: residual_shrinks_with_mu=2.163e-01[FAIL] "
+                    "residual_vanishes_with_mu=2.000e+00[pass] "
                     "variance_persists=0.000e+00[pass]"]),
     ):
         assert cli.main(["classical-limit", cfg, "--mu-sweep", sweep, "--walkers", "500",
@@ -1739,3 +1735,221 @@ def test_compare_refuses_a_json_file_that_does_not_parse(tmp_path, capsys, name)
     capsys.readouterr()
     assert cli.main(["compare", *run_dirs, "--metrics", "rho_l2"]) == 2
     assert path in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# grid-file values, the echo's defaults, and refusals no other test reaches
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize(
+    "path", ["initial.rho_file", "initial.phi_file", "potentials.V.file", "potentials.A.file"]
+)
+def test_a_grid_file_value_that_is_not_finite_is_refused_at_load(tmp_path, capsys, path, value):
+    """A NaN or inf cell in a file input once ran: the schrodinger engine
+    wrote NaN snapshots and checks, fokker-planck and ensemble passed, and
+    coupled died mid-run.  The number rule refuses it at load, naming the
+    key and the file, before any output directory exists."""
+    space = scenario_from_dict(base_cfg()).space
+    values = np.full(space.shape, 0.1)
+    good, good_a = str(tmp_path / "good.npy"), str(tmp_path / "good_a.npy")
+    io.save_scalar_field(good, ScalarField(space, values))
+    io._write_grid(good_a, space, values[None])
+    values[64] = value
+    bad = str(tmp_path / "bad.npy")
+    io._write_grid(bad, space, values[None] if path.startswith("potentials.A") else values)
+    cfg = base_cfg(params={"beta": 0.5},
+                   initial={"type": "file", "rho_file": good, "phi_file": good},
+                   potentials={"V": {"type": "file", "file": good},
+                               "A": {"type": "file", "file": good_a}},
+                   run={"engine": "schrodinger", "dt": 0.002, "steps": 4})
+    *sections, key = path.split(".")
+    node = cfg
+    for section in sections:
+        node = node[section]
+    node[key] = bad
+    message = f"{path} must be finite, got {value} in {bad}"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        scenario_from_dict(cfg)
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert cli.main(["evolve", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "out")
+
+
+@pytest.mark.parametrize(
+    "section, kind",
+    [(section, kind) for section, types in scenarios._FIELD_TYPES.items() for kind in types],
+)
+def test_the_echo_states_every_default_a_field_used(tmp_path, section, kind):
+    """Each field type with every key omitted: the echo lists each key the
+    type reads with the default it used, and rebuilds bit-equal fields.  A
+    sine entropy once echoed without amplitude and mode, a harmonic V
+    without center.  A file type names its required file; phi_file, whose
+    absence means a zero phase, has no default to state."""
+    space = scenario_from_dict(base_cfg()).space
+    values = np.exp(-0.5 * space.meshes[0] ** 2)
+    path, path_a = str(tmp_path / "field.npy"), str(tmp_path / "field_a.npy")
+    io.save_scalar_field(path, ScalarField(space, values))
+    io._write_grid(path_a, space, values[None])
+    node = {"type": kind}
+    if kind == "file":
+        node["rho_file" if section == "initial" else "file"] = (
+            path_a if section == "potentials.A" else path
+        )
+    overrides = ({"potentials": {section.split(".")[1]: node}} if "." in section
+                 else {section: node})
+    sc = scenario_from_dict(base_cfg(**overrides))
+    echoed = sc.echo
+    for part in section.split("."):
+        echoed = echoed[part]
+    assert set(echoed) == {"type", *scenarios._FIELD_TYPES[section][kind]} - {"phi_file"}
+    again = scenario_from_dict(sc.echo)
+    assert again.echo == sc.echo
+    for field in ("entropy", "potential"):
+        assert np.array_equal(getattr(again, field).values, getattr(sc, field).values)
+    for field in ("rho", "phi"):
+        assert np.array_equal(getattr(again.initial, field).values,
+                              getattr(sc.initial, field).values)
+    assert again.time_scale == sc.time_scale
+    if sc.vector_potential is None:
+        assert again.vector_potential is None
+    else:
+        assert np.array_equal(again.vector_potential.components, sc.vector_potential.components)
+
+
+def _other_grid_file(tmp_path):
+    """A V file on a 64-cell grid, where base_cfg's space has 128 cells."""
+    sc = scenario_from_dict(base_cfg(space={"points": 64}))
+    path = str(tmp_path / "V64.npy")
+    io.save_scalar_field(path, ScalarField(sc.space, np.zeros(sc.space.shape)))
+    return path
+
+
+# config -> (section, its bad value, the refusal); a callable value is built in tmp_path
+CONFIG_REFUSALS = {
+    "section-not-a-mapping": ("space", 5, "space must be a mapping"),
+    "unknown-field-key": ("entropy", {"type": "sine", "slop": 0.2},
+                          "unknown key 'entropy.slop'"),
+    "missing-rho-file": ("initial", {"type": "file"},
+                         "initial.rho_file is required when initial.type is 'file'"),
+    "file-on-another-grid": (
+        "potentials", lambda tmp_path: {"V": {"type": "file", "file": _other_grid_file(tmp_path)}},
+        "potentials.V.file grid does not match space"),
+    "zero-width": ("initial", {"type": "gaussian", "width": 0.0}, "initial.width must be positive"),
+    "three-entry-time-scale": (
+        "potentials", {"V": {"type": "harmonic", "time_scale": [1.0, 0.5, 0.1]}},
+        "potentials.V.time_scale must be a [constant, rate] pair or a positive time"),
+    "missing-name": ("name", None, "config.name is required"),
+    "unequal-osmotic-ratios": ("params", {"masses": 1.0, "osmotic_ratio": [1.0, 0.5]},
+                               "params.osmotic_ratio must be a single shared value"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONFIG_REFUSALS))
+def test_a_config_refusal_names_its_key(tmp_path, capsys, case):
+    """Each refusal is a ConfigError with its message, through the API and
+    the CLI: exit 2, and no output directory."""
+    section, value, message = CONFIG_REFUSALS[case]
+    cfg = base_cfg()
+    cfg[section] = value(tmp_path) if callable(value) else value
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        scenario_from_dict(cfg)
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert cli.main(["evolve", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "out")
+
+
+def _runs_of_unequal_length(tmp_path):
+    """Two coupled runs at one dt and stride, of 20 and 40 steps: their
+    snapshot times agree where both have one, and their series differ in
+    length."""
+    for name, steps in (("a", 20), ("b", 40)):
+        cfg = base_cfg(space={"points": 32}, run={"steps": steps, "dt": 0.002})
+        run(scenario_from_dict(cfg), str(tmp_path / name))
+    return str(tmp_path / "a"), str(tmp_path / "b")
+
+
+def _unequal_series(metric):
+    def call(sc, tmp_path):
+        return compare(*_runs_of_unequal_length(tmp_path), [metric])
+    return call
+
+
+# command -> (scenario overrides, the API call, the CLI argv or None, the refusal);
+# None where argparse itself refuses the input (exit 2) before the API sees it
+COMMAND_REFUSALS = {
+    "gauge-check-on-ensemble": (
+        {"params": {"beta": 0.7}, "run": {"engine": "ensemble"}},
+        lambda sc, tmp_path: gauge_check(sc, 0.8, 1, str(tmp_path / "out")),
+        ["gauge-check", "CFG", "--chi", "0.8:1"],
+        "gauge-check needs run.engine 'coupled' or 'schrodinger'"),
+    "classical-limit-both-sweeps": (
+        {}, lambda sc, tmp_path: classical_limit(sc, eta_scales=[1.0, 0.5], mu_scales=[1.0, 0.5]),
+        None, "classical-limit needs exactly one of eta_scales / mu_scales"),
+    "classical-limit-no-sweep": (
+        {}, lambda sc, tmp_path: classical_limit(sc),
+        None, "classical-limit needs exactly one of eta_scales / mu_scales"),
+    "classical-limit-negative-scale": (
+        {}, lambda sc, tmp_path: classical_limit(sc, eta_scales=[1.0, -0.5]),
+        ["classical-limit", "CFG", "--eta-sweep", "1,-0.5"],
+        "eta_scales must be positive, got [1.0, -0.5]"),
+    "maxent-audit-in-3d": (
+        {"space": {"dim": 3, "extent": 12.0, "points": 8}},
+        lambda sc, tmp_path: maxent_audit(sc, trials=10, outdir=str(tmp_path / "out")),
+        ["maxent-audit", "CFG", "--trials", "10"],
+        "maxent-audit runs on dim <= 2 scenarios"),
+    "compare-unknown-metric": (
+        {}, lambda sc, tmp_path: compare(str(tmp_path / "a"), str(tmp_path / "b"), ["rho_l3"]),
+        None, "unknown metric 'rho_l3'"),
+    "compare-variance-shapes": (
+        {}, _unequal_series("variance"),
+        ["compare", "A", "B", "--metrics", "variance"],
+        "series shapes differ; snapshot grids do not match"),
+    "compare-energy-shapes": (
+        {}, _unequal_series("energy"),
+        ["compare", "A", "B", "--metrics", "energy"],
+        "energy series shapes differ"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COMMAND_REFUSALS))
+def test_a_command_refuses_what_it_cannot_check(tmp_path, capsys, case):
+    """Each refusal is a ConfigError with its message, through the API and,
+    where argparse lets the input through, the CLI: exit 2, and no output
+    directory."""
+    overrides, call, argv, message = COMMAND_REFUSALS[case]
+    sc = scenario_from_dict(base_cfg(**overrides))
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        call(sc, tmp_path)
+    assert not os.path.exists(tmp_path / "out")
+    if argv is None:
+        return
+    names = {"CFG": write_cfg(tmp_path, **overrides),
+             "A": str(tmp_path / "a"), "B": str(tmp_path / "b")}
+    out = str(tmp_path / "out")
+    assert cli.main([names.get(arg, arg) for arg in argv] + ["--out", out]) == 2
+    assert message in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [(["compare", "A", "B", "--metrics", "rho_l2", "--tolerance", "rho_l2"],
+      "--tolerance expects name=value, got 'rho_l2'"),
+     (["gauge-check", "CFG", "--chi", "0.8"], "--chi expects AMPLITUDE:MODE, got '0.8'")],
+    ids=["tolerance-without-value", "chi-without-mode"],
+)
+def test_cli_refuses_a_malformed_flag(tmp_path, capsys, argv, message):
+    """The flag's own parse refuses it: exit 2, the flag named, and no
+    output directory."""
+    cfg = write_cfg(tmp_path, params={"beta": 0.7}, space={"points": 32},
+                    run={"engine": "coupled", "steps": 2})
+    names = {"CFG": cfg, "A": str(tmp_path / "a"), "B": str(tmp_path / "b")}
+    out = str(tmp_path / "out")
+    assert cli.main([names.get(arg, arg) for arg in argv] + ["--out", out]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not os.path.exists(out)

@@ -9,6 +9,7 @@ import pytest
 from entrolab import dynamics as dyn
 from entrolab import scenarios
 from entrolab import schrodinger as schro
+from entrolab.errors import DegenerateDensityError
 from entrolab.fields import ScalarField, VectorField
 
 from conftest import (
@@ -550,3 +551,13 @@ def test_spectral_gradient_exact_on_modes():
     chi = ScalarField(space, np.sin(k * x))
     g = schro.spectral_gradient(chi)
     assert np.abs(g.components[0] - k * np.cos(k * x)).max() < 1e-11
+
+
+@pytest.mark.parametrize("dim", [1, 2], ids=["1d", "2d"])
+def test_the_polar_split_refuses_a_wavefunction_that_vanishes(dim):
+    """An all-zero psi has no density to normalize and no phase."""
+    p = make_params(masses=(1.0,) * dim)
+    space = make_space(12.0, 16, p, dim=dim)
+    w = schro.WaveFunction(schro.ComplexField(space, np.zeros(space.shape)))
+    with pytest.raises(DegenerateDensityError, match="^wavefunction vanishes everywhere$"):
+        schro.from_wavefunction(w)

@@ -304,9 +304,10 @@ def gibbs_optimality_certificate(
     """
     space = kernel.space
     _, dl2, em_lin = _row_geometry(space, kernel.source, kernel.vector_potential)
-    target_dl2 = float((kernel.probs * dl2).sum())
-    has_em = kernel.vector_potential is not None  # build_exact_kernel drops A when beta = 0
-    target_em = float((kernel.probs * em_lin).sum()) if has_em else None
+    # each constraint as (per-cell quantity, the kernel's own mean of it); the
+    # EM one only with an A, which build_exact_kernel drops when beta = 0
+    quantities = [dl2] if kernel.vector_potential is None else [dl2, em_lin]
+    constraints = [(f.ravel(), float((kernel.probs * f).sum())) for f in quantities]
 
     # gamma^(1/2) = prod 1/sigma_a; constant on this diagonal metric, so it
     # only shifts the objective by log of the invariant cell measure.
@@ -318,8 +319,6 @@ def gibbs_optimality_certificate(
     rng = np.random.default_rng(rng_seed)
     max_gap = -math.inf
     skipped = 0
-    flat_dl2 = dl2.ravel()
-    flat_em = em_lin.ravel()
     flat_S = S.values.ravel()
     flat_p = kernel.probs.ravel()
 
@@ -329,24 +328,16 @@ def gibbs_optimality_certificate(
         ok = False
         for _ in range(CERTIFICATE_MAX_ITERATIONS):
             q = q / q.sum()
-            m = float((q * flat_dl2).sum())
-            em_ok = True
-            if has_em:
-                em_m = float((q * flat_em).sum())
-                em_scale = max(abs(target_em), 1e-30)
-                em_ok = abs(em_m - target_em) <= CONSTRAINT_REL_TOL * em_scale
-            if abs(m - target_dl2) <= CONSTRAINT_REL_TOL * target_dl2 and em_ok:
+            if all(abs(float((q * f).sum()) - mean) <= CONSTRAINT_REL_TOL * max(abs(mean), 1e-30)
+                   for f, mean in constraints):
                 ok = True
                 break
-            tilted = _tilt_to_moment(q, flat_dl2, target_dl2)
-            if tilted is None:
-                break
-            q = tilted
-            if has_em:
-                tilted = _tilt_to_moment(q, flat_em, target_em)
-                if tilted is None:
+            for f, mean in constraints:
+                q = _tilt_to_moment(q, f, mean)
+                if q is None:
                     break
-                q = tilted
+            if q is None:
+                break
         if not ok:
             skipped += 1
             continue

@@ -18,15 +18,17 @@ A scenario is a YAML file with five sections.  Everything is optional except
                dt, steps, snapshot_stride, seed, walkers, energy_tolerance}
 
 A scalar `time_scale: T` (T > 0) is the time over which V doubles, i.e.
-`[1, 1/T]`; it applies to every V type.  Unknown keys are rejected, naming
-the offending path, and so is a number that is not finite: every config
-number, and every value of a file input, must be finite, by the number rule
-in `fields` that every number from outside passes.  A field section takes
-only the keys its type reads (the first type listed is the default); a key
-that another type reads is refused too: `entropy.amplitude does not apply
-to entropy.type 'uniform'`.  `dt: auto` (the default) picks half the
-engine's reported stability limit, its safety factor included (0.8 for the
-wave engines, 0.9 for fokker-planck and ensemble).  Every run writes `.npy`
+`[1, 1/T]`; it applies to every V type.  Each section's keys and the value
+an omitted key takes live in one table, which the parse, the number rule
+and the echo all read.  Unknown keys are rejected, naming the offending
+path, and so is a number that is not finite: every config number, every
+value of a file input, and every field built from them must be finite, by
+the number rule in `fields` that every number from outside passes.  A field
+section takes only the keys its type reads (the first type listed is the
+default); a key that another type reads is refused too: `entropy.amplitude
+does not apply to entropy.type 'uniform'`.  `dt: auto` (the default) picks
+half the engine's reported stability limit, its safety factor included (0.8 for
+the wave engines, 0.9 for fokker-planck and ensemble).  Every run writes `.npy`
 snapshots, a moments series (`series.csv`), an energy audit (`energy.csv`)
 where energy is defined, and a summary.json echoing the fully resolved
 configuration, each default a field section used included, so a run is
@@ -46,7 +48,8 @@ box.  By the Born rule a wave function's density is rho = |psi|^2, so
 `compare` derives a wave run's rho from its psi, with the expression the wave
 engines use; psi round-trips exactly, so the derived rho keeps its bits.
 A parsed `Scenario` is an immutable value that checks its own run settings;
-an override is a new value, `dataclasses.replace(sc, seed=...)`, checked again.
+an override, `dataclasses.replace(sc, seed=...)`, is a new value checked
+again; a field set so is echoed as type 'in-process', which no config reads.
 """
 
 from __future__ import annotations
@@ -110,61 +113,55 @@ METRICS = {
 # ---------------------------------------------------------------------------
 # strict-key config parsing
 
+# Each plain section's keys, each with the value an omitted key takes.
+_SPACE = {"dim": 1, "extent": 20.0, "points": 256, "boundary": PERIODIC}
+_PARAMS = {"eta": 1.0, "tau": 0.1, "masses": 1.0, "osmotic_ratio": 1.0, "beta": 0.0}
+_RUN = {"engine": None, "dt": "auto", "steps": 100,
+        "snapshot_stride": None,  # a tenth of the steps, at least 1
+        "seed": 0, "walkers": 100_000, "energy_tolerance": METRICS["energy"][0]}
 # Each field section's types, the first being the default, and the keys each
-# type reads; time_scale drives every V, V(x, t) = V(x) (a + b t).
+# type reads with their defaults.  None is no default: a file a type reads
+# must be named, and an absent phi_file is a zero phase.  time_scale drives
+# every V, V(x, t) = V(x) (a + b t).
 _FIELD_TYPES = {
-    "entropy": {"uniform": (), "linear": ("slope",), "sine": ("amplitude", "mode"),
-                "from_initial": ()},
-    "initial": {"gaussian": ("center", "width", "momentum"), "plane_wave": ("mode",),
-                "uniform": (), "file": ("rho_file", "phi_file")},
-    "potentials.V": {"none": ("time_scale",), "harmonic": ("omega", "center", "time_scale"),
-                     "linear": ("slope", "time_scale"), "file": ("file", "time_scale")},
-    "potentials.A": {"none": (), "constant": ("value",),
-                     "pure_gauge": ("chi_amplitude", "chi_mode"), "file": ("file",)},
+    "entropy": {"uniform": {}, "linear": {"slope": 0.0},
+                "sine": {"amplitude": 0.1, "mode": 1}, "from_initial": {}},
+    "initial": {"gaussian": {"center": 0.0, "width": 1.0, "momentum": 0.0},
+                "plane_wave": {"mode": 1}, "uniform": {},
+                "file": {"rho_file": None, "phi_file": None}},
+    "potentials.V": {kind: {**keys, "time_scale": (1.0, 0.0)} for kind, keys in (
+        ("none", {}), ("harmonic", {"omega": 1.0, "center": 0.0}), ("linear", {"slope": 0.0}),
+        ("file", {"file": None}))},
+    "potentials.A": {"none": {}, "constant": {"value": 0.0},
+                     "pure_gauge": {"chi_amplitude": 1.0, "chi_mode": 1}, "file": {"file": None}},
 }
-_SCHEMA = {
-    "name": None,
-    "space": {"dim", "extent", "points", "boundary"},
-    "params": {"eta", "tau", "masses", "osmotic_ratio", "beta"},
-    "entropy": _FIELD_TYPES["entropy"],
-    "initial": _FIELD_TYPES["initial"],
-    "potentials": {"V": _FIELD_TYPES["potentials.V"], "A": _FIELD_TYPES["potentials.A"]},
-    "run": {
-        "engine",
-        "dt",
-        "steps",
-        "snapshot_stride",
-        "seed",
-        "walkers",
-        "energy_tolerance",
-    },
-}
+# The number rule for each number a run setting holds: its kind, and whether it may be 0
+_RUN_NUMBERS = {"dt": (float, False), "steps": (int, False), "snapshot_stride": (int, False),
+                "seed": (int, True), "walkers": (int, False), "energy_tolerance": (float, True)}
 
 
-def _section(node, schema, path, base_dir):
-    """The mapping `node` (None reads as empty) with only the schema's keys:
-    each nested section read in turn, a field section by its type."""
+def _mapping(node, path):
+    """`node`, which must be a mapping; None reads as empty."""
     node = {} if node is None else node
     if not isinstance(node, dict):
         raise ConfigError(f"{path} must be a mapping")
-    if path in _FIELD_TYPES:
-        return _field_section(node, schema, path, base_dir)
+    return node
+
+
+def _section(node, table, path):
+    """A plain section: only the table's keys, each omitted one given its default."""
+    node = _mapping(node, path)
     for key in node:
-        if key not in schema:
+        if key not in table:
             raise ConfigError(f"unknown key '{path}.{key}'")
-    if isinstance(schema, dict):
-        return {
-            key: node.get(key) if keys is None else _section(
-                node.get(key), keys, key if path == "config" else f"{path}.{key}", base_dir
-            )
-            for key, keys in schema.items()
-        }
-    return dict(node)
+    return {key: node.get(key, default) for key, default in table.items()}
 
 
-def _field_section(node, types, path, base_dir):
+def _field_section(node, path, base_dir):
     """A field section: its type (the table's first if none is named), only
-    the keys that type reads, file paths joined to base_dir."""
+    the keys that type reads, file paths joined to base_dir, then the
+    defaults of the keys it omits."""
+    node, types = _mapping(node, path), _FIELD_TYPES[path]
     kind = node.get("type", next(iter(types)))
     if not isinstance(kind, str) or kind not in types:
         raise ConfigError(f"{path}.type '{kind}' not recognized")
@@ -181,6 +178,9 @@ def _field_section(node, types, path, base_dir):
                 raise ConfigError(f"{path}.{key} must be a file path, got {value!r}")
             value = os.path.join(base_dir, value)
         out[key] = value
+    for key, default in types[kind].items():
+        if key not in out and default is not None:
+            out[key] = default
     return out
 
 
@@ -195,20 +195,29 @@ class Scenario:
     time_scale: tuple  # (a, b): V(x, t) = potential * (a + b t)
     vector_potential: VectorField | None
     engine: str
-    dt: float | None  # None = auto from the stability estimate
+    dt: float | str  # 'auto' = half the engine's stability limit
     steps: int
     snapshot_stride: int
     seed: int
     walkers: int
     energy_tolerance: float
-    sources: dict  # entropy, initial, potentials as read; types, paths, time_scale resolved
+    sources: dict  # field -> (its section as read, defaults filled in; the field it built)
 
     def __post_init__(self):
-        # the number rule, also under dataclasses.replace; a dt of None is 'auto'
-        for key, kind in (("dt", float), ("steps", int), ("snapshot_stride", int),
-                          ("seed", int), ("walkers", int), ("energy_tolerance", float)):
-            if key != "dt" or self.dt is not None:
-                object.__setattr__(self, key, number(getattr(self, key), f"run.{key}", kind))
+        # the number rule, also under dataclasses.replace
+        for key, (kind, zero_allowed) in _RUN_NUMBERS.items():
+            value = getattr(self, key)
+            if key == "dt" and value == "auto":
+                continue
+            if key == "snapshot_stride" and value is None:
+                value = max(1, self.steps // 10)
+            value = number(value, f"run.{key}", kind)
+            object.__setattr__(self, key, value)
+            if zero_allowed and value < 0:
+                raise ConfigError(f"run.{key} must be at least 0, got {value}")
+            if not zero_allowed and value <= 0:
+                auto = " or 'auto'" if key == "dt" else ""
+                raise ConfigError(f"run.{key} must be positive{auto}")
         if self.engine not in ENGINES:
             rule = "is required" if self.engine is None else f"must be one of {ENGINES}"
             raise ConfigError(f"run.engine {rule}")
@@ -219,14 +228,6 @@ class Scenario:
                 "the schrodinger engine needs params.osmotic_ratio 1, got "
                 f"{self.params.osmotic_ratio:g}; run.engine 'nonlinear' runs any ratio"
             )
-        if self.dt is not None and self.dt <= 0:
-            raise ConfigError("run.dt must be positive or 'auto'")
-        for key in ("steps", "snapshot_stride", "walkers"):
-            if getattr(self, key) <= 0:
-                raise ConfigError(f"run.{key} must be positive")
-        for key in ("seed", "energy_tolerance"):
-            if not getattr(self, key) >= 0:
-                raise ConfigError(f"run.{key} must be at least 0, got {getattr(self, key)}")
 
     def potential_at(self, t: float) -> ScalarField:
         a, b = self.time_scale
@@ -235,6 +236,11 @@ class Scenario:
     @property
     def static_potential(self) -> bool:
         return self.time_scale[1] == 0.0
+
+    def source(self, field: str) -> dict:
+        """The config section that built `field`; no config builds a field set in-process."""
+        section, built = self.sources[field]
+        return section if getattr(self, field) is built else {"type": "in-process"}
 
     @property
     def echo(self) -> dict:
@@ -247,23 +253,13 @@ class Scenario:
                 "points": list(self.space.points),
                 "boundary": self.space.boundary,
             },
-            "params": {
-                "eta": self.params.eta,
-                "tau": self.params.tau,
-                "masses": self.params.masses.tolist(),
-                "osmotic_ratio": self.params.osmotic_ratio,
-                "beta": self.params.beta,
-            },
-            **self.sources,
-            "run": {
-                "engine": self.engine,
-                "dt": "auto" if self.dt is None else self.dt,
-                "steps": self.steps,
-                "snapshot_stride": self.snapshot_stride,
-                "seed": self.seed,
-                "walkers": self.walkers,
-                "energy_tolerance": self.energy_tolerance,
-            },
+            "params": {key: getattr(self.params, key) for key in _PARAMS}
+            | {"masses": self.params.masses.tolist()},
+            "entropy": self.source("entropy"),
+            "initial": self.source("initial"),
+            "potentials": {"V": {**self.source("potential"), "time_scale": list(self.time_scale)},
+                           "A": self.source("vector_potential")},
+            "run": {key: getattr(self, key) for key in _RUN},
         }
 
 
@@ -273,6 +269,23 @@ def _in_section(section, build, *args, **kwargs):
         return build(*args, **kwargs)
     except ConfigError as exc:
         raise ConfigError(f"{section}: {exc}") from None
+
+
+def _finite_field(section, build, *args):
+    """build(*args), the field of a config section, which must be finite: a float
+    overflow while building it, or a value that is not finite, is refused."""
+    try:
+        with np.errstate(all="ignore"):  # the check below refuses what numpy would warn of
+            field = build(*args)
+    except OverflowError:
+        raise ConfigError(f"{section} must build a finite field, got a float overflow") from None
+    parts = [] if field is None else [field.rho, field.phi] if section == "initial" else [field]
+    for part in parts:
+        values = part.components if isinstance(part, VectorField) else part.values
+        finite = np.isfinite(values)
+        if not finite.all():
+            raise ConfigError(f"{section} must build a finite field, got {values[~finite][0]}")
+    return field
 
 
 def _sine(space, amplitude, mode):
@@ -303,11 +316,11 @@ def _build_entropy(cfg, space, initial):
     if kind == "uniform":
         values = np.zeros(space.shape)
     elif kind == "linear":
-        slope = per_axis(cfg.setdefault("slope", 0.0), space.dim, "entropy.slope")
+        slope = per_axis(cfg["slope"], space.dim, "entropy.slope")
         values = sum(k * x[a] for a, k in enumerate(slope))
     elif kind == "sine":
-        amp = number(cfg.setdefault("amplitude", 0.1), "entropy.amplitude")
-        mode = number(cfg.setdefault("mode", 1), "entropy.mode", int)
+        amp = number(cfg["amplitude"], "entropy.amplitude")
+        mode = number(cfg["mode"], "entropy.mode", int)
         return _sine(space, amp, mode)
     else:  # from_initial
         return entropy_field(initial.rho, initial.phi)
@@ -318,11 +331,11 @@ def _build_initial(cfg, space, eta):
     kind = cfg["type"]
     x = space.meshes
     if kind == "gaussian":
-        center = per_axis(cfg.setdefault("center", 0.0), space.dim, "initial.center")
-        width = per_axis(cfg.setdefault("width", 1.0), space.dim, "initial.width")
+        center = per_axis(cfg["center"], space.dim, "initial.center")
+        width = per_axis(cfg["width"], space.dim, "initial.width")
         if any(w <= 0 for w in width):
             raise ConfigError("initial.width must be positive")
-        momentum = per_axis(cfg.setdefault("momentum", 0.0), space.dim, "initial.momentum")
+        momentum = per_axis(cfg["momentum"], space.dim, "initial.momentum")
         log_rho = sum(
             -((x[a] - center[a]) ** 2) / (2.0 * width[a] ** 2) for a in range(space.dim)
         )
@@ -332,7 +345,7 @@ def _build_initial(cfg, space, eta):
         )
         phi = ScalarField(space, np.asarray(phi_vals, dtype=float) + np.zeros(space.shape))
     elif kind == "plane_wave":
-        mode = number(cfg.setdefault("mode", 1), "initial.mode", int)
+        mode = number(cfg["mode"], "initial.mode", int)
         k = 2.0 * math.pi * mode / space.extents[0]
         volume = float(np.prod(space.extents))
         rho = ScalarField(space, np.full(space.shape, 1.0 / volume))
@@ -357,33 +370,32 @@ def _build_potential(cfg, space, masses):
     if kind == "none":
         values = np.zeros(space.shape)
     elif kind == "harmonic":
-        omega = number(cfg.setdefault("omega", 1.0), "potentials.V.omega")
-        center = per_axis(cfg.setdefault("center", 0.0), space.dim, "potentials.V.center")
+        omega = number(cfg["omega"], "potentials.V.omega")
+        center = per_axis(cfg["center"], space.dim, "potentials.V.center")
         values = sum(
             0.5 * masses[a] * omega**2 * (x[a] - center[a]) ** 2
             for a in range(space.dim)
         )
     elif kind == "linear":
-        slope = per_axis(cfg.setdefault("slope", 0.0), space.dim, "potentials.V.slope")
+        slope = per_axis(cfg["slope"], space.dim, "potentials.V.slope")
         values = sum(k * x[a] for a, k in enumerate(slope))
     else:  # file
         values = _grid_file(cfg, "file", "potentials.V", space, io.load_scalar_field)
-    values = np.asarray(values, dtype=float) + np.zeros(space.shape)
-    return ScalarField(space, values), _time_scale(cfg.get("time_scale", [1.0, 0.0]))
+    return ScalarField(space, np.asarray(values, dtype=float) + np.zeros(space.shape))
 
 
 def _time_scale(scale):
     """(a, b) with V(x, t) = V(x) (a + b t); a scalar T means (1, 1/T)."""
-    if isinstance(scale, (int, float)):
-        scale = number(scale, "potentials.V.time_scale")
-        if scale <= 0:
-            raise ConfigError("potentials.V.time_scale as a scalar must be a positive time")
-        return (1.0, 1.0 / scale)
-    if not isinstance(scale, (list, tuple)) or len(scale) != 2:
-        raise ConfigError(
-            "potentials.V.time_scale must be a [constant, rate] pair or a positive time"
-        )
-    return per_axis(scale, 2, "potentials.V.time_scale")
+    if isinstance(scale, (list, tuple)):
+        if len(scale) != 2:
+            raise ConfigError(
+                "potentials.V.time_scale must be a [constant, rate] pair or a positive time"
+            )
+        return per_axis(scale, 2, "potentials.V.time_scale")
+    scale = number(scale, "potentials.V.time_scale")  # YAML reads 1e3 as a string
+    if scale <= 0:
+        raise ConfigError("potentials.V.time_scale as a scalar must be a positive time")
+    return (1.0, number(1.0 / scale, "potentials.V.time_scale"))
 
 
 def _build_vector_potential(cfg, space):
@@ -391,12 +403,12 @@ def _build_vector_potential(cfg, space):
     if kind == "none":
         return None
     if kind == "constant":
-        value = per_axis(cfg.setdefault("value", 0.0), space.dim, "potentials.A.value")
+        value = per_axis(cfg["value"], space.dim, "potentials.A.value")
         comps = np.stack([np.full(space.shape, v) for v in value])
         return VectorField(space, comps)
     if kind == "pure_gauge":
-        amp = number(cfg.setdefault("chi_amplitude", 1.0), "potentials.A.chi_amplitude")
-        mode = number(cfg.setdefault("chi_mode", 1), "potentials.A.chi_mode", int)
+        amp = number(cfg["chi_amplitude"], "potentials.A.chi_amplitude")
+        mode = number(cfg["chi_mode"], "potentials.A.chi_mode", int)
         return schro.spectral_gradient(_sine(space, amp, mode))
     return VectorField(space, _grid_file(cfg, "file", "potentials.A", space, io.load_vector_field))
 
@@ -411,47 +423,47 @@ def load_scenario(path) -> Scenario:
 
 
 def scenario_from_dict(raw: dict, base_dir: str = ".") -> Scenario:
-    cfg = _section(raw, _SCHEMA, "config", base_dir)
+    cfg = _section(raw, dict.fromkeys(
+        ("name", "space", "params", "entropy", "initial", "potentials", "run")), "config")
+    s_cfg = _section(cfg["space"], _SPACE, "space")
+    p_cfg = _section(cfg["params"], _PARAMS, "params")
+    e_cfg = _field_section(cfg["entropy"], "entropy", base_dir)
+    i_cfg = _field_section(cfg["initial"], "initial", base_dir)
+    potentials = _section(cfg["potentials"], {"V": None, "A": None}, "potentials")
+    V_cfg = _field_section(potentials["V"], "potentials.V", base_dir)
+    A_cfg = _field_section(potentials["A"], "potentials.A", base_dir)
+    r_cfg = _section(cfg["run"], _RUN, "run")
     name = cfg["name"]
     if not name or not isinstance(name, str):
         raise ConfigError("config.name is required")
-    p_cfg, s_cfg, r_cfg = cfg["params"], cfg["space"], cfg["run"]
 
-    eta = number(p_cfg.get("eta", 1.0), "params.eta")
-    tau = number(p_cfg.get("tau", 0.1), "params.tau")
-    beta = number(p_cfg.get("beta", 0.0), "params.beta")
-    dim = dimension(s_cfg.get("dim", 1), "space.dim")  # before any per-axis key is read
-    masses = per_axis(p_cfg.get("masses", 1.0), dim, "params.masses")
-    ratio = p_cfg.get("osmotic_ratio", 1.0)
+    numbers = {key: number(p_cfg[key], f"params.{key}") for key in ("eta", "tau", "beta")}
+    dim = dimension(s_cfg["dim"], "space.dim")  # before any per-axis key is read
+    masses = per_axis(p_cfg["masses"], dim, "params.masses")
+    ratio = p_cfg["osmotic_ratio"]
     n_ratios = len(ratio) if isinstance(ratio, (list, tuple)) else 1
     ratios = set(per_axis(ratio, n_ratios, "params.osmotic_ratio"))
     if len(ratios) != 1:
         raise ConfigError("params.osmotic_ratio must be a single shared value")
     [ratio] = ratios
 
-    params = _in_section(
-        "params",
-        PhysicalParams,
-        masses=masses, eta=eta, osmotic_ratio=ratio, tau=tau, beta=beta,
-    )
+    params = _in_section("params", PhysicalParams, masses=masses, osmotic_ratio=ratio, **numbers)
     space = _in_section(
         "space",
         ConfigSpace,
         dim=dim,
-        extents=per_axis(s_cfg.get("extent", 20.0), dim, "space.extent"),
-        points=per_axis(s_cfg.get("points", 256), dim, "space.points", int),
+        extents=per_axis(s_cfg["extent"], dim, "space.extent"),
+        points=per_axis(s_cfg["points"], dim, "space.points", int),
         sigma_sq=params.sigma_sq,
-        boundary=s_cfg.get("boundary", PERIODIC),
+        boundary=s_cfg["boundary"],
     )
-    initial = _build_initial(cfg["initial"], space, eta)
-    entropy = _build_entropy(cfg["entropy"], space, initial)
-    potentials = cfg["potentials"]
-    potential, time_scale = _build_potential(potentials["V"], space, masses)
-    vector_potential = _build_vector_potential(potentials["A"], space)
-    potentials["V"]["time_scale"] = list(time_scale)  # the resolved pair, for the echo
+    initial = _finite_field("initial", _build_initial, i_cfg, space, params.eta)
+    entropy = _finite_field("entropy", _build_entropy, e_cfg, space, initial)
+    potential = _finite_field("potentials.V", _build_potential, V_cfg, space, masses)
+    time_scale = _time_scale(V_cfg["time_scale"])
+    vector_potential = _finite_field("potentials.A", _build_vector_potential, A_cfg, space)
 
-    steps = number(r_cfg.get("steps", 100), "run.steps", int)
-    if r_cfg.get("engine") == "coupled" and ratio != 1.0:
+    if r_cfg["engine"] == "coupled" and ratio != 1.0:
         logger.info(
             "scenario %s: coupled engine with osmotic_ratio != 1; the nonlinear engine,"
             " the linear wave solver in regraduated units, is the matching oracle",
@@ -467,14 +479,9 @@ def scenario_from_dict(raw: dict, base_dir: str = ".") -> Scenario:
         potential=potential,
         time_scale=time_scale,
         vector_potential=vector_potential,
-        engine=r_cfg.get("engine"),
-        dt=None if r_cfg.get("dt") in (None, "auto") else r_cfg["dt"],
-        steps=steps,
-        snapshot_stride=r_cfg.get("snapshot_stride", max(1, steps // 10)),
-        seed=r_cfg.get("seed", 0),
-        walkers=r_cfg.get("walkers", 100_000),
-        energy_tolerance=r_cfg.get("energy_tolerance", METRICS["energy"][0]),
-        sources={key: cfg[key] for key in ("entropy", "initial", "potentials")},
+        sources={"entropy": (e_cfg, entropy), "initial": (i_cfg, initial),
+                 "potential": (V_cfg, potential), "vector_potential": (A_cfg, vector_potential)},
+        **r_cfg,
     )
 
 
@@ -483,7 +490,7 @@ def scenario_from_dict(raw: dict, base_dir: str = ".") -> Scenario:
 
 
 def resolve_dt(sc: Scenario) -> float:
-    if sc.dt is not None:
+    if sc.dt != "auto":
         return sc.dt
     if sc.engine in ("coupled", "nonlinear", "schrodinger"):
         limit = dynamics.coupled_stability_limit(sc.initial, sc.params, sc.vector_potential)
@@ -550,7 +557,7 @@ def _engine(sc: Scenario, dt: float, A: VectorField | None):
     if sc.engine == "coupled":
         # phi = k x winds 2 pi mode around the box, and the engine, which
         # differences phi itself, would read the seam as a jump
-        if sc.sources["initial"]["type"] == "plane_wave" and sc.initial.phi.values.any():
+        if sc.source("initial")["type"] == "plane_wave" and sc.initial.phi.values.any():
             raise ConfigError("the coupled engine needs a phase that does not wind around the"
                               " box, as a plane_wave of nonzero mode does")
         return (
@@ -567,8 +574,9 @@ def _engine(sc: Scenario, dt: float, A: VectorField | None):
         # audited as Psi' = sqrt(rho) exp(i kappa phi): rho = |Psi'|^2 and the
         # energy keep their values, but Psi' is periodic only if kappa phi
         # winds whole turns around the box, and a plane wave's phi winds `mode`
-        if sc.sources["initial"]["type"] == "plane_wave":
-            turns = params.kappa * sc.sources["initial"]["mode"]
+        start = sc.source("initial")
+        if start["type"] == "plane_wave":
+            turns = params.kappa * start["mode"]
             if abs(turns - round(turns)) > 1e-9 * max(1.0, abs(turns)):
                 raise ConfigError("the nonlinear engine needs a plane_wave whose regraduated phase"
                                   f" winds whole turns around the box; kappa * mode = {turns:g}")

@@ -778,6 +778,10 @@ def test_time_scale_scalar_is_a_positive_time():
     assert sc.time_scale == (1.0, 0.25)
     # the echo carries the resolved pair so the run is reproducible from summary.json
     assert sc.echo["potentials"]["V"]["time_scale"] == [1.0, 0.25]
+    # PyYAML reads 4e0 (no decimal point) as the string '4e0'; the number rule
+    # reads it as 4.0, as for every other config number.  It was once refused.
+    V = yaml.safe_load("{type: harmonic, time_scale: 4e0}")
+    assert scenario_from_dict(base_cfg(potentials={"V": V})).time_scale == (1.0, 0.25)
     for bad in (0, -1.0):
         with pytest.raises(ConfigError, match="time_scale"):
             scenario_from_dict(base_cfg(potentials={"V": {"time_scale": bad}}))
@@ -1819,6 +1823,52 @@ def test_the_echo_states_every_default_a_field_used(tmp_path, section, kind):
         assert np.array_equal(again.vector_potential.components, sc.vector_potential.components)
 
 
+@pytest.mark.parametrize(
+    "field, path",
+    [("entropy", "entropy"), ("initial", "initial"), ("potential", "potentials.V"),
+     ("vector_potential", "potentials.A")],
+)
+def test_a_field_set_in_process_is_echoed_as_no_config(field, path):
+    """A field set with dataclasses.replace was once echoed as the config
+    field it replaced: an A set on a scenario with no A echoed
+    `potentials.A: {type: none}`, and a rerun from the echo had no A.  The
+    echo now states the type 'in-process', which a rerun refuses, naming
+    the section; every other section is echoed as it was."""
+    sc = scenario_from_dict(base_cfg(params={"beta": 0.5}))
+    space = sc.space
+    new = {
+        "entropy": ScalarField(space, sc.entropy.values.copy()),
+        "initial": dataclasses.replace(sc.initial),
+        "potential": ScalarField(space, sc.potential.values.copy()),
+        "vector_potential": VectorField(space, np.zeros((1,) + space.shape)),
+    }[field]
+    # JSON copies: an echo shares its field sections with the scenario
+    echo = json.loads(json.dumps(dataclasses.replace(sc, **{field: new}).echo))
+    expected = json.loads(json.dumps(sc.echo))
+    if field == "potential":
+        expected["potentials"]["V"] = {"type": "in-process", "time_scale": [1.0, 0.0]}
+    elif field == "vector_potential":
+        expected["potentials"]["A"] = {"type": "in-process"}
+    else:
+        expected[field] = {"type": "in-process"}
+    assert echo == expected
+    message = f"{path}.type 'in-process' not recognized"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        scenario_from_dict(echo)
+
+
+def test_an_unreplaced_field_keeps_its_echo_and_time_scale_is_echoed_as_run():
+    """Replacing a run setting leaves the field sections' echo as it was, and
+    a time_scale set with dataclasses.replace is the one echoed: it once
+    echoed the config's [1.0, 0.0] while the run drove V."""
+    sc = scenario_from_dict(base_cfg())
+    assert dataclasses.replace(sc, seed=5).echo == {**sc.echo, "run": {**sc.echo["run"], "seed": 5}}
+    driven = dataclasses.replace(sc, time_scale=(1.0, 2.0))
+    V = driven.echo["potentials"]["V"]
+    assert V == {**sc.echo["potentials"]["V"], "time_scale": [1.0, 2.0]}
+    assert scenario_from_dict(driven.echo).time_scale == (1.0, 2.0)
+
+
 def _other_grid_file(tmp_path):
     """A V file on a 64-cell grid, where base_cfg's space has 128 cells."""
     sc = scenario_from_dict(base_cfg(space={"points": 64}))
@@ -1844,6 +1894,31 @@ CONFIG_REFUSALS = {
     "missing-name": ("name", None, "config.name is required"),
     "unequal-osmotic-ratios": ("params", {"masses": 1.0, "osmotic_ratio": [1.0, 0.5]},
                                "params.osmotic_ratio must be a single shared value"),
+    # read from the config, not set by dataclasses.replace: a snapshot_stride
+    # of 0 is refused, not taken for the default of a tenth of the steps
+    "zero-steps": ("run", {"engine": "coupled", "steps": 0}, "run.steps must be positive"),
+    "zero-snapshot-stride": ("run", {"engine": "coupled", "snapshot_stride": 0},
+                             "run.snapshot_stride must be positive"),
+    "zero-walkers": ("run", {"engine": "coupled", "walkers": 0}, "run.walkers must be positive"),
+    "negative-dt": ("run", {"engine": "coupled", "dt": -1}, "run.dt must be positive or 'auto'"),
+    # finite config numbers that build a field that is not: omega 1e200 once
+    # died of an OverflowError traceback (exit 1), and omega 1e154 ran the
+    # schrodinger engine on an infinite V to NaN snapshots and failed checks
+    "harmonic-omega-1e200": ("potentials", {"V": {"type": "harmonic", "omega": 1e200}},
+                             "potentials.V must build a finite field, got a float overflow"),
+    "harmonic-omega-1e154": ("potentials", {"V": {"type": "harmonic", "omega": 1e154}},
+                             "potentials.V must build a finite field, got inf"),
+    "gaussian-width-1e200": ("initial", {"type": "gaussian", "width": 1e200},
+                             "initial must build a finite field, got a float overflow"),
+    "gaussian-momentum-1e308": ("initial", {"type": "gaussian", "momentum": 1e308},
+                                "initial must build a finite field, got -inf"),
+    "linear-entropy-slope-1e308": ("entropy", {"type": "linear", "slope": 1e308},
+                                   "entropy must build a finite field, got -inf"),
+    "pure-gauge-chi-amplitude-1e308": (
+        "potentials", {"A": {"type": "pure_gauge", "chi_amplitude": 1e308}},
+        "potentials.A must build a finite field, got nan"),
+    "time-scale-1e-320": ("potentials", {"V": {"type": "harmonic", "time_scale": 1e-320}},
+                          "potentials.V.time_scale must be finite, got inf"),
 }
 
 

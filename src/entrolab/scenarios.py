@@ -54,6 +54,7 @@ again; a field set so is echoed as type 'in-process', which no config reads.
 
 from __future__ import annotations
 
+import copy
 import glob
 import logging
 import math
@@ -218,6 +219,9 @@ class Scenario:
             if not zero_allowed and value <= 0:
                 auto = " or 'auto'" if key == "dt" else ""
                 raise ConfigError(f"run.{key} must be positive{auto}")
+        object.__setattr__(
+            self, "time_scale", per_axis(self.time_scale, 2, "potentials.V.time_scale")
+        )
         if self.engine not in ENGINES:
             rule = "is required" if self.engine is None else f"must be one of {ENGINES}"
             raise ConfigError(f"run.engine {rule}")
@@ -238,9 +242,10 @@ class Scenario:
         return self.time_scale[1] == 0.0
 
     def source(self, field: str) -> dict:
-        """The config section that built `field`; no config builds a field set in-process."""
+        """A copy of the config section that built `field`, so an edit to it
+        reaches no later echo; no config builds a field set in-process."""
         section, built = self.sources[field]
-        return section if getattr(self, field) is built else {"type": "in-process"}
+        return copy.deepcopy(section) if getattr(self, field) is built else {"type": "in-process"}
 
     @property
     def echo(self) -> dict:

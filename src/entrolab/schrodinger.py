@@ -24,10 +24,11 @@ operator is circulant and the Cayley factor is diagonal in Fourier space.
 
 A and V are static over a run (a driven potential is a new ScalarField each
 step), so what is built from them lives in one weak memo keyed on the field:
-V's half-kick phase, A's face links, and each axis's sweep operators, kept on
-A when there is one and else on V, which every step has.  That is sound
-because fields are immutable values (the fields.py contract): code that
-needs another A or V builds a new field, and an entry dies with its field.
+V's half-kick phase, A's face links and the energy's hop phases, and each
+axis's sweep operators, kept on A when there is one and else on V, which
+every step has.  That is sound because fields are immutable values (the
+fields.py contract): code that needs another A or V builds a new field, and
+an entry dies with its field.
 Each slot keeps only the value built for its last scalars, so a caller that
 varies dt rebuilds instead of growing the memo.
 
@@ -286,17 +287,20 @@ def wavefunction_energy_breakdown(
     space = w.space
     psi = w.psi.values
     vol = space.cell_volume
-    links = None if A is None else _built(A, "links", None, lambda: _face_links(space, A))
+    hops = None
+    if A is not None:
+        links = _built(A, "links", None, lambda: _face_links(space, A))
+        hops = _built(A, "hops", params.beta,
+                      lambda: [np.exp(-1j * params.beta * link) for link in links])
     amp = np.abs(psi)
     current = 0.0
     osmotic = 0.0
     for a in range(space.dim):
         dx = space.spacings[a]
         c = params.eta**2 / (2.0 * params.masses[a] * dx**2)
-        if links is None:
-            hop = np.roll(psi, -1, a)
-        else:
-            hop = np.exp(-1j * params.beta * links[a]) * np.roll(psi, -1, a)
+        hop = np.roll(psi, -1, a)
+        if hops is not None:
+            hop = hops[a] * hop
         t_a = c * float((np.abs(hop - psi) ** 2).sum()) * vol
         f_a = c * float(((np.roll(amp, -1, a) - amp) ** 2).sum()) * vol
         current += t_a - f_a

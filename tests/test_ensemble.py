@@ -1,13 +1,15 @@
 import hashlib
 import math
 import os
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from entrolab import ensemble as ens, io
-from entrolab.errors import ConfigError
+from entrolab.errors import ConfigError, EntrolabError
 from entrolab.fields import (
     BLOCK,
     PERIODIC,
@@ -295,6 +297,93 @@ def test_block_edges_keep_the_bits(walkers, dim, boundary, with_A):
         new += noise
         pos = remainder_wrap(space, new)
         assert np.array_equal(e.positions, pos)
+
+
+def _walker_case():
+    """A 2D polynomial entropy and 2 * BLOCK + 3 walkers that start next to the walls."""
+    p = PhysicalParams([1.0, 2.0], eta=1.0, tau=0.1)
+    space = ConfigSpace(dim=2, extents=(6.0, 5.0), points=(24, 10), sigma_sq=p.sigma_sq)
+    u = [m / L for m, L in zip(space.meshes, space.extents)]
+    S = ScalarField(space, sum(3.0 * x**2 + (a + 1) * x**3 for a, x in enumerate(u)))
+    rho = normalize_density(ScalarField(space, np.prod([1.2 - 4.0 * x**2 for x in u], axis=0)))
+    return p, S, ens.Ensemble.from_density(rho, 2 * BLOCK + 3, dt=0.01, seed=13)
+
+
+def test_a_step_leaves_no_thread_behind():
+    """Each step owns its noise worker and joins it before it returns."""
+    p, S, e = _walker_case()
+    before = threading.active_count()
+    ens.step_ensemble(e, S, p)
+    assert threading.active_count() == before
+
+
+class _FailingGenerator:
+    def standard_normal(self, *args, **kwargs):
+        raise RuntimeError("no noise today")
+
+
+def test_the_noise_worker_error_reaches_the_caller():
+    p, S, e = _walker_case()
+    e = ens.Ensemble(e.space, e.positions, e.dt, _FailingGenerator())
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="^no noise today$"):
+        ens.step_ensemble(e, S, p)
+    assert threading.active_count() == before
+
+
+def test_a_refused_step_leaves_the_generator_where_it_was():
+    """The noise worker starts only after the step's inputs pass their
+    checks: an entropy or a vector potential on another grid, or params of
+    another dimension, refuse the step before a number is drawn."""
+    p, S, e = _walker_case()
+    other = ConfigSpace(dim=2, extents=(6.0, 5.0), points=(12, 10), sigma_sq=p.sigma_sq)
+    refusals = [
+        (ScalarField(other, np.zeros(other.shape)), p, None),
+        (S, p, VectorField(other, np.zeros((2,) + other.shape))),
+        (S, PhysicalParams([1.0], eta=1.0, tau=0.1), None),
+    ]
+    state = e.rng.bit_generator.state
+    for S_k, p_k, A_k in refusals:
+        with pytest.raises(EntrolabError):
+            ens.step_ensemble(e, S_k, p_k, A_k)
+        assert e.rng.bit_generator.state == state
+
+
+def test_steps_under_a_short_switch_interval_keep_the_bits():
+    """20 steps with the interpreter switching threads every microsecond
+    equal the serial reference, one full-shape draw per step after the
+    drift, bit for bit; the steps run in a thread joined with a timeout."""
+    p, S, e = _walker_case()
+    space, pos = e.space, e.positions
+    rng = np.random.default_rng()
+    rng.bit_generator.state = e.rng.bit_generator.state
+    b = drift_velocity(S, p)
+    for _ in range(20):
+        new = _one_shot_interpolation(b, pos)
+        new *= 0.01
+        new += pos
+        noise = rng.standard_normal(pos.shape)
+        noise *= np.sqrt(p.eta_over_m * 0.01)
+        new += noise
+        pos = remainder_wrap(space, new)
+
+    clouds = [e]
+
+    def steps():
+        for _ in range(20):
+            clouds.append(ens.step_ensemble(clouds[-1], S, p))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runner = threading.Thread(target=steps, daemon=True)
+        runner.start()
+        runner.join(timeout=120.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not runner.is_alive()
+    assert len(clouds) == 21
+    assert np.array_equal(clouds[-1].positions, pos)
 
 
 def _peak_above_start(fn):

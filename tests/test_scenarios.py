@@ -1842,9 +1842,9 @@ def test_a_field_set_in_process_is_echoed_as_no_config(field, path):
         "potential": ScalarField(space, sc.potential.values.copy()),
         "vector_potential": VectorField(space, np.zeros((1,) + space.shape)),
     }[field]
-    # JSON copies: an echo shares its field sections with the scenario
-    echo = json.loads(json.dumps(dataclasses.replace(sc, **{field: new}).echo))
-    expected = json.loads(json.dumps(sc.echo))
+    # each echo is a fresh copy, so editing `expected` leaves sc as it was
+    echo = dataclasses.replace(sc, **{field: new}).echo
+    expected = sc.echo
     if field == "potential":
         expected["potentials"]["V"] = {"type": "in-process", "time_scale": [1.0, 0.0]}
     elif field == "vector_potential":
@@ -1867,6 +1867,42 @@ def test_an_unreplaced_field_keeps_its_echo_and_time_scale_is_echoed_as_run():
     V = driven.echo["potentials"]["V"]
     assert V == {**sc.echo["potentials"]["V"], "time_scale": [1.0, 2.0]}
     assert scenario_from_dict(driven.echo).time_scale == (1.0, 2.0)
+
+
+def test_an_edit_to_an_echo_reaches_no_later_echo(tmp_path):
+    """Scenario.source once handed out the stored section dicts, so setting
+    a key in one echo, or appending to a list in it, changed every later echo
+    and the summary.json a run wrote after it."""
+    sc = scenario_from_dict(base_cfg(
+        params={"beta": 0.5},
+        initial={"type": "gaussian", "center": [0.5], "width": 1.0},
+        potentials={"V": {"type": "harmonic", "omega": 1.0},
+                    "A": {"type": "constant", "value": 0.3}},
+    ))
+    expected = json.loads(json.dumps(sc.echo))
+    echo = sc.echo
+    echo["potentials"]["A"]["junk"] = 1
+    echo["potentials"]["V"]["omega"] = 2.0
+    echo["initial"]["center"].append(9.0)
+    assert json.loads(json.dumps(sc.echo)) == expected
+    run(sc, str(tmp_path / "out"))
+    assert io.load_summary(tmp_path / "out" / "summary.json")["config"] == expected
+
+
+@pytest.mark.parametrize(
+    "time_scale, message",
+    [((1.0, math.nan), "must be finite, got nan"), ((True, 0.0), "must be a number, got True"),
+     ((1.0, 0.0, 2.0), "needs 2 entries, got 3")],
+    ids=["nan", "boolean", "three-entries"],
+)
+def test_replace_runs_the_number_rule_on_time_scale(tmp_path, time_scale, message):
+    """A time_scale set with dataclasses.replace is read under the number
+    rule: a NaN rate once ran to the NaN checks and wrote a summary.json
+    that is not valid JSON.  The refusal names the key, before any output."""
+    sc = scenario_from_dict(base_cfg())
+    with pytest.raises(ConfigError, match=rf"^potentials\.V\.time_scale {message}$"):
+        run(dataclasses.replace(sc, time_scale=time_scale), str(tmp_path / "out"))
+    assert not os.path.exists(tmp_path / "out")
 
 
 def _other_grid_file(tmp_path):

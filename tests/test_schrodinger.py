@@ -386,6 +386,17 @@ def test_energy_breakdown_with_memo_equals_uncached(monkeypatch):
     assert cached == uncached
 
 
+def test_energy_hop_memo_is_keyed_on_beta(monkeypatch):
+    """The energy's hop phases exp(-i beta link) are kept on A for one beta:
+    switching beta between calls must rebuild them, never reuse."""
+    p, space, w, V, A = _curl_case()
+    p_weak = make_params(masses=(1.0, 1.5), beta=0.3)
+    cached = [schro.wavefunction_energy_breakdown(w, pk, V, A) for pk in (p, p_weak, p)]
+    assert cached[0] != cached[1]
+    monkeypatch.setattr(schro, "_built", lambda field, slot, key, build: build())
+    assert cached == [schro.wavefunction_energy_breakdown(w, pk, V, A) for pk in (p, p_weak, p)]
+
+
 # V's half-kick phase is memoized per V object, and without A each sweep's
 # Cayley factor per set of scalars.  The reference rebuilds both every step.
 

@@ -13,8 +13,9 @@ their row-major numbers.
 
 Positions are wrapped into the box once, by the Ensemble constructor, so
 every walker step wraps exactly once and interpolation always sees in-box
-points.  The constructor refuses non-finite coordinates, so a NaN or infinite
-drift fails the step instead of leaving walkers on a wall.
+points; the wrapped array is read-only, so no later edit can move a walker
+off the box.  The constructor refuses non-finite coordinates, so a NaN or
+infinite drift fails the step instead of leaving walkers on a wall.
 
 Memory: loops take `fields.BLOCK` walkers at a time (a block's draws are the
 next rows of one full-shape draw, so no bit moves).  A step holds its noise
@@ -78,6 +79,7 @@ class Ensemble:
             bad = pos.size - np.count_nonzero(np.isfinite(pos))
             raise ConfigError(f"{bad} of {pos.size} walker coordinates are not finite")
         self.positions = self.space.wrap(pos)
+        self.positions.setflags(write=False)  # an edit could put a walker off the box
 
     @property
     def walkers(self) -> int:

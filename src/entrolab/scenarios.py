@@ -50,6 +50,17 @@ engines use; psi round-trips exactly, so the derived rho keeps its bits.
 A parsed `Scenario` is an immutable value that checks its own run settings;
 an override, `dataclasses.replace(sc, seed=...)`, is a new value checked
 again; a field set so is echoed as type 'in-process', which no config reads.
+
+Concurrency: `gauge_check` steps its twin on one worker thread while the
+calling thread steps the base, a snapshot interval at a time, and measures
+the pair on the calling thread once both reach the due step.  Each
+trajectory makes the same calls on the same inputs as in a lockstep, and the
+two share only immutable fields and the wave memo, which builds each entry
+once under its own lock (`schrodinger`), so every gap and file keeps its
+bits.  A failure on either side stops the other within a step, and the check
+fails as the lockstep would have, with the same error and last step.  Each
+check owns its worker and joins it before it returns, on error too; the
+module keeps no pool and starts no thread at import.
 """
 
 from __future__ import annotations
@@ -59,6 +70,8 @@ import glob
 import logging
 import math
 import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -234,8 +247,14 @@ class Scenario:
             )
 
     def potential_at(self, t: float) -> ScalarField:
+        """V at time t.  At a scale of exactly 1 it is the scenario's own
+        field (V * 1 would have its bits), so every engine that steps a static
+        V of the default time scale shares what the wave memo builds from it."""
         a, b = self.time_scale
-        return ScalarField(self.space, self.potential.values * (a + b * t))
+        scale = a + b * t
+        if scale == 1.0:
+            return self.potential
+        return ScalarField(self.space, self.potential.values * scale)
 
     @property
     def static_potential(self) -> bool:
@@ -533,7 +552,9 @@ def _engine(sc: Scenario, dt: float, A: VectorField | None):
     at the step's midpoint.  snapshot returns (t, rho, energy breakdown or
     None, psi or None); the breakdown is the functional the engine conserves.
     A static V is resolved once and the same field goes to every step and
-    snapshot, so the wave engines build its phase factor once per run; a
+    snapshot, so the wave engines build its phase factor once per run, or
+    once per scenario at the default time scale, where `potential_at` hands
+    out the scenario's own V (a gauge check's base and twin then share it); a
     driven V is a new field at every time.
     """
     params = sc.params
@@ -604,6 +625,61 @@ def _trajectory(sc: Scenario, state, advance):
     for step in range(1, sc.steps + 1):
         state = advance(state, step)
         yield step, state, step % sc.snapshot_stride == 0 or step == sc.steps
+
+
+def _in_pairs(sc: Scenario, trajectories, measure):
+    """Advance two trajectories and measure them at every due step.
+
+    The second trajectory steps on a worker thread while this thread steps
+    the first, one snapshot interval at a time: neither reads the other
+    between snapshots, so both advance to the next due step, join, and
+    measure(first, second) runs here.  Each makes the calls it makes in a
+    lockstep (first, second, one step each), so no bit moves.
+
+    A failure ends the pair where the lockstep would have ended it.  The
+    lockstep orders steps as (step, 0 for the first or 1 for the second); a
+    failing side sets `stop`, and the other, which looks at it before each
+    step, takes no step that comes after the failure in that order.  The
+    error returned is the earliest failure in that order, and the last step
+    both completed is the one before it.  Returns (last step both completed,
+    error or None).  The worker is joined before this returns.
+    """
+    stop = threading.Event()
+    done = [0, 0]  # the last step each side completed
+    failures = []  # (step, side, error)
+
+    def advance(side):
+        """Step one side to its next due step; None once it failed or stopped."""
+        steps = trajectories[side]
+        while True:
+            if stop.is_set() and (not failures or (done[side] + 1, side) > min(failures)[:2]):
+                return None
+            try:
+                step, state, due = next(steps)
+            except Exception as exc:
+                failures.append((done[side] + 1, side, exc))
+                stop.set()
+                return None
+            done[side] = step
+            if due:
+                return state
+
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="gauge-twin") as worker:
+        try:
+            while True:
+                second = worker.submit(advance, 1)
+                first = advance(0)
+                second = second.result()
+                if failures:
+                    return min(done), min(failures)[2]  # (step, side) pairs are unique
+                try:
+                    measure(first, second)
+                except Exception as exc:
+                    return done[0], exc
+                if done[0] == sc.steps:
+                    return done[0], None
+        finally:
+            stop.set()  # an interrupt here stops the worker within a step
 
 
 def _save_failure(outdir, sc: Scenario, dt, last_step, exc):
@@ -880,9 +956,14 @@ def gauge_check(sc: Scenario, chi_amplitude, chi_mode, outdir, tolerance=1e-8) -
     """Evolve a scenario and its gauge-transformed twin; report the gap.
 
     The twin shifts the phase by beta*chi and the vector potential by the
-    gradient of chi (the discrete gradient matching the engine's own
-    stencil), so the two trajectories describe identical physics and any
-    density gap is pure discretization infidelity.
+    gradient of chi, so the two trajectories describe identical physics and
+    any density gap is pure discretization infidelity.  The gradient
+    depends on the engine: for schrodinger it is the spectral gradient
+    (`schrodinger.gauge_transform`), of which the engine's link integrals
+    are the exact inverse; for coupled it is the central difference
+    `fields.gradient`, the stencil of the engine's own grad S - beta A.  The
+    twin steps on a worker thread while the base steps here (`_in_pairs`);
+    the report, the files and their bits are those of a lockstep.
     """
     if sc.engine not in ("coupled", "schrodinger"):
         raise ConfigError("gauge-check needs run.engine 'coupled' or 'schrodinger'")
@@ -939,19 +1020,15 @@ def gauge_check(sc: Scenario, chi_amplitude, chi_mode, outdir, tolerance=1e-8) -
             psi_gaps.append(math.sqrt(max(w, 0.0)))
             times.append(sb.time)
 
-    pair = zip(
+    trajectories = (
         _trajectory(sc, base, _engine(sc, dt, A)[1]),
         _trajectory(sc, twin, _engine(sc, dt, A_twin)[1]),
     )
     os.makedirs(outdir, exist_ok=True)
-    last_step = 0  # the last step both trajectories completed
-    try:
-        for (last_step, base, due), (_, twin, _) in pair:
-            if due:
-                measure(base, twin)
-    except Exception as exc:
-        _save_failure(outdir, sc, dt, last_step, exc)
-        raise
+    last_step, error = _in_pairs(sc, trajectories, measure)
+    if error is not None:
+        _save_failure(outdir, sc, dt, last_step, error)
+        raise error
 
     report = {
         "name": sc.name,

@@ -30,7 +30,13 @@ every step has.  That is sound because fields are immutable values (the
 fields.py contract): code that needs another A or V builds a new field, and
 an entry dies with its field.
 Each slot keeps only the value built for its last scalars, so a caller that
-varies dt rebuilds instead of growing the memo.
+varies dt rebuilds instead of growing the memo.  Two threads may step with
+one field (a gauge check steps its base and twin concurrently, and both read
+V's half-kick): a hit reads the memo without a lock, which is safe because
+an entry, once stored, is a (key, value) tuple that is never changed in
+place, only replaced whole; a miss takes one module-level lock, looks again,
+and builds, so each slot is built once and no two threads write the memo at
+the same time.
 
 There is one stepper, the linear one.  A mu != m flow is the linear flow in
 regraduated units (dynamics.regraduate: phi' = kappa phi, eta' = eta/kappa,
@@ -42,6 +48,7 @@ sqrt(rho) exp(i kappa phi) with unitary_step under the regraduated params.
 from __future__ import annotations
 
 import math
+import threading
 import weakref
 from dataclasses import dataclass
 
@@ -190,15 +197,19 @@ def _sweep_operators(space, params, axis, h, link):
 
 # field (V or A) -> {slot: (key, value)}; fields hash by identity
 _BUILT = weakref.WeakKeyDictionary()
+_BUILDING = threading.Lock()  # held by a miss: one build per slot, one writer
 
 
 def _built(field, slot, key, build):
     """The value of `field`'s slot as built for key; on a miss, build()
     replaces the slot's last value."""
-    slots = _BUILT.setdefault(field, {})
-    cached = slots.get(slot)
+    cached = _BUILT.get(field, {}).get(slot)
     if cached is None or cached[0] != key:
-        cached = slots[slot] = (key, build())
+        with _BUILDING:
+            slots = _BUILT.setdefault(field, {})
+            cached = slots.get(slot)
+            if cached is None or cached[0] != key:
+                cached = slots[slot] = (key, build())
     return cached[1]
 
 

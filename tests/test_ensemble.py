@@ -349,6 +349,20 @@ def test_a_refused_step_leaves_the_generator_where_it_was():
         assert e.rng.bit_generator.state == state
 
 
+
+def test_an_ensemble_refuses_an_edit_to_its_positions():
+    """An edit after construction once put a walker off the box: the step
+    refused it only after the noise worker had advanced the generator."""
+    p, S, e = _walker_case()
+    state = e.rng.bit_generator.state
+    with pytest.raises(ValueError, match="read-only"):
+        e.positions[0, 0] = 50.0
+    assert e.positions.max() < 3.0
+    assert e.rng.bit_generator.state == state
+    stepped = ens.step_ensemble(e, S, p)
+    with pytest.raises(ValueError, match="read-only"):
+        stepped.positions[:] = 0.0
+
 def test_steps_under_a_short_switch_interval_keep_the_bits():
     """20 steps with the interpreter switching threads every microsecond
     equal the serial reference, one full-shape draw per step after the

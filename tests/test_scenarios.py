@@ -5,13 +5,16 @@ import math
 import os
 import re
 import shutil
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 import yaml
 
 from entrolab import cli, io, scenarios, schrodinger as schro
-from entrolab.errors import ConfigError, StabilityError
+from entrolab.errors import ConfigError, DegenerateDensityError, StabilityError
 from entrolab.fields import (
     ConfigSpace,
     PhysicalParams,
@@ -1160,6 +1163,159 @@ def test_failed_gauge_check_leaves_a_failed_summary(tmp_path):
     assert summary["last_step"] == 0
     assert summary["dt"] == 0.5
     assert summary["config"]["run"]["engine"] == "coupled"
+
+
+def _lockstep(sc, trajectories, measure):
+    """The serial reference for scenarios._in_pairs: the two trajectories
+    zipped, the first's step then the second's, and the error the zip raises."""
+    last_step = 0
+    try:
+        for (last_step, first, due), (_, second, _) in zip(*trajectories):
+            if due:
+                measure(first, second)
+    except Exception as exc:
+        return last_step, exc
+    return last_step, None
+
+
+def _curl_gauge_scenario():
+    """2D-32^2 schrodinger with a curl A (zero divergence, nonzero flux
+    density) set in-process."""
+    sc = scenario_from_dict(base_cfg(
+        space={"dim": 2, "points": 32},
+        params={"beta": 0.7},
+        initial={"type": "gaussian", "center": [-1.0, 0.5], "width": 1.0,
+                 "momentum": [0.5, 0.0]},
+        run={"engine": "schrodinger", "steps": 30, "snapshot_stride": 7},
+    ))
+    x, y = sc.space.meshes
+    k = 2.0 * math.pi / sc.space.extents[0]
+    A = np.stack([-0.6 * np.sin(k * y), 0.6 * np.sin(k * x)])
+    return dataclasses.replace(sc, vector_potential=VectorField(sc.space, A))
+
+
+def _constant_gauge_scenario():
+    """1D-128 coupled with a constant A."""
+    return scenario_from_dict(base_cfg(
+        params={"beta": 0.7},
+        potentials={"V": {"type": "harmonic", "omega": 1.0},
+                    "A": {"type": "constant", "value": 0.4}},
+        run={"engine": "coupled", "steps": 40, "snapshot_stride": 15},
+    ))
+
+
+@pytest.mark.parametrize("make", [_curl_gauge_scenario, _constant_gauge_scenario],
+                         ids=["schrodinger-2d-curl-A", "coupled-1d-constant-A"])
+def test_gauge_check_keeps_the_bits_of_the_lockstep(tmp_path, monkeypatch, make):
+    """The twin stepped on a worker, a snapshot interval at a time, gives the
+    report and the gap file of the two stepped in lockstep, bit for bit."""
+    before = threading.active_count()
+    report = gauge_check(make(), 0.8, 1, str(tmp_path / "pairs"))
+    assert threading.active_count() == before
+    monkeypatch.setattr(scenarios, "_in_pairs", _lockstep)
+    reference = gauge_check(make(), 0.8, 1, str(tmp_path / "lockstep"))
+    assert report == reference
+    assert len(report["times"]) > 3
+    for name in ("gauge_gaps.csv", "summary.json"):
+        pairs, lockstep = tmp_path / "pairs" / name, tmp_path / "lockstep" / name
+        assert pairs.read_bytes() == lockstep.read_bytes()
+
+
+def _failing_steps(monkeypatch, sc, fail_at, slow):
+    """Patch the schrodinger step to raise at the step fail_at[side] names,
+    the base's side told by its A; the slow side sleeps before each step, so
+    the other side's failure comes first.  Returns the steps each side
+    completed."""
+    completed = {"base": [], "twin": []}
+    unitary_step = schro.unitary_step
+
+    def step(w, params, V, dt, A):
+        side = "base" if A is sc.vector_potential else "twin"
+        n = len(completed[side]) + 1
+        if side == slow:
+            time.sleep(0.05)
+        if n == fail_at.get(side):
+            raise DegenerateDensityError(f"{side} fails at step {n}")
+        w = unitary_step(w, params, V, dt, A)
+        completed[side].append(n)
+        return w
+
+    monkeypatch.setattr(schro, "unitary_step", step)
+    return completed
+
+
+@pytest.mark.parametrize("fail_at, slow, error", [
+    ({"base": 3}, "twin", "base fails at step 3"),
+    ({"twin": 3}, "base", "twin fails at step 3"),
+    ({"base": 5, "twin": 3}, "twin", "twin fails at step 3"),
+    ({"base": 3, "twin": 3}, "base", "base fails at step 3"),
+], ids=["base-3", "twin-3", "base-5-twin-3", "tie-at-3"])
+def test_a_gauge_check_fails_where_the_lockstep_fails(tmp_path, monkeypatch, fail_at, slow,
+                                                      error):
+    """The error raised is the one at the earlier step, the base's on a tie,
+    even when it comes last; last_step is the last step both completed; a
+    side that lags behind a failure stops within a step of it; and
+    summary.json is the lockstep's."""
+    sc = scenario_from_dict(base_cfg(
+        space={"points": 64}, params={"beta": 0.7},
+        potentials={"A": {"type": "constant", "value": 0.4}},
+        run={"engine": "schrodinger", "steps": 8, "snapshot_stride": 8},
+    ))
+    before = threading.active_count()
+    completed = _failing_steps(monkeypatch, sc, fail_at, slow)
+    with pytest.raises(DegenerateDensityError, match=f"^{error}$"):
+        gauge_check(sc, 0.8, 1, str(tmp_path / "pairs"))
+    assert threading.active_count() == before
+    assert io.load_summary(tmp_path / "pairs" / "summary.json")["last_step"] == 2
+    # in the lockstep the base steps first, so it takes step 3 before the twin fails there
+    assert max(completed[slow], default=0) <= {"base": 3, "twin": 2}[slow]
+
+    monkeypatch.undo()  # the next patch wraps the engine's own step again
+    monkeypatch.setattr(scenarios, "_in_pairs", _lockstep)
+    _failing_steps(monkeypatch, sc, fail_at, slow)
+    with pytest.raises(DegenerateDensityError, match=f"^{error}$"):
+        gauge_check(sc, 0.8, 1, str(tmp_path / "lockstep"))
+    assert ((tmp_path / "pairs" / "summary.json").read_bytes()
+            == (tmp_path / "lockstep" / "summary.json").read_bytes())
+
+
+def test_a_gauge_check_builds_each_memo_slot_once(tmp_path, monkeypatch):
+    """Three checks of one scenario at once, six stepping threads on a short
+    switch interval: every side steps with the scenario's one V and misses
+    its half-kick at step 1, and a slow build widens the race, yet the
+    memo's lock lets one thread build it.  The shared A's links are built
+    once, and each twin's A's once."""
+    builds = []  # list.append is atomic; a counter's += could lose an update
+    half_kick, face_links = schro._half_kick, schro._face_links
+
+    def slow_half_kick(values, dt, eta):
+        builds.append("kick")
+        time.sleep(0.05)
+        return half_kick(values, dt, eta)
+
+    def counted_face_links(space, A):
+        builds.append("links")
+        return face_links(space, A)
+
+    monkeypatch.setattr(schro, "_half_kick", slow_half_kick)
+    monkeypatch.setattr(schro, "_face_links", counted_face_links)
+    sc = _curl_gauge_scenario()
+    reports = []
+    checks = [threading.Thread(target=lambda k=k: reports.append(
+        gauge_check(sc, 0.8, 1, str(tmp_path / f"check{k}"))), daemon=True) for k in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for check in checks:
+            check.start()
+        for check in checks:
+            check.join(timeout=120.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(check.is_alive() for check in checks)
+    assert len(reports) == 3 and all(report["passed"] for report in reports)
+    assert reports[0] == reports[1] == reports[2]
+    assert sorted(builds) == ["kick"] + ["links"] * 4
 
 
 def test_maxent_audit_small(tmp_path):
